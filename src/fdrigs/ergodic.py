@@ -1,15 +1,20 @@
-"""Ergodic-rate analytics: exact double integral, the closed-form upper bound
-built from partial-fraction residues, and the Rayleigh lower bound.
+"""Ergodic-rate analytics, each an integral over the target rate r.
+
+* `r_e2e_exact`: the integral of the exact end-to-end survival
+  (1 - P_sr(r)) (1 - P_rd(r)).
+* `r_e2e_ub`: the integral of the survival of the outage lower bound,
+  int_0^inf (1 - P_lb(r)) dr, whose integrand is the product of the two
+  closed-form hop survivals.
+* `r_e2e_rayleigh_lb`: the Rayleigh lower bound, a single Laplace-type
+  integral (see its docstring).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Tuple
+from typing import Callable
 
-import numpy as np
+from scipy import integrate
 
 from .model import RateTarget, SignalParams, SystemParams, alpha
 from .outage import (
@@ -19,16 +24,15 @@ from .outage import (
     METHOD_UPPER_BOUND,
     EvalResult,
     QuadratureConfig,
+    QuadratureError,
     _rd_survival,
     _sr_survival_exact,
+    _sr_survival_lb_complement,
+    integrate_semi_infinite,
     p_e2e_lb,
 )
-from .specfun import tricomi_u, xi_n
 
 __all__ = [
-    "PartialFractionExpansion",
-    "PoleCollisionError",
-    "compute_partial_fractions",
     "r_e2e_exact",
     "r_e2e_ub",
     "r_e2e_rayleigh_lb",
@@ -37,242 +41,6 @@ __all__ = [
 # c_x is clamped below 1 wherever a (1 - c_x^2) denominator appears; the
 # boundary itself is covered by the psi-ratio limit in the outage module.
 _CX_CEIL = 1.0 - 1e-9
-
-_POLE_COLLISION_TOL = 1e-9
-
-
-class PoleCollisionError(ArithmeticError):
-    """Two denominator roots coincide; the expansion basis is degenerate."""
-
-
-@dataclass(frozen=True)
-class PartialFractionExpansion:
-    """Expansion of the rational factor F of one (m, m', k, k') term.
-
-    F(psi) = (psi + 1) / ((psi + 1 - c_x)(psi + 1 + c_x)
-                          (A psi + B)^J (C psi + D)^L)
-
-    Coefficients are kept as exact rationals: nearby pole clusters make the
-    expansion heavily cancelling and double precision is not enough.
-    """
-
-    simple_terms: List[Tuple[Fraction, Fraction]]
-    sr_pole_terms: List[Fraction]
-    sd_pole_terms: List[Fraction]
-    context: Tuple[int, int, int, int]
-    linear_sr: Tuple[Fraction, Fraction]
-    linear_sd: Tuple[Fraction, Fraction]
-    c_x: Fraction
-
-    def reconstruct(self, psi):
-        """Evaluate the expansion; must reproduce F on the positive axis."""
-        arr = np.asarray(psi, dtype=float)
-        a_sr, b_sr = self.linear_sr
-        a_sd, b_sd = self.linear_sd
-
-        def one(p: float) -> float:
-            p = Fraction(p)
-            acc = Fraction(0)
-            for root, coeff in self.simple_terms:
-                acc += coeff / (p - root)
-            for j, z in enumerate(self.sr_pole_terms, start=1):
-                acc += z / (a_sr * p + b_sr) ** j
-            for l, x in enumerate(self.sd_pole_terms, start=1):
-                acc += x / (a_sd * p + b_sd) ** l
-            return float(acc)
-
-        out = np.vectorize(one)(arr)
-        return float(out) if out.ndim == 0 else out
-
-    def direct(self, psi):
-        """F evaluated from its factored form (reconstruction oracle)."""
-        arr = np.asarray(psi, dtype=float)
-        a_sr, b_sr = self.linear_sr
-        a_sd, b_sd = self.linear_sd
-        j_mult = len(self.sr_pole_terms)
-        l_mult = len(self.sd_pole_terms)
-
-        def one(p: float) -> float:
-            p = Fraction(p)
-            den = (
-                (p + 1 - self.c_x)
-                * (p + 1 + self.c_x)
-                * (a_sr * p + b_sr) ** j_mult
-                * (a_sd * p + b_sd) ** l_mult
-            )
-            return float((p + 1) / den)
-
-        out = np.vectorize(one)(arr)
-        return float(out) if out.ndim == 0 else out
-
-
-def _recip_series(a: Fraction, b: Fraction, s0: Fraction, n: int) -> List[Fraction]:
-    """Taylor coefficients of 1 / (a s + b) around s0, orders 0..n-1."""
-    c0 = a * s0 + b
-    ratio = -a / c0
-    coeffs = []
-    term = 1 / c0
-    for _ in range(n):
-        coeffs.append(term)
-        term *= ratio
-    return coeffs
-
-
-def _series_mul(x: List[Fraction], y: List[Fraction]) -> List[Fraction]:
-    n = len(x)
-    out = [Fraction(0)] * n
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j in range(n - i):
-            out[i + j] += xi * y[j]
-    return out
-
-
-def _taylor_of_cofactor(
-    s0: Fraction, n: int, factors: List[Tuple[Fraction, Fraction, int]]
-) -> List[Fraction]:
-    """Taylor coefficients of (s + 1) / prod (a s + b)^mult around s0.
-
-    Exact rational arithmetic: the coefficients cancel heavily when two pole
-    clusters sit close together, so floating point is not good enough here.
-    """
-    g = [Fraction(0)] * n
-    g[0] = 1 + s0
-    if n > 1:
-        g[1] = Fraction(1)
-    for a, b, mult in factors:
-        r = _recip_series(a, b, s0, n)
-        for _ in range(mult):
-            g = _series_mul(g, r)
-    return g
-
-
-def _pole_factors(sys: SystemParams, sig: SignalParams):
-    """Linear factors (A, B) and (C, D) of the two shape-pole families."""
-    c_x = min(sig.c_x, _CX_CEIL)
-    one_minus = (1.0 - c_x) * (1.0 + c_x)
-    a_sr = sig.p_r / (sys.p_s * sys.sr.theta)
-    b_sr = 1.0 / sys.rr.theta
-    a_sd = sys.p_s / (sig.p_r * sys.rd.theta * one_minus)
-    b_sd = 1.0 / sys.sd.theta
-    return c_x, (a_sr, b_sr), (a_sd, b_sd)
-
-
-def compute_partial_fractions(
-    sys: SystemParams, sig: SignalParams, indices: Tuple[int, int, int, int]
-) -> PartialFractionExpansion:
-    """Partial fractions of one (m, m', k, k') term by exact polynomial algebra.
-
-    The two simple poles sit at -(1 -+ c_x); the numerator (psi + 1) cancels
-    the growing part of each residue, so the expansion stays finite as the
-    pair merges at c_x = 0.
-    """
-    m, mp, k, kp = indices
-    if not (0 <= k <= m < sys.sr.m and 0 <= kp <= mp < sys.rd.m):
-        raise ValueError(f"indices {indices} outside shape bounds")
-    c_x, (a_sr_f, b_sr_f), (a_sd_f, b_sd_f) = _pole_factors(sys, sig)
-    j_mult = k + sys.rr.m
-    l_mult = kp + sys.sd.m
-
-    cx = Fraction(c_x)
-    a_sr, b_sr = Fraction(a_sr_f), Fraction(b_sr_f)
-    a_sd, b_sd = Fraction(a_sd_f), Fraction(b_sd_f)
-    s1 = -(1 - cx)
-    s2 = -(1 + cx)
-    s_sr = -b_sr / a_sr
-    s_sd = -b_sd / a_sd
-    for p, q in ((s1, s_sr), (s1, s_sd), (s2, s_sr), (s2, s_sd), (s_sr, s_sd)):
-        if abs(p - q) < _POLE_COLLISION_TOL * max(1.0, abs(p), abs(q)):
-            raise PoleCollisionError(
-                f"poles {float(p)} and {float(q)} coincide within tolerance"
-            )
-
-    def rest(s: Fraction) -> Fraction:
-        return (a_sr * s + b_sr) ** j_mult * (a_sd * s + b_sd) ** l_mult
-
-    # (s + 1) contributes a factor +-c_x at each simple pole, cancelling the
-    # 2 c_x gap between them: both residues reduce to 1 / (2 rest(s_i)).
-    simple = [(s1, 1 / (2 * rest(s1))), (s2, 1 / (2 * rest(s2)))]
-
-    g = _taylor_of_cofactor(
-        s_sr, j_mult, [(Fraction(1), 1 - cx, 1), (Fraction(1), 1 + cx, 1), (a_sd, b_sd, l_mult)]
-    )
-    zeta = [g[j_mult - j] * a_sr ** (j - j_mult) for j in range(1, j_mult + 1)]
-
-    h = _taylor_of_cofactor(
-        s_sd, l_mult, [(Fraction(1), 1 - cx, 1), (Fraction(1), 1 + cx, 1), (a_sr, b_sr, j_mult)]
-    )
-    xi = [h[l_mult - l] * a_sd ** (l - l_mult) for l in range(1, l_mult + 1)]
-
-    return PartialFractionExpansion(
-        simple_terms=simple,
-        sr_pole_terms=zeta,
-        sd_pole_terms=xi,
-        context=(m, mp, k, kp),
-        linear_sr=(a_sr, b_sr),
-        linear_sd=(a_sd, b_sd),
-        c_x=cx,
-    )
-
-
-def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:
-    """Closed-form end-to-end ergodic-rate upper bound; exact at c_x = 0."""
-    sys.check_signal(sig)
-    c_x, (a_sr, b_sr), (a_sd, b_sd) = _pole_factors(sys, sig)
-    one_minus = (1.0 - c_x) * (1.0 + c_x)
-    m_sr, m_rd, m_rr, m_sd = sys.sr.m, sys.rd.m, sys.rr.m, sys.sd.m
-    th_sr, th_rd, th_rr, th_sd = sys.sr.theta, sys.rd.theta, sys.rr.theta, sys.sd.theta
-    omega = 1.0 / (sys.p_s * th_sr) + 1.0 / (sig.p_r * th_rd * one_minus)
-    z_sr = (b_sr / a_sr) * omega
-    z_sd = (b_sd / a_sd) * omega
-
-    prefactor = 1.0 / (
-        math.gamma(m_sd) * math.gamma(m_rr) * th_sd**m_sd * th_rr**m_rr * math.log(2.0)
-    )
-    total = 0.0
-    for m in range(m_sr):
-        for mp in range(m_rd):
-            big_m = m + mp
-            fact_m = math.gamma(big_m + 1)
-            for k in range(m + 1):
-                for kp in range(mp + 1):
-                    pfe = compute_partial_fractions(sys, sig, (m, mp, k, kp))
-                    coeff = (
-                        math.comb(m, k)
-                        * math.comb(mp, kp)
-                        * sig.p_r ** (k - mp)
-                        * math.gamma(k + m_rr)
-                        * math.gamma(kp + m_sd)
-                        / (
-                            sys.p_s ** (m - kp)
-                            * math.gamma(m + 1)
-                            * math.gamma(mp + 1)
-                            * th_sr**m
-                            * (th_rd * one_minus) ** mp
-                        )
-                    )
-                    bracket = 0.0
-                    for root, lam in pfe.simple_terms:
-                        bracket += lam * omega**-big_m * fact_m * xi_n(big_m + 1, -root * omega)
-                    for j, z in enumerate(pfe.sr_pole_terms, start=1):
-                        bracket += (
-                            z
-                            * a_sr**-j
-                            * omega ** (j - 1 - big_m)
-                            * fact_m
-                            * tricomi_u(j, j - big_m, z_sr)
-                        )
-                    for l, x in enumerate(pfe.sd_pole_terms, start=1):
-                        bracket += (
-                            x
-                            * a_sd**-l
-                            * omega ** (l - 1 - big_m)
-                            * fact_m
-                            * tricomi_u(l, l - big_m, z_sd)
-                        )
-                    total += coeff * bracket
-    return EvalResult(prefactor * total, METHOD_UPPER_BOUND)
 
 
 def _rate_cap(sys: SystemParams, sig: SignalParams, tail_tol: float = 1e-12) -> float:
@@ -285,63 +53,75 @@ def _rate_cap(sys: SystemParams, sig: SignalParams, tail_tol: float = 1e-12) -> 
     return r_cap
 
 
-def r_e2e_exact(
-    sys: SystemParams, sig: SignalParams, quad: QuadratureConfig = DEFAULT_QUAD
-) -> EvalResult:
-    """Exact ergodic rate as the integral of the end-to-end survival over r."""
-    sys.check_signal(sig)
-    from scipy import integrate
-
-    r_cap = _rate_cap(sys, sig)
-
-    def survival(r: float) -> float:
-        target = RateTarget(r)
-        return _sr_survival_exact(sys, sig, target, quad) * _rd_survival(sys, sig, target)
-
+def _rate_integral(
+    sys: SystemParams,
+    sig: SignalParams,
+    survival: Callable[[RateTarget], float],
+    quad: QuadratureConfig,
+) -> float:
+    """int_0^r_cap survival(r) dr by adaptive quadrature."""
     val, err, info, *rest = integrate.quad(
-        survival,
+        lambda r: survival(RateTarget(r)),
         0.0,
-        r_cap,
+        _rate_cap(sys, sig),
         epsabs=quad.abs_tol,
         epsrel=quad.rel_tol,
         limit=quad.max_subdivisions,
         full_output=True,
     )
     if rest:
-        from .outage import QuadratureError
-
         raise QuadratureError(f"ergodic-rate outer quadrature failed: {rest[0]}")
-    return EvalResult(val, METHOD_EXACT_INTEGRAL)
+    return val
+
+
+def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:
+    """End-to-end ergodic-rate upper bound; exact at c_x = 0.
+
+    int_0^inf (1 - P_lb(r)) dr, where 1 - P_lb(r) is the product of the
+    first-hop lower-bound survival and the second-hop survival, both in
+    closed form.
+    """
+    sys.check_signal(sig)
+
+    def survival(target: RateTarget) -> float:
+        return _sr_survival_lb_complement(sys, sig, target) * _rd_survival(sys, sig, target)
+
+    return EvalResult(_rate_integral(sys, sig, survival, DEFAULT_QUAD), METHOD_UPPER_BOUND)
+
+
+def r_e2e_exact(
+    sys: SystemParams, sig: SignalParams, quad: QuadratureConfig = DEFAULT_QUAD
+) -> EvalResult:
+    """Exact ergodic rate as the integral of the end-to-end survival over r."""
+    sys.check_signal(sig)
+
+    def survival(target: RateTarget) -> float:
+        return _sr_survival_exact(sys, sig, target, quad) * _rd_survival(sys, sig, target)
+
+    return EvalResult(_rate_integral(sys, sig, survival, quad), METHOD_EXACT_INTEGRAL)
 
 
 def r_e2e_rayleigh_lb(sys: SystemParams, sig: SignalParams) -> EvalResult:
-    """Closed-form Rayleigh ergodic-rate lower bound; loosens as c_x -> 1."""
+    """Rayleigh ergodic-rate lower bound; loosens as c_x -> 1.
+
+    (1 / ln 2) int_0^inf e^{-omega s} x (s + 1) / (((s + 1)^2 - a^2 c_x^2) (s + x)) ds
+
+    with a = alpha(p_r), x = p_r pi_rd (1 - c_x^2) / (p_s pi_sd) and
+    omega = (p_r pi_rr + 1) / (p_s pi_sr) + 1 / (p_r pi_rd (1 - c_x^2)).
+    Every factor is positive on s >= 0, so the integrand stays smooth where
+    two of its poles -(1 -+ a c_x) and -x coincide.
+    """
     if not sys.all_rayleigh:
         raise ValueError("r_e2e_rayleigh_lb requires all shapes equal to 1")
     sys.check_signal(sig)
     c_x = min(sig.c_x, _CX_CEIL)
-    one_minus = (1.0 - c_x) * (1.0 + c_x)
-    a = alpha(sys, sig.p_r)
-    prd = sig.p_r * sys.rd.pi * one_minus
-    psd = sys.p_s * sys.sd.pi
+    prd = sig.p_r * sys.rd.pi * (1.0 - c_x) * (1.0 + c_x)
+    x = prd / (sys.p_s * sys.sd.pi)
+    ac = alpha(sys, sig.p_r) * c_x
     omega = (sig.p_r * sys.rr.pi + 1.0) / (sys.p_s * sys.sr.pi) + 1.0 / prd
 
-    scale = psd * max(1.0, prd / psd)
-    kappas = []
-    for i in (1, 2):
-        den = prd - psd * (1.0 + (-1.0) ** i * a * c_x)
-        if abs(den) < 1e-9 * scale:
-            raise ArithmeticError(
-                "degenerate parameters: a partial-fraction denominator vanishes; "
-                "perturb p_r, c_x or the link powers"
-            )
-        kappas.append(0.5 * psd / den)
-    den3 = (prd - psd * (1.0 - a * c_x)) * (prd - psd * (1.0 + a * c_x))
-    kappa3 = psd * (psd - prd) / den3
+    def integrand(s: float) -> float:
+        return math.exp(-omega * s) * x * (s + 1.0) / ((s + 1.0 - ac) * (s + 1.0 + ac) * (s + x))
 
-    total = 0.0
-    for i, kap in zip((1, 2), kappas):
-        total += kap * xi_n(1, (1.0 + (-1.0) ** i * a * c_x) * omega)
-    total += kappa3 * xi_n(1, (prd / psd) * omega)
-    value = prd / (psd * math.log(2.0)) * total
+    value = integrate_semi_infinite(integrand, 1.0 / omega) / math.log(2.0)
     return EvalResult(value, METHOD_LOWER_BOUND)

@@ -1,92 +1,27 @@
-"""Numerically stable special functions used by the closed-form expressions.
+"""The one special function the analytics call: log Gamma(a, x) for integer a.
 
-All shape-like first arguments are restricted to positive integers, which is
-the only regime the analytics need; this keeps every incomplete-gamma
-evaluation a finite, cancellation-free sum.
+For a positive integer a, Gamma(a, x) = (a-1)! e^{-x} sum_{m<a} x^m / m!,
+a finite, cancellation-free sum; taking it in the log domain keeps it finite
+where e^{-x} underflows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-__all__ = [
-    "SpecFunConfig",
-    "DEFAULT_CONFIG",
-    "gamma_int",
-    "upper_incomplete_gamma_int",
-    "log_upper_incomplete_gamma_int",
-    "exp_integral_en",
-    "xi_n",
-    "tricomi_u",
-]
-
-# Largest integer a with Gamma(a) representable in double precision.
-_MAX_GAMMA_ARG = 170
-
-# Above this argument, e^x and E_n(x) are computed jointly via the
-# continued fraction to avoid overflow/underflow in the separate factors.
-_XI_SWITCH = 30.0
-
-
-@dataclass(frozen=True)
-class SpecFunConfig:
-    """Termination control for series and quadrature evaluations."""
-
-    rel_tol: float = 1e-10
-    max_terms: int = 256
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < 1e-3:
-            raise ValueError(f"rel_tol must lie in (0, 1e-3), got {self.rel_tol}")
-        if self.max_terms < 64:
-            raise ValueError(f"max_terms must be >= 64, got {self.max_terms}")
-
-
-DEFAULT_CONFIG = SpecFunConfig()
-
-
-def _check_int_shape(a, name: str = "a") -> int:
-    if isinstance(a, float) and not a.is_integer():
-        raise ValueError(f"{name} must be a positive integer, got {a}")
-    a = int(a)
-    if a < 1:
-        raise ValueError(f"{name} must be >= 1, got {a}")
-    return a
-
-
-def gamma_int(a: int) -> float:
-    """Gamma(a) = (a-1)! for integer a in [1, 170]."""
-    a = _check_int_shape(a)
-    if a > _MAX_GAMMA_ARG:
-        raise ValueError(f"a={a} overflows double precision (max {_MAX_GAMMA_ARG})")
-    return float(math.factorial(a - 1))
-
-
-def upper_incomplete_gamma_int(a: int, x: float) -> float:
-    """Gamma(a, x) for integer a >= 1 via the finite series.
-
-    Gamma(a, x) = (a-1)! e^{-x} sum_{m=0}^{a-1} x^m / m!
-    """
-    a = _check_int_shape(a)
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if a > _MAX_GAMMA_ARG:
-        raise ValueError(f"a={a} overflows double precision (max {_MAX_GAMMA_ARG})")
-    s = 1.0
-    term = 1.0
-    for m in range(1, a):
-        term *= x / m
-        s += term
-    return gamma_int(a) * math.exp(-x) * s
+__all__ = ["log_upper_incomplete_gamma_int"]
 
 
 def log_upper_incomplete_gamma_int(a: int, x: float) -> float:
     """log Gamma(a, x), stable for x up to ~1e6."""
-    a = _check_int_shape(a)
+    if isinstance(a, float) and not a.is_integer():
+        raise ValueError(f"a must be a positive integer, got {a}")
+    a = int(a)
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
@@ -94,84 +29,3 @@ def log_upper_incomplete_gamma_int(a: int, x: float) -> float:
     m = np.arange(a)
     terms = m * math.log(x) - special.gammaln(m + 1)
     return float(math.lgamma(a) - x + special.logsumexp(terms))
-
-
-def _xi_continued_fraction(n: int, x: float, cfg: SpecFunConfig) -> float:
-    """e^x E_n(x) by the modified Lentz continued fraction (large x)."""
-    tiny = 1e-300
-    b = x + n
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, cfg.max_terms + 1):
-        a_i = -i * (n - 1 + i)
-        b += 2.0
-        d = a_i * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + a_i / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < cfg.rel_tol:
-            return h
-    raise ArithmeticError(f"continued fraction for Xi_{n}({x}) did not converge")
-
-
-def exp_integral_en(n: int, x: float, cfg: SpecFunConfig = DEFAULT_CONFIG) -> float:
-    """Exponential integral E_n(x) = int_1^inf e^{-xt} / t^n dt for x > 0."""
-    n = _check_int_shape(n, "n")
-    if x <= 0:
-        raise ValueError(f"x must be > 0, got {x}")
-    if x <= 700.0:
-        return float(special.expn(n, x))
-    # e^{-x} underflows; best-effort through the continued fraction.
-    return math.exp(-x) * _xi_continued_fraction(n, x, cfg)
-
-
-def xi_n(n: int, x: float, cfg: SpecFunConfig = DEFAULT_CONFIG) -> float:
-    """Xi_n(x) = e^x E_n(x), finite for x up to 1e6.
-
-    For x > 30 the product is computed directly via a continued fraction so
-    that neither e^x nor E_n(x) is formed on its own.
-    """
-    n = _check_int_shape(n, "n")
-    if x <= 0:
-        raise ValueError(f"x must be > 0, got {x}")
-    if x <= _XI_SWITCH:
-        return float(math.exp(x) * special.expn(n, x))
-    return _xi_continued_fraction(n, x, cfg)
-
-
-def tricomi_u(a: float, b: float, z: float, cfg: SpecFunConfig = DEFAULT_CONFIG) -> float:
-    """Tricomi confluent hypergeometric U(a, b, z) for a > 0, z > 0.
-
-    Evaluated from the integral representation mapped onto (0, 1) via
-    t = u / (1 - u), which keeps the quadrature adaptive near both the
-    t -> 0 endpoint and the exponential tail.  Valid for any real b,
-    including the nonpositive-integer values where Kummer-based formulas
-    are singular.
-    """
-    if a <= 0:
-        raise ValueError(f"a must be > 0, got {a}")
-    if z <= 0:
-        raise ValueError(f"z must be > 0, got {z}")
-
-    def integrand(u: float) -> float:
-        t = u / (1.0 - u)
-        # t^{a-1} (t+1)^{b-a-1} dt collapses to u^{a-1} (1-u)^{-b} du
-        log_f = -z * t - b * math.log1p(-u)
-        if a != 1.0:
-            log_f += (a - 1.0) * math.log(u)
-        return math.exp(log_f)
-
-    val, err = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=1e-300, epsrel=cfg.rel_tol, limit=cfg.max_terms
-    )
-    if val > 0 and err > 100 * cfg.rel_tol * val:
-        raise ArithmeticError(
-            f"quadrature for U({a}, {b}, {z}) reached error {err:.3g} on value {val:.3g}"
-        )
-    return val / math.gamma(a)

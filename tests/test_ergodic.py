@@ -1,21 +1,14 @@
-"""Ergodic rate: partial-fraction machinery, closed-form bounds, and the
-exact survival integral, each against an independent oracle."""
+"""Ergodic rate: the upper bound, the Rayleigh lower bound and the exact
+survival integral, each against an independent oracle."""
 
 import math
-from fractions import Fraction
 
-import numpy as np
+import mpmath as mp
 import pytest
 from scipy import integrate
 
-from fdrigs.ergodic import (
-    PoleCollisionError,
-    compute_partial_fractions,
-    r_e2e_exact,
-    r_e2e_rayleigh_lb,
-    r_e2e_ub,
-)
-from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
+from fdrigs.ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
+from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, alpha
 from fdrigs.outage import p_e2e_exact
 
 # frozen anchors (cross-checked against quadrature oracles)
@@ -25,10 +18,12 @@ ERG_LB = 2.6370203039880513
 M2_ERG_UB = 3.5586808626614763
 
 
-def base_system(m_relayed=1, m_rr=1, m_sd=1):
+def base_system(m_relayed=1, shapes=None, pi_sr=100.0, pi_rd=100.0):
+    """Shapes (sr, rd, rr, sd) default to (m_relayed, m_relayed, 1, 1)."""
+    m_sr, m_rd, m_rr, m_sd = shapes or (m_relayed, m_relayed, 1, 1)
     return SystemParams(
-        sr=LinkStat(m_relayed, 100.0),
-        rd=LinkStat(m_relayed, 100.0),
+        sr=LinkStat(m_sr, pi_sr),
+        rd=LinkStat(m_rd, pi_rd),
         rr=LinkStat(m_rr, 10.0),
         sd=LinkStat(m_sd, 2.0),
         p_s=1.0,
@@ -49,6 +44,43 @@ def oracle_survival_integral(sys_p, sig, upper=40.0):
         epsrel=1e-10,
     )
     return val
+
+
+def mp_hop_survival(m, u, beta, m_i, theta_i):
+    """P(g >= u (1 + beta g_i)) for g ~ Gamma(m, 1) and g_i ~ Gamma(m_i, theta_i).
+
+    Q(m, y) = e^-y sum_{j<m} y^j / j!, so each term is a Gamma moment
+    E[g_i^k e^{-t g_i}] after a binomial expansion of (1 + beta g_i)^j.
+    """
+    t = u * beta + 1 / theta_i
+    total = mp.mpf(0)
+    for j in range(m):
+        moments = sum(
+            mp.binomial(j, k) * beta**k * mp.gamma(m_i + k) / t ** (m_i + k) for k in range(j + 1)
+        )
+        total += u**j / mp.factorial(j) * moments
+    return mp.exp(-u) * total / (mp.gamma(m_i) * theta_i**m_i)
+
+
+def mp_ergodic_ub(sys_p, sig):
+    """mpmath: int_0^inf of the outage lower bound's survival over r.
+
+    Hop 1 survives when p_s g_sr >= (p_r g_rr + 1) (sqrt(1 + gamma (1 - c^2)) - 1);
+    hop 2 when p_r g_rd >= (p_s g_sd + 1) gamma / (1 + sqrt(1 + gamma (1 - c^2))).
+    """
+    c = mp.mpf(sig.c_x)
+    p_s, p_r = mp.mpf(sys_p.p_s), mp.mpf(sig.p_r)
+    sr, rd, rr, sd = sys_p.sr, sys_p.rd, sys_p.rr, sys_p.sd
+
+    def survival(r):
+        gam = mp.mpf(2) ** (2 * r) - 1
+        root = mp.sqrt(1 + gam * (1 - c * c))
+        hop1 = mp_hop_survival(sr.m, (root - 1) / (p_s * sr.theta), p_r, rr.m, mp.mpf(rr.theta))
+        hop2 = mp_hop_survival(rd.m, gam / (1 + root) / (p_r * rd.theta), p_s, sd.m, mp.mpf(sd.theta))
+        return hop1 * hop2
+
+    with mp.workdps(20):
+        return float(mp.quad(survival, [0, 2, 4, 6, 8, 12, 20]))
 
 
 def test_frozen_anchors():
@@ -87,6 +119,53 @@ def test_ub_exact_when_proper():
         )
 
 
+@pytest.mark.parametrize(
+    "shapes, c_x",
+    [
+        ((4, 4, 4, 4), 0.9),
+        ((3, 3, 4, 4), 0.9),
+        ((3, 4, 3, 1), 0.9),
+        ((2, 2, 2, 2), 1.0 - 1e-6),
+        ((3, 3, 3, 3), 1.0 - 1e-6),
+        ((4, 4, 4, 4), 1.0 - 1e-6),
+    ],
+)
+def test_ub_matches_mpmath_oracle(shapes, c_x):
+    sys_p = base_system(shapes=shapes)
+    sig = SignalParams(1.0, c_x)
+    assert r_e2e_ub(sys_p, sig).value == pytest.approx(mp_ergodic_ub(sys_p, sig), abs=1e-9)
+
+
+def test_ub_continuous_through_pole_collision():
+    # at pi_sr = pi_rr (1 - c_x) two poles of the bound's rational factor in
+    # psi coincide, where a partial-fraction evaluation breaks down
+    def collision_system(eps):
+        return base_system(shapes=(2, 2, 2, 2), pi_sr=10.0 * (1.0 - SIG.c_x) * (1.0 + eps))
+
+    at_collision = r_e2e_ub(collision_system(0.0), SIG).value
+    assert at_collision == pytest.approx(mp_ergodic_ub(collision_system(0.0), SIG), abs=1e-9)
+    for eps in (1e-8, 1e-6, 1e-4):
+        value = r_e2e_ub(collision_system(eps), SIG).value
+        assert math.isfinite(value)
+        assert abs(value - at_collision) <= 2.0 * eps + 1e-9
+
+
+def test_rayleigh_lb_continuous_on_degenerate_set():
+    # pi_rd chosen so that p_r pi_rd (1 - c_x^2) = p_s pi_sd (1 - a c_x):
+    # two poles of the integrand, -(1 - a c_x) and -x, coincide
+    base = base_system()
+    ac = alpha(base, SIG.p_r) * SIG.c_x
+    pi_rd = base.p_s * base.sd.pi * (1.0 - ac) / (SIG.p_r * (1.0 - SIG.c_x**2))
+
+    def lb(rel):
+        return r_e2e_rayleigh_lb(base_system(pi_rd=pi_rd * (1.0 + rel)), SIG).value
+
+    at_degenerate = lb(0.0)
+    assert math.isfinite(at_degenerate)
+    for rel in (1e-10, -1e-10, 1e-6, -1e-6):
+        assert abs(lb(rel) - at_degenerate) <= 10.0 * abs(rel) + 1e-12
+
+
 def test_rayleigh_lb_sandwich():
     sys_p = base_system()
     for c_x in (0.0, 0.4, 0.9):
@@ -96,67 +175,6 @@ def test_rayleigh_lb_sandwich():
         assert lb <= exact + 1e-9
     with pytest.raises(ValueError):
         r_e2e_rayleigh_lb(base_system(2), SIG)
-
-
-def test_partial_fraction_reconstruction_is_exact():
-    # exact rational coefficients: the expansion reproduces F identically
-    rng = np.random.default_rng(5)
-    for m_rel, m_rr, m_sd in [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 1, 2)]:
-        sys_p = base_system(m_rel, m_rr, m_sd)
-        for indices in [(0, 0, 0, 0), (m_rel - 1, m_rel - 1, m_rel - 1, m_rel - 1)]:
-            pfe = compute_partial_fractions(sys_p, SIG, indices)
-            psi = rng.uniform(0.01, 10.0, size=20)
-            np.testing.assert_array_equal(pfe.reconstruct(psi), pfe.direct(psi))
-
-
-def test_simple_pole_residues_via_limit_oracle():
-    # residue at s_i as the numerical limit (s - s_i) F(s), s -> s_i
-    sys_p = base_system(2)
-    pfe = compute_partial_fractions(sys_p, SIG, (1, 1, 0, 1))
-    for root, coeff in pfe.simple_terms:
-        s = root + Fraction(1, 10**8)
-        a_sr, b_sr = pfe.linear_sr
-        a_sd, b_sd = pfe.linear_sd
-        j, l = len(pfe.sr_pole_terms), len(pfe.sd_pole_terms)
-        f_val = (s + 1) / (
-            (s + 1 - pfe.c_x) * (s + 1 + pfe.c_x)
-            * (a_sr * s + b_sr) ** j * (a_sd * s + b_sd) ** l
-        )
-        assert float((s - root) * f_val) == pytest.approx(float(coeff), rel=1e-6)
-
-
-def test_residues_continuous_through_proper_limit():
-    # the (psi + 1) numerator cancels the 2 c_x pole gap, so coefficients
-    # stay bounded as c_x -> 0
-    sys_p = base_system(2)
-    eps = compute_partial_fractions(sys_p, SignalParams(1.0, 1e-9), (1, 1, 0, 1))
-    zero = compute_partial_fractions(sys_p, SignalParams(1.0, 1e-12), (1, 1, 0, 1))
-    for (_, c1), (_, c2) in zip(eps.simple_terms, zero.simple_terms):
-        assert float(c1) == pytest.approx(float(c2), rel=1e-6)
-
-
-def test_index_bounds_enforced():
-    sys_p = base_system(2)
-    with pytest.raises(ValueError):
-        compute_partial_fractions(sys_p, SIG, (2, 1, 0, 0))
-    with pytest.raises(ValueError):
-        compute_partial_fractions(sys_p, SIG, (1, 1, 2, 0))
-
-
-def test_pole_collision_detected():
-    # arrange the sr-family root to collide with a simple pole:
-    # root -b_sr/a_sr = -theta_sr p_s / (theta_rr p_r) hits the simple pole
-    # at -(1 - c_x) = -1 when theta_sr = theta_rr and p_r = p_s
-    sys_p = SystemParams(
-        sr=LinkStat(2, 2.0),
-        rd=LinkStat(2, 100.0),
-        rr=LinkStat(1, 1.0),
-        sd=LinkStat(1, 2.0),
-        p_s=1.0,
-        p_max=1.0,
-    )
-    with pytest.raises(PoleCollisionError):
-        compute_partial_fractions(sys_p, SignalParams(1.0, 0.0), (0, 0, 0, 0))
 
 
 def test_monotone_in_circularity_tradeoff():

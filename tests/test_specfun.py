@@ -1,52 +1,40 @@
-"""Special-function layer: frozen high-precision values, identities, and
-stability at extreme arguments."""
+"""Special-function layer: log Gamma(a, x) against frozen high-precision
+values and quadrature, and its stability at extreme arguments."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate
 
-from fdrigs.specfun import (
-    SpecFunConfig,
-    exp_integral_en,
-    gamma_int,
-    log_upper_incomplete_gamma_int,
-    tricomi_u,
-    upper_incomplete_gamma_int,
-    xi_n,
-)
+from fdrigs.specfun import log_upper_incomplete_gamma_int
 
-# 30-digit reference values (mpmath)
-E1_OF_1 = 0.21938393439552027
-E2_OF_50 = 3.711783318868827e-24
+# 30-digit reference value (mpmath)
 GAMMA_4_1P5 = 5.606145273729299
-U_1_1_5 = 0.17042217628473220
-U_2_0_3 = 0.034371948085111279
-XI1_80 = 0.012347516663678610
-XI2_0P5 = 0.53854468375813477
+
+
+def upper_gamma(a, x):
+    return math.exp(log_upper_incomplete_gamma_int(a, x))
 
 
 def test_gamma_int_values():
-    assert gamma_int(1) == 1.0
-    assert gamma_int(5) == 24.0
-    assert gamma_int(10) == math.factorial(9)
+    # Gamma(a, 0) = Gamma(a) = (a-1)!
+    for a in (1, 5, 10):
+        assert upper_gamma(a, 0.0) == pytest.approx(math.factorial(a - 1), rel=1e-14)
 
 
 def test_upper_incomplete_gamma_frozen():
-    assert upper_incomplete_gamma_int(4, 1.5) == pytest.approx(GAMMA_4_1P5, rel=1e-13)
+    assert upper_gamma(4, 1.5) == pytest.approx(GAMMA_4_1P5, rel=1e-13)
     # Gamma(a, 0) = (a-1)!
-    assert upper_incomplete_gamma_int(3, 0.0) == pytest.approx(2.0, rel=1e-14)
+    assert upper_gamma(3, 0.0) == pytest.approx(2.0, rel=1e-14)
     # Gamma(1, x) = e^-x
-    assert upper_incomplete_gamma_int(1, 2.5) == pytest.approx(math.exp(-2.5), rel=1e-14)
+    assert upper_gamma(1, 2.5) == pytest.approx(math.exp(-2.5), rel=1e-14)
 
 
 def test_upper_incomplete_gamma_vs_quadrature():
     for a, x in [(2, 0.3), (3, 4.0), (4, 12.0)]:
         ref, err = integrate.quad(lambda t: t ** (a - 1) * math.exp(-t), x, np.inf)
-        assert upper_incomplete_gamma_int(a, x) == pytest.approx(ref, rel=1e-10)
+        assert upper_gamma(a, x) == pytest.approx(ref, rel=1e-10)
 
 
 def test_log_upper_incomplete_gamma_tail():
@@ -57,73 +45,10 @@ def test_log_upper_incomplete_gamma_tail():
     assert val == pytest.approx(-1e6 + math.log(1e12 + 2e6 + 2.0), rel=1e-12)
 
 
-def test_exp_integral_frozen():
-    assert exp_integral_en(1, 1.0) == pytest.approx(E1_OF_1, rel=1e-12)
-    assert exp_integral_en(2, 50.0) == pytest.approx(E2_OF_50, rel=1e-10)
-
-
-def test_exp_integral_vs_quadrature():
-    ref, err = integrate.quad(lambda t: math.exp(-1.0 * t) / t, 1.0, np.inf)
-    assert exp_integral_en(1, 1.0) == pytest.approx(ref, rel=1e-10)
-
-
-@given(
-    n=st.integers(min_value=2, max_value=6),
-    x=st.floats(min_value=0.05, max_value=40.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_exp_integral_recurrence(n, x):
-    # n E_{n+1}(x) = e^-x - x E_n(x)
-    lhs = n * exp_integral_en(n + 1, x)
-    rhs = math.exp(-x) - x * exp_integral_en(n, x)
-    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-300)
-
-
-def test_xi_frozen():
-    assert xi_n(1, 80.0) == pytest.approx(XI1_80, rel=1e-10)
-    assert xi_n(2, 0.5) == pytest.approx(XI2_0P5, rel=1e-12)
-
-
-def test_xi_continuous_across_switch():
-    # the implementation switches algorithms around x = 30
-    lo = xi_n(1, 30.0 - 1e-9)
-    hi = xi_n(1, 30.0 + 1e-9)
-    assert lo == pytest.approx(hi, rel=1e-8)
-
-
-def test_xi_large_argument_asymptote():
-    # Xi_1(x) = e^x E_1(x) ~ 1/x for large x
-    assert xi_n(1, 1e6) == pytest.approx(1e-6, rel=1e-5)
-
-
-def test_tricomi_u_frozen():
-    assert tricomi_u(1, 1, 5.0) == pytest.approx(U_1_1_5, rel=1e-10)
-    assert tricomi_u(2, 0, 3.0) == pytest.approx(U_2_0_3, rel=1e-10)
-
-
-def test_tricomi_u_equals_xi_for_first_order():
-    for z in (0.5, 5.0, 80.0):
-        assert tricomi_u(1, 1, z) == pytest.approx(xi_n(1, z), rel=1e-9)
-
-
-def test_tricomi_u_kummer_recurrence():
-    # U(a-1, b-1, z) = (1 - b + z) U(a, b, z) + z U'(a, b, z) is awkward
-    # without derivatives; instead verify against the integral definition
-    # U(a, b, z) = 1/Gamma(a) int_0^inf e^{-z t} t^{a-1} (1+t)^{b-a-1} dt.
-    for a, b, z in [(2, 1, 1.5), (3, 2, 4.0), (2, -1, 0.7)]:
-        ref, err = integrate.quad(
-            lambda t: math.exp(-z * t) * t ** (a - 1) * (1 + t) ** (b - a - 1),
-            0.0,
-            np.inf,
-        )
-        ref /= gamma_int(a)
-        assert tricomi_u(a, b, z) == pytest.approx(ref, rel=1e-8)
-
-
 def test_invalid_shapes_rejected():
     with pytest.raises(ValueError):
-        upper_incomplete_gamma_int(0, 1.0)
+        log_upper_incomplete_gamma_int(0, 1.0)
     with pytest.raises(ValueError):
-        exp_integral_en(1.5, 1.0)
+        log_upper_incomplete_gamma_int(1.5, 1.0)
     with pytest.raises(ValueError):
-        SpecFunConfig(rel_tol=0.5)
+        log_upper_incomplete_gamma_int(2, -1.0)
