@@ -14,7 +14,6 @@ from .model import (
 )
 from .outage import (
     EvalResult,
-    QuadratureConfig,
     asymptotic_k,
     p_e2e_exact,
     p_e2e_lb,
@@ -22,7 +21,6 @@ from .outage import (
     p_rd_exact,
     p_sr_exact,
     p_sr_lb,
-    p_sr_rayleigh_exact,
     p_sr_rayleigh_ub,
     throughput,
 )
@@ -39,7 +37,6 @@ __all__ = [
     "psi_r",
     "psi_ratio_limit",
     "EvalResult",
-    "QuadratureConfig",
     "asymptotic_k",
     "p_e2e_exact",
     "p_e2e_lb",
@@ -47,7 +44,6 @@ __all__ = [
     "p_rd_exact",
     "p_sr_exact",
     "p_sr_lb",
-    "p_sr_rayleigh_exact",
     "p_sr_rayleigh_ub",
     "throughput",
     "r_e2e_exact",

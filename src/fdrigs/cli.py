@@ -5,6 +5,11 @@ Scenario files are plain ``key = value`` text; command-line ``--set``
 overrides win over file values.  All powers are linear inside the library;
 dB values (``*_db`` keys or ``sweep_scale = db``) are converted exactly once,
 here at the boundary, via ``10 ** (db / 10)``.
+
+A sweep looks each (metric, method) column up in ``optimize.METRICS``, the
+table `grid_search` also reads; only the Monte Carlo column is built here.
+Sweep points run one after another: a worker pool gained only a few percent
+on these interpreter-bound evaluations, so it was removed with its flag.
 """
 
 from __future__ import annotations
@@ -12,14 +17,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from . import acceptance, ergodic, montecarlo, optimize, outage
+from . import acceptance, montecarlo, optimize, outage
 from .model import LinkStat, RateTarget, SignalParams, SystemParams
 from .montecarlo import McConfig
 from .optimize import SearchConfig
+from .outage import METHOD_MONTE_CARLO, EvalResult
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -62,13 +67,12 @@ _DEFAULTS: Dict[str, str] = {
     "seed": "0",
     "optimizer": "2d-cd",
     "grid_n": "101",
-    "threads": "1",
 }
 
 _POWER_LIKE = {"pi_sr", "pi_rd", "pi_rr", "pi_sd", "p_s", "p_max", "p_r"}
 _SWEEPABLE = _POWER_LIKE | {"c_x", "r"}
-_METRICS = ("outage", "ergodic", "throughput")
-_METHODS = ("exact", "lb", "ub", "mc")
+_METRICS = tuple(dict.fromkeys(metric for metric, _ in optimize.METRICS))
+_METHODS = tuple(dict.fromkeys(method for _, method in optimize.METRICS)) + ("mc",)
 
 
 @dataclass
@@ -87,7 +91,6 @@ class RunConfig:
     seed: int
     optimizer: str
     grid_n: int
-    threads: int
 
 
 def _parse_kv_file(path: str) -> Dict[str, str]:
@@ -146,8 +149,6 @@ def build_config(
         raw["seed"] = str(args.seed)
     if getattr(args, "samples", None) is not None:
         raw["samples"] = str(args.samples)
-    if getattr(args, "threads", None) is not None:
-        raw["threads"] = str(args.threads)
 
     known = set(_DEFAULTS) | {f"pi_{l}" for l in ("sr", "rd", "rr", "sd")}
     unknown = set(raw) - known
@@ -201,10 +202,6 @@ def build_config(
     optimizer = raw["optimizer"]
     if optimizer not in ("1d-cx", "1d-pr", "2d-cd", "grid"):
         raise ConfigError(f"optimizer must be 1d-cx | 1d-pr | 2d-cd | grid, got {optimizer!r}")
-    grid_n = _as_int(raw, "grid_n")
-    threads = _as_int(raw, "threads")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     return RunConfig(
         raw=raw,
         sys=sys_params,
@@ -217,8 +214,7 @@ def build_config(
         samples=samples,
         seed=_as_int(raw, "seed"),
         optimizer=optimizer,
-        grid_n=grid_n,
-        threads=threads,
+        grid_n=_as_int(raw, "grid_n"),
     )
 
 
@@ -242,39 +238,29 @@ def _apply_sweep_value(cfg: RunConfig, value: float) -> Tuple[SystemParams, Sign
     return sys_p, sig, target
 
 
-def _sweep_cell(metric: str, method: str, sys_p, sig, target, mc_cfg) -> List[Tuple[str, object]]:
-    """One (metric, method) evaluation -> [(column suffix, value), ...]."""
-    if metric == "outage":
-        if method == "exact":
-            res = outage.p_e2e_exact(sys_p, sig, target)
-        elif method == "lb":
-            res = outage.p_e2e_lb(sys_p, sig, target)
-        elif method == "ub":
-            res = outage.p_e2e_rayleigh_ub(sys_p, sig, target)
-        else:
-            res_mc = montecarlo.estimate_outage(sys_p, sig, target, mc_cfg)
-            return [("monte-carlo", res_mc.mean), ("monte-carlo:stderr", res_mc.stderr)]
+def _mc_metrics(mc_cfg: McConfig) -> Dict[Tuple[str, str], optimize.Evaluator]:
+    """The Monte Carlo column of each metric, as evaluators like optimize.METRICS."""
+
+    def outage_mc(sys_p, sig, target):
+        est = montecarlo.estimate_outage(sys_p, sig, target, mc_cfg)
+        return EvalResult(est.mean, METHOD_MONTE_CARLO, est.stderr)
+
+    def ergodic_mc(sys_p, sig, target):
+        est = montecarlo.estimate_ergodic(sys_p, sig, mc_cfg)
+        return EvalResult(est.mean, METHOD_MONTE_CARLO, est.stderr)
+
+    return {
+        ("outage", "mc"): outage_mc,
+        ("ergodic", "mc"): ergodic_mc,
+        ("throughput", "mc"): optimize._throughput(outage_mc),
+    }
+
+
+def _cells(res: EvalResult) -> List[Tuple[str, object]]:
+    """An evaluation as [(column suffix, value), ...]; Monte Carlo adds its stderr."""
+    if res.stderr is None:
         return [(res.method, res.value)]
-    if metric == "ergodic":
-        if method == "exact":
-            res = ergodic.r_e2e_exact(sys_p, sig)
-        elif method == "lb":
-            res = ergodic.r_e2e_rayleigh_lb(sys_p, sig)
-        elif method == "ub":
-            res = ergodic.r_e2e_ub(sys_p, sig)
-        else:
-            res_mc = montecarlo.estimate_ergodic(sys_p, sig, mc_cfg)
-            return [("monte-carlo", res_mc.mean), ("monte-carlo:stderr", res_mc.stderr)]
-        return [(res.method, res.value)]
-    # throughput = r (1 - outage), inheriting the outage method tag
-    cells = _sweep_cell("outage", method, sys_p, sig, target, mc_cfg)
-    out = []
-    for suffix, value in cells:
-        if suffix.endswith("stderr"):
-            out.append((suffix, target.r * value))
-        else:
-            out.append((suffix, target.r * (1.0 - value)))
-    return out
+    return [(res.method, res.value), (res.method + ":stderr", res.stderr)]
 
 
 def _fmt(value: object) -> str:
@@ -296,26 +282,22 @@ def _write_csv(path: Optional[str], header: List[str], rows: List[List[object]])
 
 
 def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
-    mc_cfg = McConfig(cfg.samples, cfg.seed)
+    metrics = {**optimize.METRICS, **_mc_metrics(McConfig(cfg.samples, cfg.seed))}
     pairs = [(metric, method) for metric in cfg.metrics for method in cfg.methods]
     diagnostics: List[str] = []
 
     def evaluate(value: float):
         sys_p, sig, target = _apply_sweep_value(cfg, value)
         cells: Dict[Tuple[str, str], List[Tuple[str, object]]] = {}
-        for metric, method in pairs:
+        for pair in pairs:
             try:
-                cells[(metric, method)] = _sweep_cell(metric, method, sys_p, sig, target, mc_cfg)
+                cells[pair] = _cells(metrics[pair](sys_p, sig, target))
             except (ArithmeticError, ValueError) as exc:
-                cells[(metric, method)] = [("failed", None)]
-                diagnostics.append(f"{cfg.sweep_var}={value!r} {metric}/{method}: {exc}")
+                cells[pair] = [("failed", None)]
+                diagnostics.append(f"{cfg.sweep_var}={value!r} {'/'.join(pair)}: {exc}")
         return cells
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(evaluate, cfg.sweep_values))
-    else:
-        results = [evaluate(v) for v in cfg.sweep_values]
+    results = [evaluate(v) for v in cfg.sweep_values]
 
     # column layout from the first successful evaluation of each pair
     columns: List[Tuple[str, str, str]] = []
@@ -452,7 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
             p.add_argument("--seed", type=int, help="Monte Carlo seed")
             p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-            p.add_argument("--threads", type=int, help="worker threads for sweeps")
     return parser
 
 

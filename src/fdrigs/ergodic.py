@@ -18,12 +18,13 @@ from scipy import integrate
 
 from .model import RateTarget, SignalParams, SystemParams, alpha
 from .outage import (
-    DEFAULT_QUAD,
     METHOD_EXACT_INTEGRAL,
     METHOD_LOWER_BOUND,
     METHOD_UPPER_BOUND,
+    QUAD_ABS_TOL,
+    QUAD_LIMIT,
+    QUAD_REL_TOL,
     EvalResult,
-    QuadratureConfig,
     QuadratureError,
     _rd_survival,
     _sr_survival_exact,
@@ -38,10 +39,6 @@ __all__ = [
     "r_e2e_rayleigh_lb",
 ]
 
-# c_x is clamped below 1 wherever a (1 - c_x^2) denominator appears; the
-# boundary itself is covered by the psi-ratio limit in the outage module.
-_CX_CEIL = 1.0 - 1e-9
-
 
 def _rate_cap(sys: SystemParams, sig: SignalParams, tail_tol: float = 1e-12) -> float:
     """Target rate beyond which the complementary outage is negligible."""
@@ -54,19 +51,16 @@ def _rate_cap(sys: SystemParams, sig: SignalParams, tail_tol: float = 1e-12) -> 
 
 
 def _rate_integral(
-    sys: SystemParams,
-    sig: SignalParams,
-    survival: Callable[[RateTarget], float],
-    quad: QuadratureConfig,
+    sys: SystemParams, sig: SignalParams, survival: Callable[[RateTarget], float]
 ) -> float:
     """int_0^r_cap survival(r) dr by adaptive quadrature."""
     val, err, info, *rest = integrate.quad(
         lambda r: survival(RateTarget(r)),
         0.0,
         _rate_cap(sys, sig),
-        epsabs=quad.abs_tol,
-        epsrel=quad.rel_tol,
-        limit=quad.max_subdivisions,
+        epsabs=QUAD_ABS_TOL,
+        epsrel=QUAD_REL_TOL,
+        limit=QUAD_LIMIT,
         full_output=True,
     )
     if rest:
@@ -86,19 +80,17 @@ def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:
     def survival(target: RateTarget) -> float:
         return _sr_survival_lb_complement(sys, sig, target) * _rd_survival(sys, sig, target)
 
-    return EvalResult(_rate_integral(sys, sig, survival, DEFAULT_QUAD), METHOD_UPPER_BOUND)
+    return EvalResult(_rate_integral(sys, sig, survival), METHOD_UPPER_BOUND)
 
 
-def r_e2e_exact(
-    sys: SystemParams, sig: SignalParams, quad: QuadratureConfig = DEFAULT_QUAD
-) -> EvalResult:
+def r_e2e_exact(sys: SystemParams, sig: SignalParams) -> EvalResult:
     """Exact ergodic rate as the integral of the end-to-end survival over r."""
     sys.check_signal(sig)
 
     def survival(target: RateTarget) -> float:
-        return _sr_survival_exact(sys, sig, target, quad) * _rd_survival(sys, sig, target)
+        return _sr_survival_exact(sys, sig, target) * _rd_survival(sys, sig, target)
 
-    return EvalResult(_rate_integral(sys, sig, survival, quad), METHOD_EXACT_INTEGRAL)
+    return EvalResult(_rate_integral(sys, sig, survival), METHOD_EXACT_INTEGRAL)
 
 
 def r_e2e_rayleigh_lb(sys: SystemParams, sig: SignalParams) -> EvalResult:
@@ -109,15 +101,17 @@ def r_e2e_rayleigh_lb(sys: SystemParams, sig: SignalParams) -> EvalResult:
     with a = alpha(p_r), x = p_r pi_rd (1 - c_x^2) / (p_s pi_sd) and
     omega = (p_r pi_rr + 1) / (p_s pi_sr) + 1 / (p_r pi_rd (1 - c_x^2)).
     Every factor is positive on s >= 0, so the integrand stays smooth where
-    two of its poles -(1 -+ a c_x) and -x coincide.
+    two of its poles -(1 -+ a c_x) and -x coincide.  At c_x = 1, x = 0 and
+    the bound is exactly 0.
     """
     if not sys.all_rayleigh:
         raise ValueError("r_e2e_rayleigh_lb requires all shapes equal to 1")
     sys.check_signal(sig)
-    c_x = min(sig.c_x, _CX_CEIL)
-    prd = sig.p_r * sys.rd.pi * (1.0 - c_x) * (1.0 + c_x)
+    if sig.c_x == 1.0:
+        return EvalResult(0.0, METHOD_LOWER_BOUND)
+    prd = sig.p_r * sys.rd.pi * (1.0 - sig.c_x) * (1.0 + sig.c_x)
     x = prd / (sys.p_s * sys.sd.pi)
-    ac = alpha(sys, sig.p_r) * c_x
+    ac = alpha(sys, sig.p_r) * sig.c_x
     omega = (sig.p_r * sys.rr.pi + 1.0) / (sys.p_s * sys.sr.pi) + 1.0 / prd
 
     def integrand(s: float) -> float:

@@ -19,7 +19,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "sample_gains",
-    "sample_improper_symbol",
     "estimate_outage",
     "estimate_link_outage",
     "estimate_ergodic",
@@ -82,20 +81,6 @@ def sample_gains(sys: SystemParams, rng: np.random.Generator, n: int = 1) -> Cha
         g_rr=_gamma_gain(rng, sys.rr.m, sys.rr.theta, n),
         g_sd=_gamma_gain(rng, sys.sd.m, sys.sd.theta, n),
     )
-
-
-def sample_improper_symbol(c_x: float, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """Zero-mean unit-variance complex samples with real pseudo-variance c_x.
-
-    Real and imaginary parts are independent Gaussians with variances
-    (1 + c_x)/2 and (1 - c_x)/2; the pseudo-variance phase carries no
-    information here and is fixed to zero.
-    """
-    if not 0.0 <= c_x <= 1.0:
-        raise ValueError(f"c_x must lie in [0, 1], got {c_x}")
-    re = rng.normal(0.0, math.sqrt((1.0 + c_x) / 2.0), size=n)
-    im = rng.normal(0.0, math.sqrt((1.0 - c_x) / 2.0), size=n)
-    return re + 1j * im
 
 
 def _estimate(cfg: McConfig, batch_fn) -> McEstimate:

@@ -2,6 +2,9 @@
 coordinate descent for the joint problem, and a grid-search oracle that
 works for every metric and any fading shape.
 
+`METRICS` maps each (metric, method) pair to its evaluator; it is the one
+table behind both `grid_search` and the CLI sweep.
+
 The 1D searches exploit that the Rayleigh outage upper bound is monotone or
 unimodal in each variable separately, so a single interior stationary point
 (found by bisecting the analytic derivative) plus the interval endpoints
@@ -12,15 +15,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
-from .model import RateTarget, SignalParams, SystemParams, psi_ratio_limit
-from .outage import e2e_rayleigh_ub_value, p_e2e_exact, p_e2e_lb
+from .model import RateTarget, SignalParams, SystemParams
+from .outage import (
+    EvalResult,
+    _rayleigh_ub_parts,
+    e2e_rayleigh_ub_value,
+    p_e2e_exact,
+    p_e2e_lb,
+    p_e2e_rayleigh_ub,
+)
 
 __all__ = [
+    "METRICS",
     "OptResult",
     "SearchConfig",
     "ub_derivative_cx",
@@ -71,19 +82,6 @@ class OptResult:
     trace: Optional[List[float]] = field(default=None, compare=False)
 
 
-def _survival_parts(sys: SystemParams, target: RateTarget, p_r: float, c_x: float):
-    """Pieces of the Rayleigh survival bound exp(-(u+v)) / (d*u + 1)."""
-    u = psi_ratio_limit(target, c_x) / (p_r * sys.rd.pi)
-    beta = p_r * sys.rr.pi
-    w = (beta + 1.0) / (sys.p_s * sys.sr.pi)
-    y = beta / (beta + 1.0) * c_x
-    s_y = math.sqrt(1.0 + target.gamma * (1.0 - y * y))
-    v = w * (s_y - 1.0)
-    d = sys.p_s * sys.sd.pi
-    survival = math.exp(-(u + v)) / (d * u + 1.0)
-    return u, v, w, y, s_y, d, survival
-
-
 def ub_derivative_cx(sys: SystemParams, target: RateTarget, p_r: float, c_x: float) -> float:
     """Analytic d/dc_x of the survival bound 1 - p_e2e_rayleigh_ub.
 
@@ -93,7 +91,8 @@ def ub_derivative_cx(sys: SystemParams, target: RateTarget, p_r: float, c_x: flo
     if not 0.0 < c_x < 1.0:
         raise ValueError(f"c_x must lie in (0, 1), got {c_x}")
     gam = target.gamma
-    u, v, w, y, s_y, d, survival = _survival_parts(sys, target, p_r, c_x)
+    u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x)
+    s_y = 1.0 + v / w
     s = math.sqrt(1.0 + gam * (1.0 - c_x * c_x))
     du = gam * gam * c_x / (p_r * sys.rd.pi * s * (1.0 + s) ** 2)
     a = y / c_x  # the RSI loading factor
@@ -111,17 +110,14 @@ def ub_derivative_pr(sys: SystemParams, target: RateTarget, p_r: float, c_x: flo
     if p_r <= 0:
         raise ValueError(f"p_r must be > 0, got {p_r}")
     gam = target.gamma
-    u, v, w, y, s_y, d, survival = _survival_parts(sys, target, p_r, c_x)
+    u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x)
+    s_y = 1.0 + v / w
     beta = p_r * sys.rr.pi
-    du = -psi_ratio_limit(target, c_x) / (p_r * p_r * sys.rd.pi)
+    du = -u / p_r
     dpsi = -gam * y / s_y
-    dv = sys.rr.pi / (sys.p_s * sys.sr.pi) * ((s_y - 1.0) + c_x * dpsi / (beta + 1.0))
+    dv = sys.rr.pi / (sys.p_s * sys.sr.pi) * (v / w + c_x * dpsi / (beta + 1.0))
     dsurv = survival * (-du - dv - d * du / (d * u + 1.0))
     return -dsurv
-
-
-def _ub(sys: SystemParams, target: RateTarget, p_r: float, c_x: float) -> float:
-    return e2e_rayleigh_ub_value(sys, target, p_r, c_x)
 
 
 def _bisect_root(
@@ -163,7 +159,7 @@ def bisect_circularity(
     if (deriv(lo) > 0) != (deriv(hi) > 0):
         root, iterations, converged = _bisect_root(deriv, lo, hi, cfg)
         candidates.append(root)
-    values = [_ub(sys, target, p_r, c) for c in candidates]
+    values = [e2e_rayleigh_ub_value(sys, target, p_r, c) for c in candidates]
     best = int(np.argmin(values))
     return OptResult(
         p_r_star=p_r,
@@ -173,18 +169,6 @@ def bisect_circularity(
         converged=converged,
         trace=values,
     )
-
-
-def _pgs_exact_outage(sys: SystemParams, target: RateTarget, p_r: float) -> float:
-    """Exact Rayleigh end-to-end outage of a proper (c_x = 0) relay signal."""
-    u = target.eta / (sys.p_s * sys.sr.pi)
-    phi = target.eta / (p_r * sys.rd.pi)
-    survival = (
-        math.exp(-u - phi)
-        / (1.0 + p_r * sys.rr.pi * u)
-        / (1.0 + sys.p_s * sys.sd.pi * phi)
-    )
-    return 1.0 - survival
 
 
 def _pgs_exact_dlog(sys: SystemParams, target: RateTarget, p_r: float) -> float:
@@ -224,10 +208,10 @@ def bisect_power(
     lo, hi = _EDGE * sys.p_max, sys.p_max
     if use_exact:
         deriv = lambda p: _pgs_exact_dlog(sys, target, p)
-        value_fn = lambda p: _pgs_exact_outage(sys, target, p)
+        value_fn = lambda p: p_e2e_lb(sys, SignalParams(p, 0.0), target).value
     else:
         deriv = lambda p: ub_derivative_pr(sys, target, p, c_x)
-        value_fn = lambda p: _ub(sys, target, p, c_x)
+        value_fn = lambda p: e2e_rayleigh_ub_value(sys, target, p, c_x)
     candidates = [lo, hi]
     iterations = 0
     converged = True
@@ -257,7 +241,7 @@ def coordinate_descent(
     if not sys.all_rayleigh:
         raise ValueError("coordinate_descent requires all shapes equal to 1")
     p_r, c_x = sys.p_max, 0.0
-    value = _ub(sys, target, p_r, c_x)
+    value = e2e_rayleigh_ub_value(sys, target, p_r, c_x)
     trace = [value]
     converged = False
     iterations = 0
@@ -288,30 +272,36 @@ def coordinate_descent(
     )
 
 
-_MINIMIZE_METRICS = {"outage-exact", "outage-lb", "outage-ub"}
-_MAXIMIZE_METRICS = {"ergodic-exact", "ergodic-ub", "ergodic-lb", "throughput"}
+Evaluator = Callable[[SystemParams, SignalParams, RateTarget], EvalResult]
 
 
-def _metric_fn(
-    sys: SystemParams, target: RateTarget, objective: str
-) -> Callable[[float, float], float]:
-    if objective == "outage-exact":
-        return lambda p, c: p_e2e_exact(sys, SignalParams(p, c), target).value
-    if objective == "outage-lb":
-        return lambda p, c: p_e2e_lb(sys, SignalParams(p, c), target).value
-    if objective == "outage-ub":
-        return lambda p, c: e2e_rayleigh_ub_value(sys, target, p, c)
-    if objective == "ergodic-exact":
-        return lambda p, c: r_e2e_exact(sys, SignalParams(p, c)).value
-    if objective == "ergodic-ub":
-        return lambda p, c: r_e2e_ub(sys, SignalParams(p, c)).value
-    if objective == "ergodic-lb":
-        return lambda p, c: r_e2e_rayleigh_lb(sys, SignalParams(p, c)).value
-    if objective == "throughput":
-        return lambda p, c: target.r * (
-            1.0 - p_e2e_exact(sys, SignalParams(p, c), target).value
-        )
-    raise ValueError(f"unknown objective {objective!r}")
+def _throughput(outage_fn: Evaluator) -> Evaluator:
+    """Fixed-rate throughput r (1 - P_out), tagged with the outage method;
+    a Monte Carlo standard error scales by r."""
+
+    def fn(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
+        res = outage_fn(sys, sig, target)
+        stderr = None if res.stderr is None else target.r * res.stderr
+        return EvalResult(target.r * (1.0 - res.value), res.method, stderr)
+
+    return fn
+
+
+# The evaluators look their functions up at call time, so a wrapper patched
+# onto this module's names sees every call.
+_OUTAGE: Dict[str, Evaluator] = {
+    "exact": lambda sys, sig, target: p_e2e_exact(sys, sig, target),
+    "lb": lambda sys, sig, target: p_e2e_lb(sys, sig, target),
+    "ub": lambda sys, sig, target: p_e2e_rayleigh_ub(sys, sig, target),
+}
+
+METRICS: Dict[Tuple[str, str], Evaluator] = {
+    **{("outage", method): fn for method, fn in _OUTAGE.items()},
+    ("ergodic", "exact"): lambda sys, sig, target: r_e2e_exact(sys, sig),
+    ("ergodic", "lb"): lambda sys, sig, target: r_e2e_rayleigh_lb(sys, sig),
+    ("ergodic", "ub"): lambda sys, sig, target: r_e2e_ub(sys, sig),
+    **{("throughput", method): _throughput(fn) for method, fn in _OUTAGE.items()},
+}
 
 
 def grid_search(
@@ -324,15 +314,22 @@ def grid_search(
 ) -> OptResult:
     """Exhaustive search on a grid_n x grid_n grid over (0, p_max] x [0, 1].
 
-    Works for every metric and any fading shape.  Ties break deterministically
-    toward the smallest p_r, then the smallest c_x.  Fixing p_r collapses the
-    search to a 1D sweep over c_x.
+    Works for every metric and any fading shape.  A string objective names a
+    METRICS key as "metric-method" ("outage-lb", "ergodic-ub"); a bare
+    metric name means its exact method.  Outage is minimized and every other
+    metric maximized unless `maximize` says otherwise.  Ties break
+    deterministically toward the smallest p_r, then the smallest c_x.
+    Fixing p_r collapses the search to a 1D sweep over c_x.
     """
-    if maximize is None:
-        if isinstance(objective, str):
-            maximize = objective in _MAXIMIZE_METRICS
-        else:
-            maximize = False
+    fn = objective
+    if isinstance(objective, str):
+        metric, _, method = objective.partition("-")
+        evaluator = METRICS.get((metric, method or "exact"))
+        if evaluator is None:
+            raise ValueError(f"unknown objective {objective!r}")
+        fn = lambda p, c: evaluator(sys, SignalParams(p, c), target).value
+        if maximize is None:
+            maximize = metric != "outage"
     n = cfg.grid_n
     if p_r_fixed is not None:
         if not 0 < p_r_fixed <= sys.p_max:
@@ -348,7 +345,6 @@ def grid_search(
             sys, target, p_grid[:, None], c_grid[None, :]
         )
     else:
-        fn = _metric_fn(sys, target, objective) if isinstance(objective, str) else objective
         values = np.empty((len(p_grid), n))
         for i, p in enumerate(p_grid):
             for j, c in enumerate(c_grid):

@@ -1,6 +1,12 @@
 """Outage probability of both hops and end to end: exact integrals,
 Nakagami lower bounds, Rayleigh closed forms, Jensen upper bounds and the
 high-RSI asymptote.
+
+Both hops reduce to one expectation, a Gamma-faded signal against a
+Gamma-faded interferer (`_gamma_interference_survival`): the interferer is
+the residual self-interference on the first hop of the lower bound and the
+direct S-D copy on the second hop.  The exact first hop is a quadrature over
+the self-interference gain, at the fixed tolerances `QUAD_*`.
 """
 
 from __future__ import annotations
@@ -12,16 +18,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .model import RateTarget, SignalParams, SystemParams, alpha, psi_r, psi_ratio_limit
+from .model import LinkStat, RateTarget, SignalParams, SystemParams, psi_r, psi_ratio_limit
 from .specfun import log_upper_incomplete_gamma_int
 
 __all__ = [
-    "QuadratureConfig",
     "EvalResult",
     "QuadratureError",
     "p_sr_exact",
     "p_sr_lb",
-    "p_sr_rayleigh_exact",
     "p_sr_rayleigh_ub",
     "convexity_witness",
     "p_rd_exact",
@@ -36,22 +40,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol <= 1e-4:
-            raise ValueError(f"rel_tol must lie in (0, 1e-4], got {self.rel_tol}")
-        if not 0.0 < self.abs_tol <= 1e-10:
-            raise ValueError(f"abs_tol must lie in (0, 1e-10], got {self.abs_tol}")
-        if self.max_subdivisions < 50:
-            raise ValueError(f"max_subdivisions must be >= 50, got {self.max_subdivisions}")
-
-
-DEFAULT_QUAD = QuadratureConfig()
+# Tolerances and subdivision limit of every adaptive quadrature in the library.
+QUAD_REL_TOL = 1e-10
+QUAD_ABS_TOL = 1e-12
+QUAD_LIMIT = 200
 
 METHOD_EXACT_INTEGRAL = "exact-integral"
 METHOD_LOWER_BOUND = "lower-bound"
@@ -87,9 +79,7 @@ class EvalResult:
             raise ValueError("stderr must be present iff method is monte-carlo")
 
 
-def integrate_semi_infinite(
-    f: Callable[[float], float], scale: float, quad: QuadratureConfig = DEFAULT_QUAD
-) -> float:
+def integrate_semi_infinite(f: Callable[[float], float], scale: float) -> float:
     """Integrate f over (0, inf) through the substitution x = scale * t / (1 - t)."""
 
     def g(t: float) -> float:
@@ -101,9 +91,9 @@ def integrate_semi_infinite(
         g,
         0.0,
         1.0,
-        epsabs=quad.abs_tol,
-        epsrel=quad.rel_tol,
-        limit=quad.max_subdivisions,
+        epsabs=QUAD_ABS_TOL,
+        epsrel=QUAD_REL_TOL,
+        limit=QUAD_LIMIT,
         full_output=True,
     )
     if rest:
@@ -127,14 +117,7 @@ def sr_decoding_exponent(sys: SystemParams, sig: SignalParams, target: RateTarge
     return float(out) if out.ndim == 0 else out
 
 
-def _log_reg_upper_gamma(a: int, x: float) -> float:
-    """log of the regularized upper incomplete gamma Q(a, x) for integer a."""
-    return log_upper_incomplete_gamma_int(a, x) - math.lgamma(a)
-
-
-def _sr_survival_exact(
-    sys: SystemParams, sig: SignalParams, target: RateTarget, quad: QuadratureConfig
-) -> float:
+def _sr_survival_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> float:
     """E_{g_rr}{ Q(m_sr, threshold) } by adaptive quadrature on (0, 1)."""
     m_rr = sys.rr.m
     th_rr = sys.rr.theta
@@ -145,43 +128,45 @@ def _sr_survival_exact(
         if x <= 0.0:
             return 0.0
         w = sr_decoding_exponent(sys, sig, target, x)
-        # gamma pdf and the regularized gamma factor combined in log domain
+        # gamma pdf and the regularized gamma factor Q(m_sr, w) combined in log domain
         log_f = (m_rr - 1.0) * math.log(x) - x / th_rr - log_norm
-        log_f += _log_reg_upper_gamma(m_sr, w)
+        log_f += log_upper_incomplete_gamma_int(m_sr, w) - math.lgamma(m_sr)
         return math.exp(log_f)
 
-    return integrate_semi_infinite(integrand, th_rr, quad)
+    return integrate_semi_infinite(integrand, th_rr)
 
 
-def p_sr_exact(
-    sys: SystemParams,
-    sig: SignalParams,
-    target: RateTarget,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> EvalResult:
+def p_sr_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
     """Exact first-hop outage probability (one-dimensional integral)."""
     sys.check_signal(sig)
-    return EvalResult(1.0 - _sr_survival_exact(sys, sig, target, quad), METHOD_EXACT_INTEGRAL)
+    return EvalResult(1.0 - _sr_survival_exact(sys, sig, target), METHOD_EXACT_INTEGRAL)
+
+
+def _gamma_interference_survival(m_sig: int, u: float, load: float, interferer: LinkStat) -> float:
+    """E_g[Q(m_sig, u (1 + load g))] for g ~ Gamma(interferer.m, interferer.theta).
+
+    Q(m, y) = e^-y sum_{m'<m} y^m' / m'!, so after a binomial expansion of
+    (1 + load g)^m' every term is a Gamma moment E[g^k e^{-u load g}].
+    """
+    m_i, th_i = interferer.m, interferer.theta
+    pole = load * u + 1.0 / th_i
+    total = 0.0
+    for m in range(m_sig):
+        for k in range(m + 1):
+            total += (
+                math.comb(m, k)
+                * load**k
+                * math.gamma(k + m_i)
+                * u**m
+                / (math.gamma(m + 1) * pole ** (k + m_i))
+            )
+    return math.exp(-u) / (math.gamma(m_i) * th_i**m_i) * total
 
 
 def _sr_survival_lb_complement(sys: SystemParams, sig: SignalParams, target: RateTarget) -> float:
     """Survival probability whose complement is the first-hop lower bound."""
-    psi = psi_r(target, sig.c_x)
-    m_sr, m_rr = sys.sr.m, sys.rr.m
-    th_sr, th_rr = sys.sr.theta, sys.rr.theta
-    u = psi / (sys.p_s * th_sr)
-    pole = sig.p_r * u + 1.0 / th_rr
-    total = 0.0
-    for m in range(m_sr):
-        for k in range(m + 1):
-            total += (
-                math.comb(m, k)
-                * sig.p_r**k
-                * math.gamma(k + m_rr)
-                * u**m
-                / (math.gamma(m + 1) * pole ** (k + m_rr))
-            )
-    return math.exp(-u) / (math.gamma(m_rr) * th_rr**m_rr) * total
+    u = psi_r(target, sig.c_x) / (sys.p_s * sys.sr.theta)
+    return _gamma_interference_survival(sys.sr.m, u, sig.p_r, sys.rr)
 
 
 def p_sr_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
@@ -190,74 +175,35 @@ def p_sr_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalRes
     return EvalResult(1.0 - _sr_survival_lb_complement(sys, sig, target), METHOD_LOWER_BOUND)
 
 
-def p_sr_rayleigh_exact(
-    sys: SystemParams,
-    sig: SignalParams,
-    target: RateTarget,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> EvalResult:
-    """Exact first-hop outage over Rayleigh fading (expectation over the RSI gain)."""
-    if sys.sr.m != 1 or sys.rr.m != 1:
-        raise ValueError("p_sr_rayleigh_exact requires m_sr = m_rr = 1")
-    sys.check_signal(sig)
-
-    def integrand(x: float) -> float:
-        w = sr_decoding_exponent(sys, sig, target, x)
-        return math.exp(-w - x / sys.rr.pi) / sys.rr.pi
-
-    survival = integrate_semi_infinite(integrand, sys.rr.pi, quad)
-    return EvalResult(1.0 - survival, METHOD_EXACT_INTEGRAL)
-
-
 def p_sr_rayleigh_ub(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
     """Jensen upper bound on the Rayleigh first-hop outage."""
     if sys.sr.m != 1 or sys.rr.m != 1:
         raise ValueError("p_sr_rayleigh_ub requires m_sr = m_rr = 1")
     sys.check_signal(sig)
-    a = alpha(sys, sig.p_r)
-    exponent = (sig.p_r * sys.rr.pi + 1.0) / (sys.p_s * sys.sr.pi) * psi_r(target, a * sig.c_x)
-    return EvalResult(-math.expm1(-exponent), METHOD_UPPER_BOUND)
-
-
-def _sr_exponent_coeffs(sys: SystemParams, sig: SignalParams, target: RateTarget):
-    """Coefficients of the first-hop exponent sqrt(A g^2 + B g + C) - (D g + F)."""
-    ps2 = (sys.p_s * sys.sr.pi) ** 2
-    g1 = 1.0 + target.gamma
-    a = sig.p_r**2 * (1.0 + target.gamma * (1.0 - sig.c_x**2)) / ps2
-    b = 2.0 * g1 * sig.p_r / ps2
-    c = g1 / ps2
-    d = sig.p_r / (sys.p_s * sys.sr.pi)
-    f = 1.0 / (sys.p_s * sys.sr.pi)
-    return a, b, c, d, f
+    _, v, *_ = _rayleigh_ub_parts(sys, target, sig.p_r, sig.c_x)
+    return EvalResult(-math.expm1(-v), METHOD_UPPER_BOUND)
 
 
 def convexity_witness(
     sys: SystemParams, sig: SignalParams, target: RateTarget, g_rr: float
 ) -> float:
-    """Second derivative of the first-hop exponent in g_rr; <= 0 everywhere."""
+    """Second derivative in g_rr of the first-hop exponent
+    sqrt(A g^2 + B g + C) - (D g + F); <= 0 everywhere.  The linear part
+    drops out, so only A, B and C are formed."""
     if g_rr < 0:
         raise ValueError("g_rr must be nonnegative")
-    a, b, c, _, _ = _sr_exponent_coeffs(sys, sig, target)
+    ps2 = (sys.p_s * sys.sr.pi) ** 2
+    g1 = 1.0 + target.gamma
+    a = sig.p_r**2 * (1.0 + target.gamma * (1.0 - sig.c_x**2)) / ps2
+    b = 2.0 * g1 * sig.p_r / ps2
+    c = g1 / ps2
     return (4.0 * a * c - b * b) / (4.0 * (c + g_rr * (b + a * g_rr)) ** 1.5)
 
 
 def _rd_survival(sys: SystemParams, sig: SignalParams, target: RateTarget) -> float:
     """Survival probability of the second hop (closed double sum)."""
-    phi = psi_ratio_limit(target, sig.c_x) / (sig.p_r * sys.rd.theta)
-    m_rd, m_sd = sys.rd.m, sys.sd.m
-    th_sd = sys.sd.theta
-    pole = sys.p_s * phi + 1.0 / th_sd
-    total = 0.0
-    for m in range(m_rd):
-        for k in range(m + 1):
-            total += (
-                math.comb(m, k)
-                * sys.p_s**k
-                * math.gamma(k + m_sd)
-                * phi**m
-                / (math.gamma(m + 1) * pole ** (k + m_sd))
-            )
-    return math.exp(-phi) / (math.gamma(m_sd) * th_sd**m_sd) * total
+    u = psi_ratio_limit(target, sig.c_x) / (sig.p_r * sys.rd.theta)
+    return _gamma_interference_survival(sys.rd.m, u, sys.p_s, sys.sd)
 
 
 def p_rd_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
@@ -266,65 +212,44 @@ def p_rd_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> Eval
     return EvalResult(1.0 - _rd_survival(sys, sig, target), METHOD_CLOSED_FORM)
 
 
-def p_e2e_exact(
-    sys: SystemParams,
-    sig: SignalParams,
-    target: RateTarget,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> EvalResult:
+def p_e2e_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
     """Exact end-to-end outage: 1 - (1 - P_sr)(1 - P_rd)."""
     sys.check_signal(sig)
-    survival = _sr_survival_exact(sys, sig, target, quad) * _rd_survival(sys, sig, target)
+    survival = _sr_survival_exact(sys, sig, target) * _rd_survival(sys, sig, target)
     return EvalResult(1.0 - survival, METHOD_EXACT_INTEGRAL)
 
 
 def p_e2e_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
-    """Closed-form end-to-end lower bound (quadruple sum over shape indices)."""
+    """Closed-form end-to-end lower bound: 1 - (first-hop bound survival)(second-hop survival)."""
     sys.check_signal(sig)
-    psi = psi_r(target, sig.c_x)
-    ratio = psi_ratio_limit(target, sig.c_x)
-    m_sr, m_rd, m_rr, m_sd = sys.sr.m, sys.rd.m, sys.rr.m, sys.sd.m
-    th_sr, th_rd, th_rr, th_sd = sys.sr.theta, sys.rd.theta, sys.rr.theta, sys.sd.theta
-    u = psi / (sys.p_s * th_sr)
-    phi = ratio / (sig.p_r * th_rd)
-    pole_sr = sig.p_r * u + 1.0 / th_rr
-    pole_sd = sys.p_s * phi + 1.0 / th_sd
-    total = 0.0
-    for m in range(m_sr):
-        for mp in range(m_rd):
-            for k in range(m + 1):
-                for kp in range(mp + 1):
-                    total += (
-                        math.comb(m, k)
-                        * math.comb(mp, kp)
-                        * sig.p_r**k
-                        * sys.p_s**kp
-                        * math.gamma(k + m_rr)
-                        * math.gamma(kp + m_sd)
-                        * u**m
-                        * phi**mp
-                        / (
-                            math.gamma(m + 1)
-                            * math.gamma(mp + 1)
-                            * pole_sr ** (k + m_rr)
-                            * pole_sd ** (kp + m_sd)
-                        )
-                    )
-    survival = (
-        math.exp(-u - phi) / (math.gamma(m_sd) * math.gamma(m_rr) * th_sd**m_sd * th_rr**m_rr)
-    ) * total
+    survival = _sr_survival_lb_complement(sys, sig, target) * _rd_survival(sys, sig, target)
     return EvalResult(1.0 - survival, METHOD_LOWER_BOUND)
+
+
+def _rayleigh_ub_parts(sys: SystemParams, target: RateTarget, p_r, c_x):
+    """Pieces of the Rayleigh survival bound exp(-(u + v)) / (d u + 1),
+    vectorized over (p_r, c_x).
+
+    u = psi_ratio_limit(c_x) / (p_r pi_rd) is the second-hop exponent and
+    v = w psi_r(y) the Jensen first-hop exponent, with
+    w = (p_r pi_rr + 1) / (p_s pi_sr), y = alpha(p_r) c_x and d = p_s pi_sd.
+    Returns (u, v, w, y, d, survival).
+    """
+    u = psi_ratio_limit(target, c_x) / (p_r * sys.rd.pi)
+    beta = p_r * sys.rr.pi
+    w = (beta + 1.0) / (sys.p_s * sys.sr.pi)
+    y = beta / (beta + 1.0) * c_x
+    v = w * psi_r(target, y)
+    d = sys.p_s * sys.sd.pi
+    survival = np.exp(-(u + v)) / (d * u + 1.0)
+    return u, v, w, y, d, survival
 
 
 def e2e_rayleigh_ub_value(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Rayleigh end-to-end outage upper bound, vectorized over (p_r, c_x)."""
     p_r = np.asarray(p_r, dtype=float)
     c_x = np.asarray(c_x, dtype=float)
-    phi = psi_ratio_limit(target, c_x) / (p_r * sys.rd.pi)
-    a = p_r * sys.rr.pi / (p_r * sys.rr.pi + 1.0)
-    exp_sr = (p_r * sys.rr.pi + 1.0) / (sys.p_s * sys.sr.pi) * psi_r(target, a * c_x)
-    survival = np.exp(-(phi + exp_sr)) / (sys.p_s * sys.sd.pi * phi + 1.0)
-    out = 1.0 - survival
+    out = 1.0 - _rayleigh_ub_parts(sys, target, p_r, c_x)[-1]
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,7 +14,6 @@ from .model import SignalParams, SystemParams
 
 __all__ = [
     "ChannelRealization",
-    "single_link_improper_rate",
     "rate_sr",
     "rate_rd",
     "e2e_rate",
@@ -36,15 +35,6 @@ class ChannelRealization:
             if np.any(g < 0):
                 raise ValueError(f"{name} must be nonnegative")
             object.__setattr__(self, name, g if g.ndim else float(g))
-
-
-def single_link_improper_rate(sigma4_y, pseudo2_y, sigma4_z, pseudo2_z):
-    """Rate of one link: 0.5 log2((sigma_y^4 - |pv_y|^2) / (sigma_z^4 - |pv_z|^2))."""
-    num = sigma4_y - pseudo2_y
-    den = sigma4_z - pseudo2_z
-    if np.any(den <= 0):
-        raise ValueError("degenerate interference-plus-noise: sigma_z^4 == |pseudo_z^2|^2")
-    return 0.5 * np.log2(num / den)
 
 
 def rate_sr(sys: SystemParams, sig: SignalParams, ch: ChannelRealization):

@@ -186,10 +186,3 @@ def test_validate_wiring(monkeypatch, capsys):
     )
     assert cli.main(["validate"]) == cli.EXIT_VALIDATION
 
-
-def test_threads_do_not_change_output(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = base_args("--set", "sweep_points=5")
-    assert cli.main(args + ["--threads", "1", "--out", str(a)]) == 0
-    assert cli.main(args + ["--threads", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()

@@ -2,6 +2,8 @@
 survival integral, each against an independent oracle."""
 
 import math
+import random
+import warnings
 
 import mpmath as mp
 import pytest
@@ -164,6 +166,52 @@ def test_rayleigh_lb_continuous_on_degenerate_set():
     assert math.isfinite(at_degenerate)
     for rel in (1e-10, -1e-10, 1e-6, -1e-6):
         assert abs(lb(rel) - at_degenerate) <= 10.0 * abs(rel) + 1e-12
+
+
+def mp_rayleigh_lb(sys_p, sig):
+    """mpmath: the Rayleigh lower bound's Laplace-type integral, with
+    1 - c_x^2 formed exactly from the binary c_x."""
+    c = mp.mpf(sig.c_x)
+    p_s, p_r = mp.mpf(sys_p.p_s), mp.mpf(sig.p_r)
+    beta = p_r * sys_p.rr.pi
+    ac = beta / (beta + 1) * c
+    prd = p_r * sys_p.rd.pi * (1 - c) * (1 + c)
+    x = prd / (p_s * sys_p.sd.pi)
+    omega = (beta + 1) / (p_s * sys_p.sr.pi) + 1 / prd
+
+    def integrand(s):
+        return mp.exp(-omega * s) * x * (s + 1) / ((s + 1 - ac) * (s + 1 + ac) * (s + x))
+
+    with mp.workdps(30):
+        return float(mp.quad(integrand, [0, 1 / omega, 10 / omega, mp.inf]) / mp.log(2))
+
+
+RAYLEIGH_LADDER = (1.0 - 1e-9, 1.0 - 1e-11, 1.0 - 1e-13, 1.0 - 1e-15, 1.0 - 2.0**-53, 1.0)
+
+
+def test_rayleigh_lb_falls_to_zero_as_cx_tends_to_one():
+    # the bound tends to 0 as c_x -> 1 and is exactly 0 there; a clamp of
+    # c_x below 1 would freeze the ladder at its first value
+    strong_rsi = SystemParams(
+        sr=LinkStat(1, 1e4), rd=LinkStat(1, 1e4), rr=LinkStat(1, 1e6),
+        sd=LinkStat(1, 1e-2), p_s=1.0, p_max=1.0,
+    )
+    near_one = SignalParams(1.0, 1.0 - 1e-12)
+    assert r_e2e_rayleigh_lb(strong_rsi, near_one).value == pytest.approx(
+        mp_rayleigh_lb(strong_rsi, near_one), rel=1e-8
+    )
+    rng = random.Random(2024)
+    systems = [strong_rsi] + [
+        SystemParams(*(LinkStat(1, 10 ** rng.uniform(-2.0, 6.0)) for _ in range(4)),
+                     p_s=1.0, p_max=1.0)
+        for _ in range(399)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sys_p in systems:
+            ladder = [r_e2e_rayleigh_lb(sys_p, SignalParams(1.0, c)).value for c in RAYLEIGH_LADDER]
+            assert all(a >= b for a, b in zip(ladder, ladder[1:])), ladder
+            assert ladder[-1] == 0.0
 
 
 def test_rayleigh_lb_sandwich():

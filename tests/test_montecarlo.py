@@ -12,7 +12,6 @@ from fdrigs.montecarlo import (
     estimate_link_outage,
     estimate_outage,
     sample_gains,
-    sample_improper_symbol,
 )
 from fdrigs.ergodic import r_e2e_exact
 from fdrigs.outage import p_e2e_exact, p_rd_exact, p_sr_exact
@@ -63,18 +62,6 @@ def test_gamma_gain_moments():
     assert ch.g_sr.mean() == pytest.approx(100.0, rel=0.02)
     assert ch.g_sr.var() == pytest.approx(100.0**2 / 3, rel=0.05)
     assert ch.g_rr.mean() == pytest.approx(10.0, rel=0.02)
-
-
-def test_improper_symbol_statistics():
-    rng = np.random.default_rng(1)
-    x = sample_improper_symbol(0.7, rng, 400_000)
-    power = np.mean(np.abs(x) ** 2)
-    pseudo = np.mean(x * x)
-    assert power == pytest.approx(1.0, abs=0.01)
-    assert pseudo.real == pytest.approx(0.7, abs=0.01)
-    assert pseudo.imag == pytest.approx(0.0, abs=0.01)
-    with pytest.raises(ValueError):
-        sample_improper_symbol(1.5, rng)
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -19,8 +19,8 @@ from fdrigs.outage import (
     p_rd_exact,
     p_sr_exact,
     p_sr_lb,
-    p_sr_rayleigh_exact,
     p_sr_rayleigh_ub,
+    sr_decoding_exponent,
     throughput,
 )
 
@@ -34,12 +34,12 @@ M2_E2E_EXACT = 0.008902758924379528
 M2_E2E_LB = 0.006702206760615614
 
 
-def base_system(m_relayed=1):
+def base_system(m_relayed=1, m_rr=1, m_sd=1):
     return SystemParams(
         sr=LinkStat(m_relayed, 100.0),
         rd=LinkStat(m_relayed, 100.0),
-        rr=LinkStat(1, 10.0),
-        sd=LinkStat(1, 2.0),
+        rr=LinkStat(m_rr, 10.0),
+        sd=LinkStat(m_sd, 2.0),
         p_s=1.0,
         p_max=1.0,
     )
@@ -78,6 +78,20 @@ def oracle_rd_outage(sys_p, sig, target):
     return val
 
 
+def oracle_sr_lb_survival(sys_p, sig, target):
+    """Independent oracle: E over g_rr of the g_sr survival at the lower
+    bound's threshold psi_r(c_x) (P_r g_rr + 1) / P_s."""
+    rr = stats.gamma(a=sys_p.rr.m, scale=sys_p.rr.theta)
+    sr = stats.gamma(a=sys_p.sr.m, scale=sys_p.sr.theta)
+    psi = psi_r(target, sig.c_x)
+
+    def integrand(g):
+        return sr.sf(psi * (sig.p_r * g + 1.0) / sys_p.p_s) * rr.pdf(g)
+
+    val, err = integrate.quad(integrand, 0.0, np.inf, limit=300, epsabs=1e-13)
+    return val
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("c_x", [0.0, 0.5, 1.0])
 def test_sr_exact_vs_oracle(m, c_x):
@@ -90,10 +104,21 @@ def test_sr_exact_vs_oracle(m, c_x):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("c_x", [0.0, 0.5, 1.0])
 def test_rd_exact_vs_oracle(m, c_x):
-    sys_p = base_system(m)
     sig = SignalParams(0.7, c_x)
-    ref = oracle_rd_outage(sys_p, sig, TARGET)
-    assert p_rd_exact(sys_p, sig, TARGET).value == pytest.approx(ref, rel=1e-8, abs=1e-12)
+    for m_sd in (1, 2, 3, 4):
+        sys_p = base_system(m, m_sd=m_sd)
+        ref = oracle_rd_outage(sys_p, sig, TARGET)
+        assert p_rd_exact(sys_p, sig, TARGET).value == pytest.approx(ref, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("m_rr", [1, 2, 3, 4])
+@pytest.mark.parametrize("m_sr", [1, 2, 3, 4])
+def test_sr_lb_vs_oracle(m_sr, m_rr):
+    sys_p = base_system(m_sr, m_rr=m_rr)
+    for c_x in (0.0, 0.5, 0.9, 1.0):
+        sig = SignalParams(0.7, c_x)
+        ref = 1.0 - oracle_sr_lb_survival(sys_p, sig, TARGET)
+        assert p_sr_lb(sys_p, sig, TARGET).value == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
 
 def test_e2e_factorizes_over_hops():
@@ -119,12 +144,21 @@ def test_frozen_anchors():
 
 
 def test_rayleigh_specialization_agrees():
+    # at m_sr = m_rr = 1 the first-hop survival is E[exp(-w(g))] over an
+    # exponential RSI gain g: the integral of exp(-w(x) - x / pi_rr) / pi_rr
     sys_p = base_system(1)
+    pi_rr = sys_p.rr.pi
     for c_x in (0.0, 0.4, 0.95):
         sig = SignalParams(0.8, c_x)
         general = p_sr_exact(sys_p, sig, TARGET).value
-        special = p_sr_rayleigh_exact(sys_p, sig, TARGET).value
-        assert special == pytest.approx(general, rel=1e-8)
+        survival, _ = integrate.quad(
+            lambda x: math.exp(-sr_decoding_exponent(sys_p, sig, TARGET, x) - x / pi_rr) / pi_rr,
+            0.0,
+            np.inf,
+            limit=300,
+            epsrel=1e-12,
+        )
+        assert 1.0 - survival == pytest.approx(general, rel=1e-8)
 
 
 @given(
