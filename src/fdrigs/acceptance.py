@@ -19,7 +19,6 @@ from scipy import integrate
 from . import ergodic, montecarlo, optimize, outage, specfun
 from .model import LinkStat, RateTarget, SignalParams, SystemParams
 from .montecarlo import McConfig
-from .optimize import SearchConfig
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -242,23 +241,23 @@ def criterion_9_solver_agreement(seed: int = 19, draws: int = 25) -> CriterionRe
     """Bisection and coordinate descent vs a fine grid-search oracle."""
     res = CriterionResult("solver vs grid-search agreement", True)
     rng = np.random.default_rng(seed)
-    cfg = SearchConfig(grid_n=1001)
+    grid_n = 1001
     worst = 0.0
     monotone = True
     for _ in range(draws):
         sys = _random_rayleigh(rng)
         target = RateTarget(rng.uniform(0.3, 2.0))
         cd = optimize.coordinate_descent(sys, target)
-        g2 = optimize.grid_search(sys, target, "outage-ub", cfg)
+        g2 = optimize.grid_search(sys, target, "outage-ub", grid_n)
         worst = max(worst, abs(cd.objective - g2.objective))
         monotone = monotone and all(np.diff(cd.trace) <= 1e-12)
         p_r = rng.uniform(0.05, 1.0) * sys.p_max
         bc = optimize.bisect_circularity(sys, target, p_r)
-        g1 = optimize.grid_search(sys, target, "outage-ub", cfg, p_r_fixed=p_r)
+        g1 = optimize.grid_search(sys, target, "outage-ub", grid_n, p_r_fixed=p_r)
         worst = max(worst, abs(bc.objective - g1.objective))
         c_x = rng.uniform(0.0, 1.0)
         bp = optimize.bisect_power(sys, target, c_x, objective="ub")
-        p_grid = sys.p_max * np.arange(1, cfg.grid_n + 1) / cfg.grid_n
+        p_grid = sys.p_max * np.arange(1, grid_n + 1) / grid_n
         vals = outage.e2e_rayleigh_ub_value(sys, target, p_grid, np.full_like(p_grid, c_x))
         worst = max(worst, abs(bp.objective - float(np.min(vals))))
     res.add(worst <= 1e-4, f"worst |solver - grid| objective gap: {worst:.3e} <= 1e-4")

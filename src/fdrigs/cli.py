@@ -10,6 +10,9 @@ A sweep looks each (metric, method) column up in ``optimize.METRICS``, the
 table `grid_search` also reads; only the Monte Carlo column is built here.
 Sweep points run one after another: a worker pool gained only a few percent
 on these interpreter-bound evaluations, so it was removed with its flag.
+
+`optimize` writes the method tag its optimizer attaches to the optimum.  Like
+``samples``, ``grid_n`` is checked here: below 101 it is a configuration error.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 from . import acceptance, montecarlo, optimize, outage
 from .model import LinkStat, RateTarget, SignalParams, SystemParams
 from .montecarlo import McConfig
-from .optimize import SearchConfig
 from .outage import METHOD_MONTE_CARLO, EvalResult
 
 EXIT_OK = 0
@@ -202,6 +204,9 @@ def build_config(
     optimizer = raw["optimizer"]
     if optimizer not in ("1d-cx", "1d-pr", "2d-cd", "grid"):
         raise ConfigError(f"optimizer must be 1d-cx | 1d-pr | 2d-cd | grid, got {optimizer!r}")
+    grid_n = _as_int(raw, "grid_n")
+    if grid_n < 101:
+        raise ConfigError(f"grid_n must be >= 101, got {grid_n}")
     return RunConfig(
         raw=raw,
         sys=sys_params,
@@ -214,7 +219,7 @@ def build_config(
         samples=samples,
         seed=_as_int(raw, "seed"),
         optimizer=optimizer,
-        grid_n=_as_int(raw, "grid_n"),
+        grid_n=grid_n,
     )
 
 
@@ -330,30 +335,25 @@ def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, out_path: Optional[str]) -> int:
-    search = SearchConfig(grid_n=max(cfg.grid_n, 101))
     if cfg.optimizer == "1d-cx":
-        result = optimize.bisect_circularity(cfg.sys, cfg.target, cfg.sig.p_r, search)
-        objective_tag = "upper-bound"
+        result = optimize.bisect_circularity(cfg.sys, cfg.target, cfg.sig.p_r)
     elif cfg.optimizer == "1d-pr":
-        result = optimize.bisect_power(cfg.sys, cfg.target, cfg.sig.c_x, search)
-        objective_tag = "closed-form-exact" if cfg.sig.c_x == 0.0 else "upper-bound"
+        result = optimize.bisect_power(cfg.sys, cfg.target, cfg.sig.c_x)
     elif cfg.optimizer == "2d-cd":
-        result = optimize.coordinate_descent(cfg.sys, cfg.target, search)
-        objective_tag = "upper-bound"
+        result = optimize.coordinate_descent(cfg.sys, cfg.target)
     else:
         objective = "outage-ub" if cfg.sys.all_rayleigh else "outage-lb"
-        result = optimize.grid_search(cfg.sys, cfg.target, objective, search)
-        objective_tag = "upper-bound" if objective == "outage-ub" else "lower-bound"
+        result = optimize.grid_search(cfg.sys, cfg.target, objective, cfg.grid_n)
 
     print(f"optimizer  : {cfg.optimizer}")
     print(f"p_r*       : {result.p_r_star:.10g}")
     print(f"c_x*       : {result.c_x_star:.10g}")
-    print(f"objective  : {result.objective:.10g} ({objective_tag})")
+    print(f"objective  : {result.objective:.10g} ({result.method})")
     print(f"iterations : {result.iterations}")
     print(f"converged  : {result.converged}")
     if cfg.optimizer == "2d-cd" and result.trace:
         print("trace      : " + ", ".join(f"{v:.10g}" for v in result.trace))
-    header = ["optimizer", "p_r_star", "c_x_star", f"objective:{objective_tag}", "iterations", "converged"]
+    header = ["optimizer", "p_r_star", "c_x_star", f"objective:{result.method}", "iterations", "converged"]
     row: List[object] = [cfg.optimizer, result.p_r_star, result.c_x_star, result.objective,
                          float(result.iterations), 1.0 if result.converged else 0.0]
     if out_path:
@@ -365,7 +365,6 @@ def cmd_throughput(cfg: RunConfig, out_path: Optional[str]) -> int:
     if cfg.sweep_var != "r":
         raise ConfigError("the throughput command needs sweep_var = r")
     mc_cfg = McConfig(cfg.samples, cfg.seed)
-    search = SearchConfig(grid_n=max(cfg.grid_n, 101))
     rayleigh = cfg.sys.all_rayleigh
     pgs_tag = "closed-form-exact" if rayleigh else "lower-bound"
     igs_tag = "exact-integral" if rayleigh else "lower-bound"
@@ -382,16 +381,16 @@ def cmd_throughput(cfg: RunConfig, out_path: Optional[str]) -> int:
     for r in cfg.sweep_values:
         target = RateTarget(r)
         if rayleigh:
-            pgs = optimize.bisect_power(cfg.sys, target, 0.0, search).objective
-            cd = optimize.coordinate_descent(cfg.sys, target, search)
+            pgs = optimize.bisect_power(cfg.sys, target, 0.0).objective
+            cd = optimize.coordinate_descent(cfg.sys, target)
             igs = outage.p_e2e_exact(
                 cfg.sys, SignalParams(cd.p_r_star, cd.c_x_star), target
             ).value
         else:
-            igs = optimize.grid_search(cfg.sys, target, "outage-lb", search).objective
+            igs = optimize.grid_search(cfg.sys, target, "outage-lb", cfg.grid_n).objective
             pgs = min(
                 outage.p_e2e_lb(cfg.sys, SignalParams(p, 0.0), target).value
-                for p in (cfg.sys.p_max * (i + 1) / search.grid_n for i in range(search.grid_n))
+                for p in (cfg.sys.p_max * (i + 1) / cfg.grid_n for i in range(cfg.grid_n))
             )
         mhdf = montecarlo.estimate_hdr_outage(cfg.sys, target, False, mc_cfg)
         mrc = montecarlo.estimate_hdr_outage(cfg.sys, target, True, mc_cfg)

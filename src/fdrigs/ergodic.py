@@ -40,10 +40,10 @@ __all__ = [
 ]
 
 
-def _rate_cap(sys: SystemParams, sig: SignalParams, tail_tol: float = 1e-12) -> float:
-    """Target rate beyond which the complementary outage is negligible."""
+def _rate_cap(sys: SystemParams, sig: SignalParams) -> float:
+    """Target rate beyond which the complementary outage is below 1e-12."""
     r_cap = 20.0
-    while 1.0 - p_e2e_lb(sys, sig, RateTarget(r_cap)).value > tail_tol:
+    while 1.0 - p_e2e_lb(sys, sig, RateTarget(r_cap)).value > 1e-12:
         r_cap *= 2.0
         if r_cap > 1e4:
             break

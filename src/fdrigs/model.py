@@ -20,8 +20,7 @@ __all__ = [
     "alpha",
 ]
 
-# Integer shapes the analysis is scoped to; larger values are accepted only
-# with an explicit override for experimentation.
+# Integer shapes the analysis is scoped to.
 _SUPPORTED_SHAPES = (1, 2, 3, 4)
 
 
@@ -31,27 +30,17 @@ class LinkStat:
 
     m: int
     pi: float
-    allow_any_shape: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError(f"shape m must be a positive integer, got {self.m}")
+        if self.m not in _SUPPORTED_SHAPES:
+            raise ValueError(f"shape m must be one of {_SUPPORTED_SHAPES}, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
-        if self.m not in _SUPPORTED_SHAPES and not self.allow_any_shape:
-            raise ValueError(
-                f"shape m={self.m} is outside the supported set {_SUPPORTED_SHAPES}; "
-                "pass allow_any_shape=True to override"
-            )
         if not self.pi > 0:
             raise ValueError(f"mean power pi must be > 0, got {self.pi}")
 
     @property
     def theta(self) -> float:
         return self.pi / self.m
-
-    @property
-    def is_rayleigh(self) -> bool:
-        return self.m == 1
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Monte Carlo oracle: block-fading simulation of the relay link, empirical
 outage/ergodic estimates, and the half-duplex baselines.
 
-Sampling uses counter-based Philox substreams, one per accumulation batch, so
-estimates are bit-identical regardless of how batches are scheduled.
+Sampling uses counter-based Philox substreams, one per accumulation batch of
+the fixed size `_BATCH`, so estimates are bit-identical regardless of how
+batches are scheduled.  The budget (`McConfig`) is a sample count and a seed.
 """
 
 from __future__ import annotations
@@ -13,17 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import RateTarget, SignalParams, SystemParams
-from .rates import ChannelRealization, e2e_rate, rate_rd, rate_sr
+from .rates import ChannelRealization, e2e_rate
 
 __all__ = [
     "McConfig",
     "McEstimate",
     "sample_gains",
     "estimate_outage",
-    "estimate_link_outage",
     "estimate_ergodic",
     "estimate_hdr_outage",
 ]
+
+# Samples drawn per substream; bounds the memory one accumulation step holds.
+_BATCH = 250_000
 
 
 @dataclass(frozen=True)
@@ -32,15 +35,12 @@ class McConfig:
 
     n_samples: int = 1_000_000
     seed: int = 0
-    batch: int = 250_000
 
     def __post_init__(self) -> None:
         if self.n_samples < 10_000:
             raise ValueError(f"n_samples must be >= 10000, got {self.n_samples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ def _batch_rng(cfg: McConfig, batch_index: int) -> np.random.Generator:
 
 
 def _batch_sizes(cfg: McConfig):
-    full, rem = divmod(cfg.n_samples, cfg.batch)
-    sizes = [cfg.batch] * full
+    full, rem = divmod(cfg.n_samples, _BATCH)
+    sizes = [_BATCH] * full
     if rem:
         sizes.append(rem)
     return sizes
@@ -73,7 +73,7 @@ def _gamma_gain(rng: np.random.Generator, m: int, theta: float, n: int) -> np.nd
     return rng.exponential(theta, size=(m, n)).sum(axis=0)
 
 
-def sample_gains(sys: SystemParams, rng: np.random.Generator, n: int = 1) -> ChannelRealization:
+def sample_gains(sys: SystemParams, rng: np.random.Generator, n: int) -> ChannelRealization:
     """Draw n independent block-fading realizations of the four link gains."""
     return ChannelRealization(
         g_sr=_gamma_gain(rng, sys.sr.m, sys.sr.theta, n),
@@ -107,26 +107,6 @@ def estimate_outage(
     def batch(rng, size):
         ch = sample_gains(sys, rng, size)
         return e2e_rate(sys, sig, ch) < target.r
-
-    return _estimate(cfg, batch)
-
-
-def estimate_link_outage(
-    sys: SystemParams,
-    sig: SignalParams,
-    target: RateTarget,
-    cfg: McConfig,
-    link: str = "sr",
-) -> McEstimate:
-    """Empirical per-hop outage, for checking the hop-independence split."""
-    sys.check_signal(sig)
-    if link not in ("sr", "rd"):
-        raise ValueError(f"link must be 'sr' or 'rd', got {link!r}")
-    hop = rate_sr if link == "sr" else rate_rd
-
-    def batch(rng, size):
-        ch = sample_gains(sys, rng, size)
-        return hop(sys, sig, ch) < target.r
 
     return _estimate(cfg, batch)
 

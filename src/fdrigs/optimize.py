@@ -8,20 +8,23 @@ table behind both `grid_search` and the CLI sweep.
 The 1D searches exploit that the Rayleigh outage upper bound is monotone or
 unimodal in each variable separately, so a single interior stationary point
 (found by bisecting the analytic derivative) plus the interval endpoints
-always contain the global minimizer.
+always contain the global minimizer.  Every optimum carries the method tag
+of the objective it minimized, set by the optimizer that chose it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from .model import RateTarget, SignalParams, SystemParams
 from .outage import (
+    METHOD_CLOSED_FORM,
+    METHOD_UPPER_BOUND,
     EvalResult,
     _rayleigh_ub_parts,
     e2e_rayleigh_ub_value,
@@ -33,7 +36,6 @@ from .outage import (
 __all__ = [
     "METRICS",
     "OptResult",
-    "SearchConfig",
     "ub_derivative_cx",
     "ub_derivative_pr",
     "bisect_circularity",
@@ -46,37 +48,21 @@ __all__ = [
 # bracket starts just inside the box.
 _EDGE = 1e-7
 
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Termination control shared by the 1D/2D searches."""
-
-    x_tol: float = 1e-8
-    f_tol: float = 1e-10
-    max_iters: int = 200
-    grid_n: int = 101
-
-    def __post_init__(self) -> None:
-        if not 1e-10 <= self.x_tol <= 1e-3:
-            raise ValueError(f"x_tol must lie in [1e-10, 1e-3], got {self.x_tol}")
-        if not self.f_tol > 0:
-            raise ValueError(f"f_tol must be > 0, got {self.f_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grid_n < 101:
-            raise ValueError(f"grid_n must be >= 101, got {self.grid_n}")
-
-
-DEFAULT_SEARCH = SearchConfig()
+# Bisection stops at this bracket width, coordinate descent at this
+# objective gain; both give up after _MAX_ITERS steps.
+_X_TOL = 1e-8
+_F_TOL = 1e-10
+_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
 class OptResult:
-    """Optimizer output: the design point, its objective and the run record."""
+    """Optimizer output: the design point, its objective and method tag, and the run record."""
 
     p_r_star: float
     c_x_star: float
     objective: float
+    method: str
     iterations: int
     converged: bool
     trace: Optional[List[float]] = field(default=None, compare=False)
@@ -120,13 +106,11 @@ def ub_derivative_pr(sys: SystemParams, target: RateTarget, p_r: float, c_x: flo
     return -dsurv
 
 
-def _bisect_root(
-    deriv: Callable[[float], float], lo: float, hi: float, cfg: SearchConfig
-) -> Tuple[float, int, bool]:
+def _bisect_root(deriv: Callable[[float], float], lo: float, hi: float) -> Tuple[float, int, bool]:
     """Root of a sign-changing derivative on [lo, hi] by plain bisection."""
     f_lo = deriv(lo)
     iters = 0
-    while hi - lo > cfg.x_tol and iters < cfg.max_iters:
+    while hi - lo > _X_TOL and iters < _MAX_ITERS:
         mid = 0.5 * (lo + hi)
         f_mid = deriv(mid)
         if f_mid == 0.0:
@@ -136,38 +120,56 @@ def _bisect_root(
         else:
             hi = mid
         iters += 1
-    return 0.5 * (lo + hi), iters, hi - lo <= cfg.x_tol
+    return 0.5 * (lo + hi), iters, hi - lo <= _X_TOL
 
 
-def bisect_circularity(
-    sys: SystemParams,
-    target: RateTarget,
-    p_r: float,
-    cfg: SearchConfig = DEFAULT_SEARCH,
+def _bracket_and_pick(
+    deriv: Callable[[float], float],
+    value_fn: Callable[[float], float],
+    lo: float,
+    hi: float,
+    ends: Tuple[float, float],
+    point: Callable[[float], Tuple[float, float]],
+    method: str,
 ) -> OptResult:
+    """Minimize value_fn over the interval ends plus the root of deriv, which
+    is bisected only if deriv changes sign on [lo, hi]; point maps the search
+    variable to the design point (p_r, c_x)."""
+    candidates = list(ends)
+    iterations = 0
+    converged = True
+    if (deriv(lo) > 0) != (deriv(hi) > 0):
+        root, iterations, converged = _bisect_root(deriv, lo, hi)
+        candidates.append(root)
+    values = [value_fn(x) for x in candidates]
+    best = int(np.argmin(values))
+    p_r, c_x = point(candidates[best])
+    return OptResult(
+        p_r_star=p_r,
+        c_x_star=c_x,
+        objective=values[best],
+        method=method,
+        iterations=iterations,
+        converged=converged,
+        trace=values,
+    )
+
+
+def bisect_circularity(sys: SystemParams, target: RateTarget, p_r: float) -> OptResult:
     """Minimize the Rayleigh outage upper bound over c_x at fixed p_r."""
     if not sys.all_rayleigh:
         raise ValueError("bisect_circularity requires all shapes equal to 1")
     if not 0 < p_r <= sys.p_max:
         raise ValueError(f"p_r must lie in (0, p_max], got {p_r}")
-    lo, hi = _EDGE, 1.0 - _EDGE
-    # The objective falls as the survival rises: bisect on -survival'.
-    deriv = lambda c: -ub_derivative_cx(sys, target, p_r, c)
-    candidates = [0.0, 1.0]
-    iterations = 0
-    converged = True
-    if (deriv(lo) > 0) != (deriv(hi) > 0):
-        root, iterations, converged = _bisect_root(deriv, lo, hi, cfg)
-        candidates.append(root)
-    values = [e2e_rayleigh_ub_value(sys, target, p_r, c) for c in candidates]
-    best = int(np.argmin(values))
-    return OptResult(
-        p_r_star=p_r,
-        c_x_star=candidates[best],
-        objective=values[best],
-        iterations=iterations,
-        converged=converged,
-        trace=values,
+    return _bracket_and_pick(
+        # The objective falls as the survival rises: bisect on -survival'.
+        lambda c: -ub_derivative_cx(sys, target, p_r, c),
+        lambda c: e2e_rayleigh_ub_value(sys, target, p_r, c),
+        _EDGE,
+        1.0 - _EDGE,
+        (0.0, 1.0),
+        lambda c: (p_r, c),
+        METHOD_UPPER_BOUND,
     )
 
 
@@ -185,11 +187,7 @@ def _pgs_exact_dlog(sys: SystemParams, target: RateTarget, p_r: float) -> float:
 
 
 def bisect_power(
-    sys: SystemParams,
-    target: RateTarget,
-    c_x: float,
-    cfg: SearchConfig = DEFAULT_SEARCH,
-    objective: str = "auto",
+    sys: SystemParams, target: RateTarget, c_x: float, objective: str = "auto"
 ) -> OptResult:
     """Minimize the end-to-end outage over p_r at fixed c_x.
 
@@ -204,70 +202,44 @@ def bisect_power(
         raise ValueError(f"c_x must lie in [0, 1], got {c_x}")
     if objective not in ("auto", "ub"):
         raise ValueError(f"objective must be 'auto' or 'ub', got {objective!r}")
-    use_exact = objective == "auto" and c_x == 0.0
     lo, hi = _EDGE * sys.p_max, sys.p_max
-    if use_exact:
+    if objective == "auto" and c_x == 0.0:
         deriv = lambda p: _pgs_exact_dlog(sys, target, p)
         value_fn = lambda p: p_e2e_lb(sys, SignalParams(p, 0.0), target).value
+        method = METHOD_CLOSED_FORM
     else:
         deriv = lambda p: ub_derivative_pr(sys, target, p, c_x)
         value_fn = lambda p: e2e_rayleigh_ub_value(sys, target, p, c_x)
-    candidates = [lo, hi]
-    iterations = 0
-    converged = True
-    if (deriv(lo) > 0) != (deriv(hi) > 0):
-        root, iterations, converged = _bisect_root(deriv, lo, hi, cfg)
-        candidates.append(root)
-    values = [value_fn(p) for p in candidates]
-    best = int(np.argmin(values))
-    return OptResult(
-        p_r_star=candidates[best],
-        c_x_star=c_x,
-        objective=values[best],
-        iterations=iterations,
-        converged=converged,
-        trace=values,
-    )
+        method = METHOD_UPPER_BOUND
+    return _bracket_and_pick(deriv, value_fn, lo, hi, (lo, hi), lambda p: (p, c_x), method)
 
 
-def coordinate_descent(
-    sys: SystemParams, target: RateTarget, cfg: SearchConfig = DEFAULT_SEARCH
-) -> OptResult:
+def coordinate_descent(sys: SystemParams, target: RateTarget) -> OptResult:
     """Alternate the two 1D searches from (p_max, 0) until no improvement.
 
     The objective trace must be nonincreasing; a rise indicates a broken 1D
     solver and raises immediately rather than returning a bogus optimum.
     """
-    if not sys.all_rayleigh:
-        raise ValueError("coordinate_descent requires all shapes equal to 1")
     p_r, c_x = sys.p_max, 0.0
-    value = e2e_rayleigh_ub_value(sys, target, p_r, c_x)
-    trace = [value]
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        step_p = bisect_power(sys, target, c_x, cfg, objective="ub")
-        p_r = step_p.p_r_star
-        step_c = bisect_circularity(sys, target, p_r, cfg)
-        c_x = step_c.c_x_star
-        new_value = step_c.objective
-        if new_value > trace[-1] + 1e-12:
+    trace = [e2e_rayleigh_ub_value(sys, target, p_r, c_x)]
+    for _ in range(_MAX_ITERS):
+        p_r = bisect_power(sys, target, c_x, objective="ub").p_r_star
+        step = bisect_circularity(sys, target, p_r)
+        c_x = step.c_x_star
+        if step.objective > trace[-1] + 1e-12:
             raise RuntimeError(
-                f"coordinate descent objective rose from {trace[-1]} to {new_value}"
+                f"coordinate descent objective rose from {trace[-1]} to {step.objective}"
             )
-        trace.append(new_value)
-        if trace[-2] - new_value < cfg.f_tol:
-            converged = True
-            value = new_value
+        trace.append(step.objective)
+        if trace[-2] - trace[-1] < _F_TOL:
             break
-        value = new_value
     return OptResult(
         p_r_star=p_r,
         c_x_star=c_x,
-        objective=value,
-        iterations=iterations,
-        converged=converged,
+        objective=trace[-1],
+        method=METHOD_UPPER_BOUND,
+        iterations=len(trace) - 1,
+        converged=trace[-2] - trace[-1] < _F_TOL,
         trace=trace,
     )
 
@@ -307,55 +279,54 @@ METRICS: Dict[Tuple[str, str], Evaluator] = {
 def grid_search(
     sys: SystemParams,
     target: RateTarget,
-    objective: Union[str, Callable[[float, float], float]] = "outage-ub",
-    cfg: SearchConfig = DEFAULT_SEARCH,
-    maximize: Optional[bool] = None,
+    objective: str = "outage-ub",
+    grid_n: int = 101,
     p_r_fixed: Optional[float] = None,
 ) -> OptResult:
     """Exhaustive search on a grid_n x grid_n grid over (0, p_max] x [0, 1].
 
-    Works for every metric and any fading shape.  A string objective names a
-    METRICS key as "metric-method" ("outage-lb", "ergodic-ub"); a bare
-    metric name means its exact method.  Outage is minimized and every other
-    metric maximized unless `maximize` says otherwise.  Ties break
+    Works for every metric and any fading shape its evaluator accepts.  The
+    objective names a METRICS key as "metric-method" ("outage-lb",
+    "ergodic-ub"); a bare metric name means its exact method.  Outage is
+    minimized and every other metric maximized.  Ties break
     deterministically toward the smallest p_r, then the smallest c_x.
     Fixing p_r collapses the search to a 1D sweep over c_x.
     """
-    fn = objective
-    if isinstance(objective, str):
-        metric, _, method = objective.partition("-")
-        evaluator = METRICS.get((metric, method or "exact"))
-        if evaluator is None:
-            raise ValueError(f"unknown objective {objective!r}")
-        fn = lambda p, c: evaluator(sys, SignalParams(p, c), target).value
-        if maximize is None:
-            maximize = metric != "outage"
-    n = cfg.grid_n
+    metric, _, method = objective.partition("-")
+    evaluator = METRICS.get((metric, method or "exact"))
+    if evaluator is None:
+        raise ValueError(f"unknown objective {objective!r}")
+    if grid_n < 101:
+        raise ValueError(f"grid_n must be >= 101, got {grid_n}")
     if p_r_fixed is not None:
         if not 0 < p_r_fixed <= sys.p_max:
             raise ValueError(f"p_r_fixed must lie in (0, p_max], got {p_r_fixed}")
         p_grid = np.array([p_r_fixed])
     else:
-        p_grid = sys.p_max * np.arange(1, n + 1) / n
-    c_grid = np.linspace(0.0, 1.0, n)
+        p_grid = sys.p_max * np.arange(1, grid_n + 1) / grid_n
+    c_grid = np.linspace(0.0, 1.0, grid_n)
 
     if objective == "outage-ub":
         # vectorized closed form: the whole grid in one shot
         values = e2e_rayleigh_ub_value(
             sys, target, p_grid[:, None], c_grid[None, :]
         )
+        tag = METHOD_UPPER_BOUND
     else:
-        values = np.empty((len(p_grid), n))
+        values = np.empty((len(p_grid), grid_n))
         for i, p in enumerate(p_grid):
             for j, c in enumerate(c_grid):
-                values[i, j] = fn(p, c)
+                res = evaluator(sys, SignalParams(p, c), target)
+                values[i, j] = res.value
+        tag = res.method
 
-    flat = np.argmax(values) if maximize else np.argmin(values)
+    flat = np.argmin(values) if metric == "outage" else np.argmax(values)
     i, j = np.unravel_index(flat, values.shape)
     return OptResult(
         p_r_star=float(p_grid[i]),
         c_x_star=float(c_grid[j]),
         objective=float(values[i, j]),
+        method=tag,
         iterations=values.size,
         converged=True,
     )

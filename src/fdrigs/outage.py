@@ -160,7 +160,8 @@ def _gamma_interference_survival(m_sig: int, u: float, load: float, interferer: 
                 * u**m
                 / (math.gamma(m + 1) * pole ** (k + m_i))
             )
-    return math.exp(-u) / (math.gamma(m_i) * th_i**m_i) * total
+    # Rounding lifts the sum up to a few ulp above 1 as u -> 0; a survival cannot exceed 1.
+    return min(1.0, math.exp(-u) / (math.gamma(m_i) * th_i**m_i) * total)
 
 
 def _sr_survival_lb_complement(sys: SystemParams, sig: SignalParams, target: RateTarget) -> float:
@@ -247,6 +248,8 @@ def _rayleigh_ub_parts(sys: SystemParams, target: RateTarget, p_r, c_x):
 
 def e2e_rayleigh_ub_value(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Rayleigh end-to-end outage upper bound, vectorized over (p_r, c_x)."""
+    if not sys.all_rayleigh:
+        raise ValueError("the Rayleigh upper bound requires all shapes equal to 1")
     p_r = np.asarray(p_r, dtype=float)
     c_x = np.asarray(c_x, dtype=float)
     out = 1.0 - _rayleigh_ub_parts(sys, target, p_r, c_x)[-1]
@@ -255,24 +258,16 @@ def e2e_rayleigh_ub_value(sys: SystemParams, target: RateTarget, p_r, c_x):
 
 def p_e2e_rayleigh_ub(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
     """Closed-form Rayleigh end-to-end upper bound."""
-    if not sys.all_rayleigh:
-        raise ValueError("p_e2e_rayleigh_ub requires all shapes equal to 1")
     sys.check_signal(sig)
     return EvalResult(e2e_rayleigh_ub_value(sys, target, sig.p_r, sig.c_x), METHOD_UPPER_BOUND)
 
 
-def asymptotic_k(sys: SystemParams, target: RateTarget, p_r: Optional[float] = None) -> float:
-    """High-RSI limit of the maximally improper upper bound (independent of pi_rr).
-
-    Defaults to the relay transmitting at p_max.
-    """
+def asymptotic_k(sys: SystemParams, target: RateTarget) -> float:
+    """High-RSI limit of the maximally improper upper bound (independent of
+    pi_rr), with the relay transmitting at p_max."""
     if not sys.all_rayleigh:
         raise ValueError("asymptotic_k is a Rayleigh-scope result")
-    if p_r is None:
-        p_r = sys.p_max
-    if not 0 < p_r <= sys.p_max:
-        raise ValueError(f"p_r must lie in (0, p_max], got {p_r}")
-    two_prd = 2.0 * p_r * sys.rd.pi
+    two_prd = 2.0 * sys.p_max * sys.rd.pi
     num = two_prd * math.exp(-(target.gamma / two_prd + target.gamma / (sys.p_s * sys.sr.pi)))
     return 1.0 - num / (two_prd + target.gamma * sys.p_s * sys.sd.pi)
 

@@ -131,6 +131,7 @@ def test_optimize_subcommand(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(out_file.read_text())))
     header, row = rows
     assert "p_r_star" in header
+    assert "objective:upper-bound" in header
     record = dict(zip(header, row))
     assert 0.0 < float(record["p_r_star"]) <= 1.0
     assert 0.0 <= float(record["c_x_star"]) <= 1.0
@@ -144,6 +145,16 @@ def test_optimize_grid_variant(capsys):
     )
     assert code == 0
     assert "grid" in out
+
+
+def test_grid_n_below_101_is_config_error(capsys):
+    code, out, err = run(
+        ["optimize", "--config", str(REPO_SCENARIO), "--set", "optimizer=grid",
+         "--set", "grid_n=50"],
+        capsys,
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "grid_n" in err
 
 
 def test_throughput_requires_rate_sweep(capsys):

@@ -37,10 +37,7 @@ def test_link_stat_validation():
         LinkStat(1, -2.0)
     with pytest.raises(ValueError):
         LinkStat(7, 1.0)  # outside the supported shape set
-    LinkStat(7, 1.0, allow_any_shape=True)
     assert LinkStat(3, 6.0).theta == pytest.approx(2.0)
-    assert LinkStat(1, 5.0).is_rayleigh
-    assert not LinkStat(2, 5.0).is_rayleigh
 
 
 def test_system_validation():

@@ -7,14 +7,15 @@ import pytest
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
 from fdrigs.montecarlo import (
     McConfig,
+    _estimate,
     estimate_ergodic,
     estimate_hdr_outage,
-    estimate_link_outage,
     estimate_outage,
     sample_gains,
 )
 from fdrigs.ergodic import r_e2e_exact
 from fdrigs.outage import p_e2e_exact, p_rd_exact, p_sr_exact
+from fdrigs.rates import rate_rd, rate_sr
 
 
 def base_system(m_relayed=1):
@@ -37,20 +38,19 @@ def test_config_validation():
         McConfig(n_samples=100)
     with pytest.raises(ValueError):
         McConfig(seed=-1)
-    with pytest.raises(ValueError):
-        McConfig(batch=0)
 
 
 def test_determinism():
     # counter-based substreams: repeated runs with the same configuration
-    # are bit-identical, and the seed selects a distinct stream
+    # are bit-identical, and the seed selects a distinct stream; the budget
+    # spans two full batches and a remainder
     sys_p = base_system()
-    cfg = McConfig(50_000, seed=3, batch=7_000)
+    cfg = McConfig(600_000, seed=3)
     a = estimate_outage(sys_p, SIG, TARGET, cfg)
     b = estimate_outage(sys_p, SIG, TARGET, cfg)
     assert a.mean == b.mean and a.stderr == b.stderr
-    assert a.n == 50_000
-    c = estimate_outage(sys_p, SIG, TARGET, McConfig(50_000, seed=4, batch=7_000))
+    assert a.n == 600_000
+    c = estimate_outage(sys_p, SIG, TARGET, McConfig(600_000, seed=4))
     assert c.mean != a.mean
 
 
@@ -72,15 +72,22 @@ def test_e2e_outage_matches_analytics(m):
     assert abs(est.mean - ref) <= 3.5 * est.stderr
 
 
+def estimate_hop_outage(sys_p, sig, target, cfg, hop_rate):
+    """Empirical outage of one hop, whose rate is rate_sr or rate_rd."""
+
+    def batch(rng, size):
+        return hop_rate(sys_p, sig, sample_gains(sys_p, rng, size)) < target.r
+
+    return _estimate(cfg, batch)
+
+
 def test_link_outages_factorize():
     sys_p = base_system()
     cfg = McConfig(400_000, seed=11)
-    sr = estimate_link_outage(sys_p, SIG, TARGET, cfg, link="sr")
-    rd = estimate_link_outage(sys_p, SIG, TARGET, cfg, link="rd")
+    sr = estimate_hop_outage(sys_p, SIG, TARGET, cfg, rate_sr)
+    rd = estimate_hop_outage(sys_p, SIG, TARGET, cfg, rate_rd)
     assert abs(sr.mean - p_sr_exact(sys_p, SIG, TARGET).value) <= 3.5 * sr.stderr
     assert abs(rd.mean - p_rd_exact(sys_p, SIG, TARGET).value) <= 3.5 * rd.stderr
-    with pytest.raises(ValueError):
-        estimate_link_outage(sys_p, SIG, TARGET, cfg, link="sd")
 
 
 def test_ergodic_matches_analytics():

@@ -6,7 +6,6 @@ import pytest
 
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
 from fdrigs.optimize import (
-    SearchConfig,
     bisect_circularity,
     bisect_power,
     coordinate_descent,
@@ -37,9 +36,7 @@ def fd(fn, x, h=1e-6):
 
 def test_search_config_validation():
     with pytest.raises(ValueError):
-        SearchConfig(x_tol=1.0)
-    with pytest.raises(ValueError):
-        SearchConfig(grid_n=10)
+        grid_search(base_system(), TARGET, "outage-ub", grid_n=10)
 
 
 @pytest.mark.parametrize("p_r", [0.3, 1.0])
@@ -86,6 +83,7 @@ def test_bisect_power_exact_objective_when_proper():
     vals = [p_e2e_exact(sys_p, SignalParams(p, 0.0), TARGET).value for p in grid_p[::200]]
     assert res.objective <= min(vals) + 1e-8
     assert res.converged
+    assert res.method == "closed-form-exact"
 
 
 def test_bisect_power_forced_ub_objective():
@@ -94,6 +92,7 @@ def test_bisect_power_forced_ub_objective():
     grid_p = np.linspace(1e-4, 4.0, 100_001)
     vals = e2e_rayleigh_ub_value(sys_p, TARGET, grid_p, 0.0)
     assert res.objective <= vals.min() + 1e-10
+    assert res.method == "upper-bound"
 
 
 def test_coordinate_descent_monotone_and_consistent():
@@ -103,9 +102,10 @@ def test_coordinate_descent_monotone_and_consistent():
     diffs = np.diff(res.trace)
     assert np.all(diffs <= 1e-12)
     # agrees with a fine grid on the same objective
-    ref = grid_search(sys_p, TARGET, "outage-ub", SearchConfig(grid_n=1001))
+    ref = grid_search(sys_p, TARGET, "outage-ub", grid_n=1001)
     assert res.objective <= ref.objective + 1e-6
     assert res.converged
+    assert res.method == ref.method == "upper-bound"
 
 
 def test_non_rayleigh_rejected_by_bisection():
@@ -117,43 +117,37 @@ def test_non_rayleigh_rejected_by_bisection():
         bisect_circularity(sys_p, TARGET, 1.0)
     with pytest.raises(ValueError):
         coordinate_descent(sys_p, TARGET)
-    # exhaustive search still works on any shape
-    res = grid_search(sys_p, TARGET, "outage-lb", SearchConfig(grid_n=101))
+    # so does the grid's vectorized Rayleigh bound
+    with pytest.raises(ValueError):
+        grid_search(sys_p, TARGET, "outage-ub")
+    # exhaustive search still works on any shape, on the bounds that hold there
+    res = grid_search(sys_p, TARGET, "outage-lb")
     assert 0.0 <= res.objective <= 1.0
+    assert res.method == "lower-bound"
 
 
 def test_grid_search_tie_breaking():
-    # a constant objective must return the smallest p_r, then smallest c_x
+    # at r = 40 every grid value of both bounds is exactly 1.0: the search
+    # must return the smallest p_r, then the smallest c_x
     sys_p = base_system()
-    res = grid_search(sys_p, TARGET, lambda p, c: 1.0, SearchConfig(grid_n=101))
-    assert res.p_r_star == pytest.approx(sys_p.p_max / 101)
-    assert res.c_x_star == 0.0
-
-
-def test_grid_search_argmin_invariant_under_scaling():
-    sys_p = base_system()
-    cfg = SearchConfig(grid_n=101)
-    a = grid_search(sys_p, TARGET, "outage-ub", cfg)
-    scaled = grid_search(
-        sys_p, TARGET,
-        lambda p, c: 7.5 * e2e_rayleigh_ub_value(sys_p, TARGET, p, c),
-        cfg,
-    )
-    assert scaled.p_r_star == a.p_r_star
-    assert scaled.c_x_star == a.c_x_star
+    for objective in ("outage-ub", "outage-lb"):
+        res = grid_search(sys_p, RateTarget(40.0), objective)
+        assert res.objective == 1.0
+        assert res.p_r_star == pytest.approx(sys_p.p_max / 101)
+        assert res.c_x_star == 0.0
 
 
 def test_grid_search_stability_with_resolution():
     sys_p = base_system()
-    coarse = grid_search(sys_p, TARGET, "outage-ub", SearchConfig(grid_n=101))
-    fine = grid_search(sys_p, TARGET, "outage-ub", SearchConfig(grid_n=1001))
+    coarse = grid_search(sys_p, TARGET, "outage-ub")
+    fine = grid_search(sys_p, TARGET, "outage-ub", grid_n=1001)
     assert fine.objective <= coarse.objective + 1e-12
     assert abs(fine.objective - coarse.objective) < 1e-3
 
 
 def test_grid_search_fixed_power_slice():
     sys_p = base_system()
-    res = grid_search(sys_p, TARGET, "outage-ub", SearchConfig(grid_n=101), p_r_fixed=0.5)
+    res = grid_search(sys_p, TARGET, "outage-ub", p_r_fixed=0.5)
     assert res.p_r_star == 0.5
     with pytest.raises(ValueError):
         grid_search(sys_p, TARGET, "outage-ub", p_r_fixed=2.0)
@@ -161,9 +155,8 @@ def test_grid_search_fixed_power_slice():
 
 def test_grid_search_maximize_metric():
     sys_p = base_system()
-    cfg = SearchConfig(grid_n=101)
-    res = grid_search(sys_p, TARGET, "throughput", cfg, p_r_fixed=1.0)
+    res = grid_search(sys_p, TARGET, "throughput", p_r_fixed=1.0)
     # maximizing throughput must match minimizing the exact outage
-    other = grid_search(sys_p, TARGET, "outage-exact", cfg, p_r_fixed=1.0)
+    other = grid_search(sys_p, TARGET, "outage-exact", p_r_fixed=1.0)
     assert res.p_r_star == other.p_r_star
     assert res.c_x_star == other.c_x_star

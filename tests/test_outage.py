@@ -229,3 +229,18 @@ def test_throughput_helper():
 def test_non_rayleigh_ub_rejected():
     with pytest.raises(ValueError):
         p_e2e_rayleigh_ub(base_system(2), SIG, TARGET)
+
+
+def test_closed_form_probabilities_in_unit_interval_at_full_impropriety():
+    # at c_x = 1 the first-hop threshold is 0, where the double sum of the
+    # hop survival rounds a few ulp above 1
+    rng = np.random.default_rng(2024)
+    sig = SignalParams(1.0, 1.0)
+    for _ in range(3000):
+        shapes = rng.integers(1, 5, size=4)
+        pis = 10.0 ** rng.uniform(-1.0, 4.0, size=4)
+        links = [LinkStat(int(m), float(pi)) for m, pi in zip(shapes, pis)]
+        sys_p = SystemParams(*links, p_s=1.0, p_max=1.0)
+        for fn in (p_sr_lb, p_e2e_lb, p_rd_exact):
+            value = fn(sys_p, sig, TARGET).value
+            assert 0.0 <= value <= 1.0, (fn.__name__, sys_p, value)
