@@ -316,29 +316,31 @@ def criterion_10_trend_reproduction(seed: int = 20) -> CriterionResult:
     # half-duplex scheme wins at low rates, the improper full-duplex design in
     # the middle, and the proper full-duplex design at very high rates.
     sys15 = _table1(pi_rr=10**1.5)
-    mc = McConfig(10**6, seed)
+    targets = [RateTarget(r) for r in (1.0, 3.0, 4.5)]
+    hdr = montecarlo.estimate_hdr_outage(sys15, targets, McConfig(10**6, seed))
 
-    def throughputs(r: float):
-        target = RateTarget(r)
-        t_pgs = r * (1.0 - optimize.bisect_power(sys15, target, 0.0).objective)
-        cd = optimize.coordinate_descent(sys15, target)
-        t_igs = r * (
-            1.0 - outage.p_e2e_exact(sys15, SignalParams(cd.p_r_star, cd.c_x_star), target).value
+    def throughputs(i: int):
+        r = targets[i].r
+        pgs, igs = optimize.design_optima(sys15, targets[i])
+        mrc = hdr.mrc[i]
+        return (
+            r * (1.0 - pgs.objective),
+            r * (1.0 - igs.objective),
+            r * (1.0 - mrc.mean),
+            3 * r * mrc.stderr,
         )
-        hdr = montecarlo.estimate_hdr_outage(sys15, target, True, mc)
-        return t_pgs, t_igs, r * (1.0 - hdr.mean), 3 * r * hdr.stderr
 
-    t_pgs, t_igs, t_hdr, sig3 = throughputs(1.0)
+    t_pgs, t_igs, t_hdr, sig3 = throughputs(0)
     res.add(
         t_hdr > t_igs + sig3 and t_hdr > t_pgs + sig3,
         f"(c) half-duplex region exists ({t_hdr:.4f}+-{sig3:.4f} vs improper {t_igs:.4f}, proper {t_pgs:.4f})",
     )
-    t_pgs, t_igs, t_hdr, sig3 = throughputs(3.0)
+    t_pgs, t_igs, t_hdr, sig3 = throughputs(1)
     res.add(
         t_igs > t_pgs and t_igs > t_hdr + sig3,
         f"(c) improper region exists ({t_igs:.4f} vs proper {t_pgs:.4f}, half-duplex {t_hdr:.4f}+-{sig3:.4f})",
     )
-    t_pgs, t_igs, t_hdr, sig3 = throughputs(4.5)
+    t_pgs, t_igs, t_hdr, sig3 = throughputs(2)
     res.add(
         t_pgs > t_igs and t_pgs > t_hdr + sig3,
         f"(c) proper region exists ({t_pgs:.4f} vs improper {t_igs:.4f}, half-duplex {t_hdr:.4f}+-{sig3:.4f})",

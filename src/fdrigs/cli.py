@@ -7,7 +7,11 @@ dB values (``*_db`` keys or ``sweep_scale = db``) are converted exactly once,
 here at the boundary, via ``10 ** (db / 10)``.
 
 A sweep looks each (metric, method) column up in ``optimize.METRICS``, the
-table `grid_search` also reads; only the Monte Carlo column is built here.
+table `grid_search` also reads; only the Monte Carlo columns are built here.
+A throughput column is derived from the outage of its method at the same
+point.  `throughput` takes both optima of a rate from
+`optimize.design_optima` and the half-duplex baselines of every rate from
+one Monte Carlo pass.
 Sweep points run one after another: a worker pool gained only a few percent
 on these interpreter-bound evaluations, so it was removed with its flag.
 
@@ -23,7 +27,7 @@ import sys as _sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from . import acceptance, montecarlo, optimize, outage
+from . import acceptance, montecarlo, optimize
 from .model import LinkStat, RateTarget, SignalParams, SystemParams
 from .montecarlo import McConfig
 from .outage import METHOD_MONTE_CARLO, EvalResult
@@ -244,7 +248,7 @@ def _apply_sweep_value(cfg: RunConfig, value: float) -> Tuple[SystemParams, Sign
 
 
 def _mc_metrics(mc_cfg: McConfig) -> Dict[Tuple[str, str], optimize.Evaluator]:
-    """The Monte Carlo column of each metric, as evaluators like optimize.METRICS."""
+    """The Monte Carlo outage and ergodic columns, as evaluators like optimize.METRICS."""
 
     def outage_mc(sys_p, sig, target):
         est = montecarlo.estimate_outage(sys_p, sig, target, mc_cfg)
@@ -254,11 +258,7 @@ def _mc_metrics(mc_cfg: McConfig) -> Dict[Tuple[str, str], optimize.Evaluator]:
         est = montecarlo.estimate_ergodic(sys_p, sig, mc_cfg)
         return EvalResult(est.mean, METHOD_MONTE_CARLO, est.stderr)
 
-    return {
-        ("outage", "mc"): outage_mc,
-        ("ergodic", "mc"): ergodic_mc,
-        ("throughput", "mc"): optimize._throughput(outage_mc),
-    }
+    return {("outage", "mc"): outage_mc, ("ergodic", "mc"): ergodic_mc}
 
 
 def _cells(res: EvalResult) -> List[Tuple[str, object]]:
@@ -293,13 +293,24 @@ def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
 
     def evaluate(value: float):
         sys_p, sig, target = _apply_sweep_value(cfg, value)
+        # The throughput cell is derived from the outage of the same method,
+        # so an outage that succeeds is evaluated once per point.
+        outages: Dict[str, EvalResult] = {}
         cells: Dict[Tuple[str, str], List[Tuple[str, object]]] = {}
-        for pair in pairs:
+        for metric, method in pairs:
             try:
-                cells[pair] = _cells(metrics[pair](sys_p, sig, target))
+                if metric in ("outage", "throughput"):
+                    if method not in outages:
+                        outages[method] = metrics[("outage", method)](sys_p, sig, target)
+                    res = outages[method]
+                    if metric == "throughput":
+                        res = optimize._throughput_of(target, res)
+                else:
+                    res = metrics[(metric, method)](sys_p, sig, target)
+                cells[(metric, method)] = _cells(res)
             except (ArithmeticError, ValueError) as exc:
-                cells[pair] = [("failed", None)]
-                diagnostics.append(f"{cfg.sweep_var}={value!r} {'/'.join(pair)}: {exc}")
+                cells[(metric, method)] = [("failed", None)]
+                diagnostics.append(f"{cfg.sweep_var}={value!r} {metric}/{method}: {exc}")
         return cells
 
     results = [evaluate(v) for v in cfg.sweep_values]
@@ -364,10 +375,10 @@ def cmd_optimize(cfg: RunConfig, out_path: Optional[str]) -> int:
 def cmd_throughput(cfg: RunConfig, out_path: Optional[str]) -> int:
     if cfg.sweep_var != "r":
         raise ConfigError("the throughput command needs sweep_var = r")
-    mc_cfg = McConfig(cfg.samples, cfg.seed)
-    rayleigh = cfg.sys.all_rayleigh
-    pgs_tag = "closed-form-exact" if rayleigh else "lower-bound"
-    igs_tag = "exact-integral" if rayleigh else "lower-bound"
+    targets = [RateTarget(r) for r in cfg.sweep_values]
+    hdr = montecarlo.estimate_hdr_outage(cfg.sys, targets, McConfig(cfg.samples, cfg.seed))
+    optima = [optimize.design_optima(cfg.sys, target, cfg.grid_n) for target in targets]
+    pgs_tag, igs_tag = (res.method for res in optima[0])
     header = [
         "r",
         f"throughput:pgs-optimized:{pgs_tag}",
@@ -378,26 +389,12 @@ def cmd_throughput(cfg: RunConfig, out_path: Optional[str]) -> int:
         "throughput:hdr-mrc:monte-carlo:stderr",
     ]
     rows = []
-    for r in cfg.sweep_values:
-        target = RateTarget(r)
-        if rayleigh:
-            pgs = optimize.bisect_power(cfg.sys, target, 0.0).objective
-            cd = optimize.coordinate_descent(cfg.sys, target)
-            igs = outage.p_e2e_exact(
-                cfg.sys, SignalParams(cd.p_r_star, cd.c_x_star), target
-            ).value
-        else:
-            igs = optimize.grid_search(cfg.sys, target, "outage-lb", cfg.grid_n).objective
-            pgs = min(
-                outage.p_e2e_lb(cfg.sys, SignalParams(p, 0.0), target).value
-                for p in (cfg.sys.p_max * (i + 1) / cfg.grid_n for i in range(cfg.grid_n))
-            )
-        mhdf = montecarlo.estimate_hdr_outage(cfg.sys, target, False, mc_cfg)
-        mrc = montecarlo.estimate_hdr_outage(cfg.sys, target, True, mc_cfg)
+    for target, (pgs, igs), mhdf, mrc in zip(targets, optima, hdr.mhdf, hdr.mrc):
+        r = target.r
         rows.append([
             r,
-            r * (1.0 - pgs),
-            r * (1.0 - igs),
+            r * (1.0 - pgs.objective),
+            r * (1.0 - igs.objective),
             r * (1.0 - mhdf.mean),
             r * mhdf.stderr,
             r * (1.0 - mrc.mean),

@@ -78,7 +78,9 @@ def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:
     sys.check_signal(sig)
 
     def survival(target: RateTarget) -> float:
-        return _sr_survival_lb_complement(sys, sig, target) * _rd_survival(sys, sig, target)
+        return _sr_survival_lb_complement(sys, target, sig.p_r, sig.c_x) * _rd_survival(
+            sys, target, sig.p_r, sig.c_x
+        )
 
     return EvalResult(_rate_integral(sys, sig, survival), METHOD_UPPER_BOUND)
 
@@ -88,7 +90,7 @@ def r_e2e_exact(sys: SystemParams, sig: SignalParams) -> EvalResult:
     sys.check_signal(sig)
 
     def survival(target: RateTarget) -> float:
-        return _sr_survival_exact(sys, sig, target) * _rd_survival(sys, sig, target)
+        return _sr_survival_exact(sys, sig, target) * _rd_survival(sys, target, sig.p_r, sig.c_x)
 
     return EvalResult(_rate_integral(sys, sig, survival), METHOD_EXACT_INTEGRAL)
 

@@ -4,12 +4,15 @@ outage/ergodic estimates, and the half-duplex baselines.
 Sampling uses counter-based Philox substreams, one per accumulation batch of
 the fixed size `_BATCH`, so estimates are bit-identical regardless of how
 batches are scheduled.  The budget (`McConfig`) is a sample count and a seed.
+Both half-duplex baselines at every target rate come from one pass over the
+substreams (`estimate_hdr_outage`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from .rates import ChannelRealization, e2e_rate
 __all__ = [
     "McConfig",
     "McEstimate",
+    "HdrOutage",
     "sample_gains",
     "estimate_outage",
     "estimate_ergodic",
@@ -83,6 +87,13 @@ def sample_gains(sys: SystemParams, rng: np.random.Generator, n: int) -> Channel
     )
 
 
+def _summary(total: float, total_sq: float, n: int) -> McEstimate:
+    """Mean and standard error from the sum and sum of squares of n samples."""
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0)
+    return McEstimate(mean=mean, stderr=math.sqrt(var / n), n=n)
+
+
 def _estimate(cfg: McConfig, batch_fn) -> McEstimate:
     """Accumulate sum and sum-of-squares over deterministic batches."""
     total = 0.0
@@ -93,9 +104,7 @@ def _estimate(cfg: McConfig, batch_fn) -> McEstimate:
         total += float(values.sum())
         total_sq += float(np.square(values).sum())
         n += size
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return McEstimate(mean=mean, stderr=math.sqrt(var / n), n=n)
+    return _summary(total, total_sq, n)
 
 
 def estimate_outage(
@@ -121,26 +130,51 @@ def estimate_ergodic(sys: SystemParams, sig: SignalParams, cfg: McConfig) -> McE
     return _estimate(cfg, batch)
 
 
+@dataclass(frozen=True)
+class HdrOutage:
+    """Half-duplex baseline outages from one pass of n samples: per target
+    rate, in the order given, without (mhdf) and with (mrc) combining."""
+
+    n: int
+    mhdf: Tuple[McEstimate, ...]
+    mrc: Tuple[McEstimate, ...]
+
+
 def estimate_hdr_outage(
-    sys: SystemParams, target: RateTarget, mrc: bool, cfg: McConfig
-) -> McEstimate:
-    """Outage of the half-duplex decode-and-forward baseline.
+    sys: SystemParams, targets: Sequence[RateTarget], cfg: McConfig
+) -> HdrOutage:
+    """Outage of the half-duplex decode-and-forward baselines at every target.
 
     Each hop occupies half the block, so it must support rate 2r; the relay
-    transmits at full power and suffers no self-interference.  With mrc the
+    transmits at full power and suffers no self-interference.  With MRC the
     destination combines the relayed and direct copies, giving second-stage
-    SNR P_r g_rd + P_s g_sd.
+    SNR P_r g_rd + P_s g_sd.  Both baselines at every target are counted on
+    the same samples, so each estimate is bit-identical to a pass of its own.
     """
-    threshold = 2.0 * target.r
-
-    def batch(rng, size):
-        ch = sample_gains(sys, rng, size)
-        snr1 = sys.p_s * ch.g_sr
+    thresholds = [2.0 * target.r for target in targets]
+    hits_mhdf = [0] * len(thresholds)
+    hits_mrc = [0] * len(thresholds)
+    n = 0
+    # A batch holds no more arrays than a pass for one baseline did: the
+    # gains go once both minimum rates exist, the second reuses r1's buffer,
+    # and nothing outlives the batch into the next draw.
+    for i, size in enumerate(_batch_sizes(cfg)):
+        ch = sample_gains(sys, _batch_rng(cfg, i), size)
+        r1 = np.log2(1.0 + sys.p_s * ch.g_sr)
         snr2 = sys.p_max * ch.g_rd
-        if mrc:
-            snr2 = snr2 + sys.p_s * ch.g_sd
-        r1 = np.log2(1.0 + snr1)
-        r2 = np.log2(1.0 + snr2)
-        return np.minimum(r1, r2) < threshold
-
-    return _estimate(cfg, batch)
+        min_mhdf = np.minimum(r1, np.log2(1.0 + snr2))
+        snr2 += sys.p_s * ch.g_sd
+        del ch
+        min_mrc = np.minimum(r1, np.log2(1.0 + snr2), out=r1)
+        del snr2
+        for j, threshold in enumerate(thresholds):
+            hits_mhdf[j] += int(np.count_nonzero(min_mhdf < threshold))
+            hits_mrc[j] += int(np.count_nonzero(min_mrc < threshold))
+        del r1, min_mhdf, min_mrc
+        n += size
+    # an outage indicator is its own square
+    return HdrOutage(
+        n=n,
+        mhdf=tuple(_summary(h, h, n) for h in hits_mhdf),
+        mrc=tuple(_summary(h, h, n) for h in hits_mrc),
+    )

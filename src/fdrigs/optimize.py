@@ -3,7 +3,9 @@ coordinate descent for the joint problem, and a grid-search oracle that
 works for every metric and any fading shape.
 
 `METRICS` maps each (metric, method) pair to its evaluator; it is the one
-table behind both `grid_search` and the CLI sweep.
+table behind both `grid_search` and the CLI sweep.  `grid_search` evaluates
+the closed-form bounds over its whole grid as one array.  `design_optima`
+gives the proper and improper optima of the throughput table.
 
 The 1D searches exploit that the Rayleigh outage upper bound is monotone or
 unimodal in each variable separately, so a single interior stationary point
@@ -15,7 +17,7 @@ of the objective it minimized, set by the optimizer that chose it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -24,9 +26,11 @@ from .ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from .model import RateTarget, SignalParams, SystemParams
 from .outage import (
     METHOD_CLOSED_FORM,
+    METHOD_LOWER_BOUND,
     METHOD_UPPER_BOUND,
     EvalResult,
     _rayleigh_ub_parts,
+    e2e_lb_value,
     e2e_rayleigh_ub_value,
     p_e2e_exact,
     p_e2e_lb,
@@ -42,6 +46,7 @@ __all__ = [
     "bisect_power",
     "coordinate_descent",
     "grid_search",
+    "design_optima",
 ]
 
 # The derivative carries a structural zero at c_x = 0, so the bisection
@@ -247,16 +252,16 @@ def coordinate_descent(sys: SystemParams, target: RateTarget) -> OptResult:
 Evaluator = Callable[[SystemParams, SignalParams, RateTarget], EvalResult]
 
 
+def _throughput_of(target: RateTarget, res: EvalResult) -> EvalResult:
+    """Fixed-rate throughput r (1 - P_out) of an outage result, tagged with
+    its method; a Monte Carlo standard error scales by r."""
+    stderr = None if res.stderr is None else target.r * res.stderr
+    return EvalResult(target.r * (1.0 - res.value), res.method, stderr)
+
+
 def _throughput(outage_fn: Evaluator) -> Evaluator:
-    """Fixed-rate throughput r (1 - P_out), tagged with the outage method;
-    a Monte Carlo standard error scales by r."""
-
-    def fn(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
-        res = outage_fn(sys, sig, target)
-        stderr = None if res.stderr is None else target.r * res.stderr
-        return EvalResult(target.r * (1.0 - res.value), res.method, stderr)
-
-    return fn
+    """The throughput evaluator of an outage evaluator."""
+    return lambda sys, sig, target: _throughput_of(target, outage_fn(sys, sig, target))
 
 
 # The evaluators look their functions up at call time, so a wrapper patched
@@ -275,6 +280,69 @@ METRICS: Dict[Tuple[str, str], Evaluator] = {
     **{("throughput", method): _throughput(fn) for method, fn in _OUTAGE.items()},
 }
 
+# Outage methods with a closed form over a whole (p_r, c_x) grid, with their
+# tags; grid_search evaluates these (and their throughputs) as one array.
+_GRID_OUTAGE = {
+    "lb": (e2e_lb_value, METHOD_LOWER_BOUND),
+    "ub": (e2e_rayleigh_ub_value, METHOD_UPPER_BOUND),
+}
+
+
+def _grid_values(
+    sys: SystemParams,
+    target: RateTarget,
+    objective: str,
+    grid_n: int,
+    p_r_fixed: Optional[float],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """The objective on the grid: (p_grid, c_grid, values[p, c], method tag)."""
+    metric, _, method = objective.partition("-")
+    method = method or "exact"
+    evaluator = METRICS.get((metric, method))
+    if evaluator is None:
+        raise ValueError(f"unknown objective {objective!r}")
+    if grid_n < 101:
+        raise ValueError(f"grid_n must be >= 101, got {grid_n}")
+    if p_r_fixed is not None:
+        if not 0 < p_r_fixed <= sys.p_max:
+            raise ValueError(f"p_r_fixed must lie in (0, p_max], got {p_r_fixed}")
+        p_grid = np.array([p_r_fixed])
+    else:
+        # p_max * n / n can round above p_max, where the per-point signal check refuses it
+        p_grid = np.minimum(sys.p_max * np.arange(1, grid_n + 1) / grid_n, sys.p_max)
+    c_grid = np.linspace(0.0, 1.0, grid_n)
+
+    closed_form = _GRID_OUTAGE.get(method) if metric in ("outage", "throughput") else None
+    if closed_form is not None:
+        outage_fn, tag = closed_form
+        values = outage_fn(sys, target, p_grid[:, None], c_grid[None, :])
+        if metric == "throughput":
+            values = target.r * (1.0 - values)
+    else:
+        values = np.empty((len(p_grid), grid_n))
+        for i, p in enumerate(p_grid):
+            for j, c in enumerate(c_grid):
+                res = evaluator(sys, SignalParams(p, c), target)
+                values[i, j] = res.value
+        tag = res.method
+    return p_grid, c_grid, values, tag
+
+
+def _grid_pick(
+    p_grid: np.ndarray, c_grid: np.ndarray, values: np.ndarray, tag: str, minimize: bool
+) -> OptResult:
+    """The best grid cell, first in row-major order among ties."""
+    flat = np.argmin(values) if minimize else np.argmax(values)
+    i, j = np.unravel_index(flat, values.shape)
+    return OptResult(
+        p_r_star=float(p_grid[i]),
+        c_x_star=float(c_grid[j]),
+        objective=float(values[i, j]),
+        method=tag,
+        iterations=values.size,
+        converged=True,
+    )
+
 
 def grid_search(
     sys: SystemParams,
@@ -290,43 +358,31 @@ def grid_search(
     "ergodic-ub"); a bare metric name means its exact method.  Outage is
     minimized and every other metric maximized.  Ties break
     deterministically toward the smallest p_r, then the smallest c_x.
-    Fixing p_r collapses the search to a 1D sweep over c_x.
+    Fixing p_r collapses the search to a 1D sweep over c_x.  The outage and
+    throughput bounds are evaluated as one closed-form array, every other
+    objective point by point.
     """
-    metric, _, method = objective.partition("-")
-    evaluator = METRICS.get((metric, method or "exact"))
-    if evaluator is None:
-        raise ValueError(f"unknown objective {objective!r}")
-    if grid_n < 101:
-        raise ValueError(f"grid_n must be >= 101, got {grid_n}")
-    if p_r_fixed is not None:
-        if not 0 < p_r_fixed <= sys.p_max:
-            raise ValueError(f"p_r_fixed must lie in (0, p_max], got {p_r_fixed}")
-        p_grid = np.array([p_r_fixed])
-    else:
-        p_grid = sys.p_max * np.arange(1, grid_n + 1) / grid_n
-    c_grid = np.linspace(0.0, 1.0, grid_n)
+    p_grid, c_grid, values, tag = _grid_values(sys, target, objective, grid_n, p_r_fixed)
+    return _grid_pick(p_grid, c_grid, values, tag, objective.startswith("outage"))
 
-    if objective == "outage-ub":
-        # vectorized closed form: the whole grid in one shot
-        values = e2e_rayleigh_ub_value(
-            sys, target, p_grid[:, None], c_grid[None, :]
-        )
-        tag = METHOD_UPPER_BOUND
-    else:
-        values = np.empty((len(p_grid), grid_n))
-        for i, p in enumerate(p_grid):
-            for j, c in enumerate(c_grid):
-                res = evaluator(sys, SignalParams(p, c), target)
-                values[i, j] = res.value
-        tag = res.method
 
-    flat = np.argmin(values) if metric == "outage" else np.argmax(values)
-    i, j = np.unravel_index(flat, values.shape)
-    return OptResult(
-        p_r_star=float(p_grid[i]),
-        c_x_star=float(c_grid[j]),
-        objective=float(values[i, j]),
-        method=tag,
-        iterations=values.size,
-        converged=True,
-    )
+def design_optima(
+    sys: SystemParams, target: RateTarget, grid_n: int = 101
+) -> Tuple[OptResult, OptResult]:
+    """The outage-optimal proper (c_x = 0) and improper designs at one rate,
+    each tagged with the method of its objective.
+
+    On Rayleigh links the proper optimum is `bisect_power` at c_x = 0 (closed
+    form) and the improper one the `coordinate_descent` point, scored by its
+    exact outage.  On other shapes both come from one lower-bound grid: the
+    proper optimum is the best cell of its c_x = 0 column, the improper one
+    the best cell overall.
+    """
+    if sys.all_rayleigh:
+        proper = bisect_power(sys, target, 0.0)
+        cd = coordinate_descent(sys, target)
+        exact = p_e2e_exact(sys, SignalParams(cd.p_r_star, cd.c_x_star), target)
+        return proper, replace(cd, objective=exact.value, method=exact.method)
+    p_grid, c_grid, values, tag = _grid_values(sys, target, "outage-lb", grid_n, None)
+    proper = _grid_pick(p_grid, c_grid[:1], values[:, :1], tag, True)
+    return proper, _grid_pick(p_grid, c_grid, values, tag, True)

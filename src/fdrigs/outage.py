@@ -5,7 +5,8 @@ high-RSI asymptote.
 Both hops reduce to one expectation, a Gamma-faded signal against a
 Gamma-faded interferer (`_gamma_interference_survival`): the interferer is
 the residual self-interference on the first hop of the lower bound and the
-direct S-D copy on the second hop.  The exact first hop is a quadrature over
+direct S-D copy on the second hop.  It works elementwise on arrays, so
+`e2e_lb_value` evaluates the lower bound over a whole design grid at once.  The exact first hop is a quadrature over
 the self-interference gain, at the fixed tolerances `QUAD_*`.
 """
 
@@ -35,6 +36,7 @@ __all__ = [
     "asymptotic_k",
     "throughput",
     "sr_decoding_exponent",
+    "e2e_lb_value",
     "e2e_rayleigh_ub_value",
     "integrate_semi_infinite",
 ]
@@ -142,8 +144,9 @@ def p_sr_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> Eval
     return EvalResult(1.0 - _sr_survival_exact(sys, sig, target), METHOD_EXACT_INTEGRAL)
 
 
-def _gamma_interference_survival(m_sig: int, u: float, load: float, interferer: LinkStat) -> float:
-    """E_g[Q(m_sig, u (1 + load g))] for g ~ Gamma(interferer.m, interferer.theta).
+def _gamma_interference_survival(m_sig: int, u, load, interferer: LinkStat):
+    """E_g[Q(m_sig, u (1 + load g))] for g ~ Gamma(interferer.m, interferer.theta),
+    elementwise over arrays u and load.
 
     Q(m, y) = e^-y sum_{m'<m} y^m' / m'!, so after a binomial expansion of
     (1 + load g)^m' every term is a Gamma moment E[g^k e^{-u load g}].
@@ -161,19 +164,21 @@ def _gamma_interference_survival(m_sig: int, u: float, load: float, interferer: 
                 / (math.gamma(m + 1) * pole ** (k + m_i))
             )
     # Rounding lifts the sum up to a few ulp above 1 as u -> 0; a survival cannot exceed 1.
-    return min(1.0, math.exp(-u) / (math.gamma(m_i) * th_i**m_i) * total)
+    out = np.minimum(1.0, np.exp(-u) / (math.gamma(m_i) * th_i**m_i) * total)
+    return float(out) if out.ndim == 0 else out
 
 
-def _sr_survival_lb_complement(sys: SystemParams, sig: SignalParams, target: RateTarget) -> float:
+def _sr_survival_lb_complement(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Survival probability whose complement is the first-hop lower bound."""
-    u = psi_r(target, sig.c_x) / (sys.p_s * sys.sr.theta)
-    return _gamma_interference_survival(sys.sr.m, u, sig.p_r, sys.rr)
+    u = psi_r(target, c_x) / (sys.p_s * sys.sr.theta)
+    return _gamma_interference_survival(sys.sr.m, u, p_r, sys.rr)
 
 
 def p_sr_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
     """Closed-form lower bound on the first-hop outage; exact at c_x = 0."""
     sys.check_signal(sig)
-    return EvalResult(1.0 - _sr_survival_lb_complement(sys, sig, target), METHOD_LOWER_BOUND)
+    survival = _sr_survival_lb_complement(sys, target, sig.p_r, sig.c_x)
+    return EvalResult(1.0 - survival, METHOD_LOWER_BOUND)
 
 
 def p_sr_rayleigh_ub(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
@@ -201,30 +206,37 @@ def convexity_witness(
     return (4.0 * a * c - b * b) / (4.0 * (c + g_rr * (b + a * g_rr)) ** 1.5)
 
 
-def _rd_survival(sys: SystemParams, sig: SignalParams, target: RateTarget) -> float:
+def _rd_survival(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Survival probability of the second hop (closed double sum)."""
-    u = psi_ratio_limit(target, sig.c_x) / (sig.p_r * sys.rd.theta)
+    u = psi_ratio_limit(target, c_x) / (p_r * sys.rd.theta)
     return _gamma_interference_survival(sys.rd.m, u, sys.p_s, sys.sd)
 
 
 def p_rd_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
     """Exact second-hop outage probability (closed form, no bounding)."""
     sys.check_signal(sig)
-    return EvalResult(1.0 - _rd_survival(sys, sig, target), METHOD_CLOSED_FORM)
+    return EvalResult(1.0 - _rd_survival(sys, target, sig.p_r, sig.c_x), METHOD_CLOSED_FORM)
 
 
 def p_e2e_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
     """Exact end-to-end outage: 1 - (1 - P_sr)(1 - P_rd)."""
     sys.check_signal(sig)
-    survival = _sr_survival_exact(sys, sig, target) * _rd_survival(sys, sig, target)
+    survival = _sr_survival_exact(sys, sig, target) * _rd_survival(sys, target, sig.p_r, sig.c_x)
     return EvalResult(1.0 - survival, METHOD_EXACT_INTEGRAL)
 
 
+def e2e_lb_value(sys: SystemParams, target: RateTarget, p_r, c_x):
+    """Closed-form end-to-end outage lower bound, vectorized over (p_r, c_x):
+    1 - (first-hop bound survival)(second-hop survival)."""
+    p_r = np.asarray(p_r, dtype=float)
+    first = _sr_survival_lb_complement(sys, target, p_r, c_x)
+    return 1.0 - first * _rd_survival(sys, target, p_r, c_x)
+
+
 def p_e2e_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
-    """Closed-form end-to-end lower bound: 1 - (first-hop bound survival)(second-hop survival)."""
+    """Closed-form end-to-end lower bound; exact at c_x = 0."""
     sys.check_signal(sig)
-    survival = _sr_survival_lb_complement(sys, sig, target) * _rd_survival(sys, sig, target)
-    return EvalResult(1.0 - survival, METHOD_LOWER_BOUND)
+    return EvalResult(e2e_lb_value(sys, target, sig.p_r, sig.c_x), METHOD_LOWER_BOUND)
 
 
 def _rayleigh_ub_parts(sys: SystemParams, target: RateTarget, p_r, c_x):

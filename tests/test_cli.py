@@ -71,6 +71,32 @@ def test_mc_columns_carry_stderr(capsys):
     assert "outage:monte-carlo:stderr" in header
 
 
+def test_sweep_derives_throughput_from_outage(monkeypatch, capsys):
+    # with both metrics, each exact outage is evaluated once per point and
+    # the throughput cell is r (1 - outage) of that same evaluation
+    from fdrigs import optimize
+
+    calls = []
+    exact = optimize.p_e2e_exact
+    monkeypatch.setattr(
+        optimize, "p_e2e_exact", lambda *args: calls.append(args) or exact(*args)
+    )
+    code, out, err = run(
+        base_args("--set", "sweep_points=3", "--set", "metrics=outage,throughput",
+                  "--set", "methods=exact"),
+        capsys,
+    )
+    assert code == 0
+    assert len(calls) == 3
+    header, *rows = parse_csv(out)
+    for row in rows:
+        record = dict(zip(header, row))
+        outage = float(record["outage:exact-integral"])
+        assert float(record["throughput:exact-integral"]) == pytest.approx(
+            1.0 - outage, rel=1e-11, abs=1e-12
+        )
+
+
 def test_db_conversion_at_boundary(capsys):
     # sweeping pi_rr in dB: axis column holds the dB input, metrics see linear
     code, out, err = run(

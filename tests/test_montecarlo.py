@@ -1,6 +1,8 @@
 """Monte Carlo oracle: determinism, sampling distributions, and agreement
 with the analytics at the 3-sigma level."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -101,27 +103,42 @@ def test_hdr_mrc_dominates_mhdf():
     # combining the direct copy can only reduce half-duplex outage
     sys_p = base_system()
     cfg = McConfig(200_000, seed=13)
-    for r in (0.5, 1.0, 2.0):
-        t = RateTarget(r)
-        mhdf = estimate_hdr_outage(sys_p, t, False, cfg)
-        mrc = estimate_hdr_outage(sys_p, t, True, cfg)
+    targets = [RateTarget(r) for r in (0.5, 1.0, 2.0)]
+    res = estimate_hdr_outage(sys_p, targets, cfg)
+    assert res.n == 200_000
+    for mhdf, mrc in zip(res.mhdf, res.mrc):
         assert mrc.mean <= mhdf.mean + 1e-12
 
 
 def test_hdr_rate_threshold_doubled():
-    # the half-duplex baseline pays the two-slot penalty: its outage at
-    # target r equals the full-block outage at 2r of the same hops
-    sys_p = base_system()
-    cfg = McConfig(100_000, seed=14)
-    a = estimate_hdr_outage(sys_p, RateTarget(1.0), False, cfg)
-    # same event reproduced manually from the raw gains
+    # the half-duplex baselines pay the two-slot penalty: their outage at
+    # target r equals the full-block outage at 2r of the same hops; one pass
+    # must give, for every rate and both baselines, exactly the counts of a
+    # pass per rate and baseline over the same substreams (two full batches
+    # and a remainder)
     from fdrigs.montecarlo import _batch_rng, _batch_sizes
 
-    hits = 0
-    for i, size in enumerate(_batch_sizes(cfg)):
-        rng = _batch_rng(cfg, i)
-        ch = sample_gains(sys_p, rng, size)
-        r1 = np.log2(1.0 + sys_p.p_s * ch.g_sr)
-        r2 = np.log2(1.0 + sys_p.p_max * ch.g_rd)
-        hits += int(np.count_nonzero(np.minimum(r1, r2) < 2.0))
-    assert a.mean == pytest.approx(hits / cfg.n_samples, abs=1e-15)
+    sys_p = SystemParams(
+        sr=LinkStat(2, 100.0), rd=LinkStat(3, 30.0), rr=LinkStat(1, 10.0),
+        sd=LinkStat(4, 20.0), p_s=1.0, p_max=2.0,
+    )
+    cfg = McConfig(520_000, seed=14)
+    rates = (1.0, 2.0, 3.0)
+    res = estimate_hdr_outage(sys_p, [RateTarget(r) for r in rates], cfg)
+    assert res.n == cfg.n_samples
+    for k, r in enumerate(rates):
+        for mrc, est in ((False, res.mhdf[k]), (True, res.mrc[k])):
+            hits = 0
+            for i, size in enumerate(_batch_sizes(cfg)):
+                ch = sample_gains(sys_p, _batch_rng(cfg, i), size)
+                snr2 = sys_p.p_max * ch.g_rd
+                if mrc:
+                    snr2 = snr2 + sys_p.p_s * ch.g_sd
+                r1 = np.log2(1.0 + sys_p.p_s * ch.g_sr)
+                r2 = np.log2(1.0 + snr2)
+                hits += int(np.count_nonzero(np.minimum(r1, r2) < 2.0 * r))
+            p = hits / cfg.n_samples
+            assert est.n == cfg.n_samples
+            assert est.mean == p
+            assert est.stderr == math.sqrt(max(p - p * p, 0.0) / cfg.n_samples)
+            assert 0 < hits < cfg.n_samples

@@ -6,9 +6,11 @@ import pytest
 
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
 from fdrigs.optimize import (
+    _grid_values,
     bisect_circularity,
     bisect_power,
     coordinate_descent,
+    design_optima,
     grid_search,
     ub_derivative_cx,
     ub_derivative_pr,
@@ -160,3 +162,63 @@ def test_grid_search_maximize_metric():
     other = grid_search(sys_p, TARGET, "outage-exact", p_r_fixed=1.0)
     assert res.p_r_star == other.p_r_star
     assert res.c_x_star == other.c_x_star
+
+
+@pytest.mark.parametrize("shapes", [(2, 2, 3, 2), (4, 4, 4, 4), (1, 3, 2, 4)])
+@pytest.mark.parametrize("r", [1.0, 40.0])
+def test_lb_grid_array_matches_scalar_bound(shapes, r):
+    # the lower-bound grid is one array evaluation: every cell, the c_x = 1
+    # column included, must match the scalar bound at its point; at r = 40
+    # every value is exactly 1
+    sys_p = SystemParams(
+        *(LinkStat(m, pi) for m, pi in zip(shapes, (100.0, 100.0, 10.0, 2.0))),
+        p_s=1.0, p_max=2.0,
+    )
+    target = RateTarget(r)
+    p_grid, c_grid, values, tag = _grid_values(sys_p, target, "outage-lb", 101, None)
+    assert tag == "lower-bound"
+    assert values.shape == (101, 101) and c_grid[-1] == 1.0
+    ref = np.array(
+        [[p_e2e_lb(sys_p, SignalParams(p, c), target).value for c in c_grid] for p in p_grid]
+    )
+    assert np.max(np.abs(values - ref)) <= 1e-14
+    if r == 40.0:
+        assert np.all(values == 1.0) and np.all(ref == 1.0)
+    *_, throughput, _ = _grid_values(sys_p, target, "throughput-lb", 101, None)
+    assert np.array_equal(throughput, r * (1.0 - values))
+
+
+def test_design_optima_tags_and_proper_column():
+    # off Rayleigh the proper optimum is the c_x = 0 column of the improper
+    # optimum's lower-bound grid; on Rayleigh both come from the 1D/2D solvers
+    sys_p = SystemParams(
+        sr=LinkStat(2, 100.0), rd=LinkStat(2, 100.0), rr=LinkStat(3, 10.0),
+        sd=LinkStat(2, 2.0), p_s=1.0, p_max=1.0,
+    )
+    pgs, igs = design_optima(sys_p, TARGET)
+    assert pgs.method == igs.method == "lower-bound"
+    assert pgs.c_x_star == 0.0
+    column = [p_e2e_lb(sys_p, SignalParams(k / 101, 0.0), TARGET).value for k in range(1, 102)]
+    assert pgs.objective == pytest.approx(min(column), abs=1e-14)
+    assert igs == grid_search(sys_p, TARGET, "outage-lb")
+    assert igs.objective <= pgs.objective
+    pgs, igs = design_optima(base_system(), TARGET)
+    assert (pgs.method, igs.method) == ("closed-form-exact", "exact-integral")
+    assert pgs.c_x_star == 0.0
+    sig = SignalParams(igs.p_r_star, igs.c_x_star)
+    assert igs.objective == p_e2e_exact(base_system(), sig, TARGET).value
+
+
+def test_grid_top_row_is_p_max():
+    # p_max * 101 / 101 rounds above p_max = 2.7; the top row must be p_max
+    # itself, which the per-point signal check accepts
+    sys_p = SystemParams(
+        sr=LinkStat(2, 100.0), rd=LinkStat(1, 100.0), rr=LinkStat(1, 10.0),
+        sd=LinkStat(1, 2.0), p_s=1.0, p_max=2.7,
+    )
+    assert 2.7 * 101 / 101 > 2.7
+    p_grid, *_ = _grid_values(sys_p, TARGET, "outage-lb", 101, None)
+    assert p_grid[-1] == 2.7 and np.all(p_grid <= 2.7)
+    res = grid_search(sys_p, TARGET, "outage-lb")
+    assert 0.0 < res.p_r_star <= 2.7
+    p_e2e_lb(sys_p, SignalParams(res.p_r_star, res.c_x_star), TARGET)
