@@ -17,6 +17,8 @@ on these interpreter-bound evaluations, so it was removed with its flag.
 
 `optimize` writes the method tag its optimizer attaches to the optimum.  Like
 ``samples``, ``grid_n`` is checked here: below 101 it is a configuration error.
+So is a sweep point that the parameter types refuse, such as a rate <= 0 on
+the ``sweep_var = r`` axis of ``sweep`` and ``throughput``.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ def build_config(
     grid_n = _as_int(raw, "grid_n")
     if grid_n < 101:
         raise ConfigError(f"grid_n must be >= 101, got {grid_n}")
-    return RunConfig(
+    cfg = RunConfig(
         raw=raw,
         sys=sys_params,
         sig=sig,
@@ -225,6 +227,14 @@ def build_config(
         optimizer=optimizer,
         grid_n=grid_n,
     )
+    # A sweep point the parameter types refuse (a rate <= 0, c_x outside
+    # [0, 1], ...) is a configuration error, found before any evaluation.
+    for value in axis:
+        try:
+            _apply_sweep_value(cfg, value)
+        except ValueError as exc:
+            raise ConfigError(f"sweep point {sweep_var}={value!r}: {exc}") from exc
+    return cfg
 
 
 def _apply_sweep_value(cfg: RunConfig, value: float) -> Tuple[SystemParams, SignalParams, RateTarget]:

@@ -7,6 +7,11 @@
   closed-form hop survivals.
 * `r_e2e_rayleigh_lb`: the Rayleigh lower bound, a single Laplace-type
   integral (see its docstring).
+
+Each outer integral over r runs on `outage.adaptive_quad`, the library's
+one QK21 quadrature, and each of its integrand evaluations takes the scalar
+`math` branches of the hop survivals; `r_e2e_exact` nests the first-hop
+quadrature inside it.
 """
 
 from __future__ import annotations
@@ -14,21 +19,16 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from scipy import integrate
-
 from .model import RateTarget, SignalParams, SystemParams, alpha
 from .outage import (
     METHOD_EXACT_INTEGRAL,
     METHOD_LOWER_BOUND,
     METHOD_UPPER_BOUND,
-    QUAD_ABS_TOL,
-    QUAD_LIMIT,
-    QUAD_REL_TOL,
     EvalResult,
-    QuadratureError,
     _rd_survival,
     _sr_survival_exact,
     _sr_survival_lb_complement,
+    adaptive_quad,
     integrate_semi_infinite,
     p_e2e_lb,
 )
@@ -54,18 +54,7 @@ def _rate_integral(
     sys: SystemParams, sig: SignalParams, survival: Callable[[RateTarget], float]
 ) -> float:
     """int_0^r_cap survival(r) dr by adaptive quadrature."""
-    val, err, info, *rest = integrate.quad(
-        lambda r: survival(RateTarget(r)),
-        0.0,
-        _rate_cap(sys, sig),
-        epsabs=QUAD_ABS_TOL,
-        epsrel=QUAD_REL_TOL,
-        limit=QUAD_LIMIT,
-        full_output=True,
-    )
-    if rest:
-        raise QuadratureError(f"ergodic-rate outer quadrature failed: {rest[0]}")
-    return val
+    return adaptive_quad(lambda r: survival(RateTarget(r)), 0.0, _rate_cap(sys, sig))
 
 
 def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:

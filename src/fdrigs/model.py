@@ -6,6 +6,7 @@ receivers.  dB conversion happens at the CLI boundary only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,8 +106,14 @@ def psi_r(target: RateTarget, x):
     """Rate-threshold map sqrt(1 + gamma (1 - x^2)) - 1 on [0, 1].
 
     Computed as gamma (1-x)(1+x) / (1 + sqrt(1 + gamma (1 - x^2))), which
-    stays accurate as x -> 1 where the naive form cancels.
+    stays accurate as x -> 1 where the naive form cancels.  A float takes
+    the same formula in `math`, an array elementwise in NumPy.
     """
+    if isinstance(x, float):
+        if x < 0.0 or x > 1.0:
+            raise ValueError("psi_r argument must lie in [0, 1]")
+        g = target.gamma * ((1.0 - x) * (1.0 + x))
+        return g / (1.0 + math.sqrt(1.0 + g))
     x = np.asarray(x, dtype=float)
     if np.any((x < 0) | (x > 1)):
         raise ValueError("psi_r argument must lie in [0, 1]")
@@ -117,7 +124,13 @@ def psi_r(target: RateTarget, x):
 
 
 def psi_ratio_limit(target: RateTarget, c_x):
-    """psi_r(c_x) / (1 - c_x^2), continuously extended to gamma/2 at c_x = 1."""
+    """psi_r(c_x) / (1 - c_x^2), continuously extended to gamma/2 at c_x = 1;
+    a float in `math`, an array in NumPy."""
+    if isinstance(c_x, float):
+        if c_x < 0.0 or c_x > 1.0:
+            raise ValueError("c_x must lie in [0, 1]")
+        g = target.gamma * (1.0 - c_x) * (1.0 + c_x)
+        return target.gamma / (1.0 + math.sqrt(1.0 + g))
     c_x = np.asarray(c_x, dtype=float)
     if np.any((c_x < 0) | (c_x > 1)):
         raise ValueError("c_x must lie in [0, 1]")

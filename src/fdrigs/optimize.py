@@ -16,7 +16,6 @@ of the objective it minimized, set by the optimizer that chose it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -73,32 +72,34 @@ class OptResult:
     trace: Optional[List[float]] = field(default=None, compare=False)
 
 
-def ub_derivative_cx(sys: SystemParams, target: RateTarget, p_r: float, c_x: float) -> float:
-    """Analytic d/dc_x of the survival bound 1 - p_e2e_rayleigh_ub.
+def ub_derivative_cx(sys: SystemParams, target: RateTarget, p_r, c_x):
+    """Analytic d/dc_x of the survival bound 1 - p_e2e_rayleigh_ub,
+    elementwise over arrays p_r and c_x.
 
     A positive value means increasing impropriety still helps at this point.
     The leading factor c_x forces a zero at c_x = 0.
     """
-    if not 0.0 < c_x < 1.0:
+    if not np.all((0.0 < c_x) & (c_x < 1.0)):
         raise ValueError(f"c_x must lie in (0, 1), got {c_x}")
     gam = target.gamma
     u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x)
     s_y = 1.0 + v / w
-    s = math.sqrt(1.0 + gam * (1.0 - c_x * c_x))
-    du = gam * gam * c_x / (p_r * sys.rd.pi * s * (1.0 + s) ** 2)
+    s = np.sqrt(1.0 + gam * (1.0 - c_x * c_x))
+    du = gam * gam * c_x / (p_r * sys.rd.pi * s * ((1.0 + s) * (1.0 + s)))
     a = y / c_x  # the RSI loading factor
     dv = -w * gam * a * a * c_x / s_y
     return survival * (-du - dv - d * du / (d * u + 1.0))
 
 
-def ub_derivative_pr(sys: SystemParams, target: RateTarget, p_r: float, c_x: float) -> float:
-    """Analytic d/dp_r of the Rayleigh outage upper bound.
+def ub_derivative_pr(sys: SystemParams, target: RateTarget, p_r, c_x):
+    """Analytic d/dp_r of the Rayleigh outage upper bound, elementwise over
+    arrays p_r and c_x.
 
     Balances the second-hop gain (more relay power) against the growing
     self-interference seen by the first hop, including the dependence of the
     RSI loading factor on p_r.
     """
-    if p_r <= 0:
+    if np.any(p_r <= 0):
         raise ValueError(f"p_r must be > 0, got {p_r}")
     gam = target.gamma
     u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x)

@@ -6,18 +6,26 @@ Both hops reduce to one expectation, a Gamma-faded signal against a
 Gamma-faded interferer (`_gamma_interference_survival`): the interferer is
 the residual self-interference on the first hop of the lower bound and the
 direct S-D copy on the second hop.  It works elementwise on arrays, so
-`e2e_lb_value` evaluates the lower bound over a whole design grid at once.  The exact first hop is a quadrature over
-the self-interference gain, at the fixed tolerances `QUAD_*`.
+`e2e_lb_value` evaluates the lower bound over a whole design grid at once.
+
+The exact first hop is a quadrature over the self-interference gain.  Every
+quadrature in the library, here and in `ergodic`, goes through
+`adaptive_quad`: QUADPACK's 21-point Gauss-Kronrod rule and error estimate
+(QK21, Piessens et al., 1983), bisecting the subinterval with the largest
+error until the summed error meets the fixed tolerances `QUAD_*`.  It is
+written in `math`, like the scalar branches of the hop survivals and of the
+rate-threshold maps its integrands call, so no evaluation on this path
+creates a NumPy scalar and the library does not import SciPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .model import LinkStat, RateTarget, SignalParams, SystemParams, psi_r, psi_ratio_limit
 from .specfun import log_upper_incomplete_gamma_int
@@ -38,6 +46,7 @@ __all__ = [
     "sr_decoding_exponent",
     "e2e_lb_value",
     "e2e_rayleigh_ub_value",
+    "adaptive_quad",
     "integrate_semi_infinite",
 ]
 
@@ -81,6 +90,135 @@ class EvalResult:
             raise ValueError("stderr must be present iff method is monte-carlo")
 
 
+# QUADPACK's QK21 rule on [-1, 1]: the positive Kronrod abscissae (those at
+# odd indices, counting from 0, are the 10-point Gauss abscissae), their
+# Kronrod weights, the centre weight, and the Gauss weights.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208980223048,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+)
+_WGK_CENTRE = 0.149445554002916905664936468389821
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_EPMACH = float_info.epsilon
+_UFLOW = float_info.min
+
+
+def _qk21(f: Callable[[float], float], a: float, b: float):
+    """QK21 on [a, b]: (Kronrod estimate, error estimate, resasc), where
+    resasc approximates the integral of |f - mean f| and flags a constant
+    integrand, as in QUADPACK."""
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = f(centre)
+    res_g = 0.0
+    res_k = _WGK_CENTRE * fc
+    res_abs = abs(res_k)
+    pairs = [None] * 10
+    # the Gauss abscissae first, then the Kronrod-only ones, as in QUADPACK
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        absc = half * _XGK[j]
+        f1 = f(centre - absc)
+        f2 = f(centre + absc)
+        pairs[j] = (f1, f2)
+        f_sum = f1 + f2
+        if j & 1:
+            res_g += _WG[j >> 1] * f_sum
+        res_k += _WGK[j] * f_sum
+        res_abs += _WGK[j] * (abs(f1) + abs(f2))
+    mean = 0.5 * res_k
+    res_asc = _WGK_CENTRE * abs(fc - mean)
+    for j, (f1, f2) in enumerate(pairs):
+        res_asc += _WGK[j] * (abs(f1 - mean) + abs(f2 - mean))
+    width = abs(half)
+    result = res_k * half
+    res_abs *= width
+    res_asc *= width
+    err = abs((res_k - res_g) * half)
+    if res_asc != 0.0 and err != 0.0:
+        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
+    if res_abs > _UFLOW / (50.0 * _EPMACH):
+        err = max(50.0 * _EPMACH * res_abs, err)
+    if not (math.isfinite(result) and math.isfinite(err)):
+        raise QuadratureError(f"non-finite integrand value on [{a!r}, {b!r}]")
+    return result, err, res_asc
+
+
+def adaptive_quad(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate f over [a, b] to the tolerances QUAD_*.
+
+    Starts from one QK21 estimate and bisects the subinterval with the
+    largest error estimate until the summed error is at most
+    max(QUAD_ABS_TOL, QUAD_REL_TOL |integral|), with at most QUAD_LIMIT
+    subintervals.  The bookkeeping follows QUADPACK's QAGS without its
+    extrapolation step, so a smooth integrand gets the same nodes, and the
+    same value to rounding, as `scipy.integrate.quad`.  Raises
+    QuadratureError at the subinterval limit or on a non-finite value.
+    """
+    result, err, res_asc = _qk21(f, a, b)
+    if (err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(result)) and err != res_asc) or err == 0.0:
+        return result
+    # subintervals [lo, hi] with their estimates, in QUADPACK's storage order
+    lo, hi, areas, errs = [a], [b], [result], [err]
+    area, err_sum = result, err
+    for _ in range(QUAD_LIMIT - 1):
+        k = max(range(len(errs)), key=errs.__getitem__)
+        a1, b2 = lo[k], hi[k]
+        mid = 0.5 * (a1 + b2)
+        area1, err1, _ = _qk21(f, a1, mid)
+        area2, err2, _ = _qk21(f, mid, b2)
+        err_sum += err1 + err2 - errs[k]
+        area += area1 + area2 - areas[k]
+        # the half with the larger error keeps slot k
+        if err2 > err1:
+            lo[k], areas[k], errs[k] = mid, area2, err2
+            lo.append(a1)
+            hi.append(mid)
+            areas.append(area1)
+            errs.append(err1)
+        else:
+            hi[k], areas[k], errs[k] = mid, area1, err1
+            lo.append(mid)
+            hi.append(b2)
+            areas.append(area2)
+            errs.append(err2)
+        if err_sum <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(area)):
+            # a plain running sum, as in QUADPACK (sum() compensates from Python 3.12)
+            total = 0.0
+            for value in areas:
+                total += value
+            return total
+    raise QuadratureError(
+        f"adaptive quadrature on [{a!r}, {b!r}] did not converge in {QUAD_LIMIT} "
+        f"subintervals (value={area:.6g}, err={err_sum:.6g})"
+    )
+
+
 def integrate_semi_infinite(f: Callable[[float], float], scale: float) -> float:
     """Integrate f over (0, inf) through the substitution x = scale * t / (1 - t)."""
 
@@ -89,29 +227,20 @@ def integrate_semi_infinite(f: Callable[[float], float], scale: float) -> float:
         x = scale * t / one_minus
         return f(x) * scale / (one_minus * one_minus)
 
-    val, err, info, *rest = integrate.quad(
-        g,
-        0.0,
-        1.0,
-        epsabs=QUAD_ABS_TOL,
-        epsrel=QUAD_REL_TOL,
-        limit=QUAD_LIMIT,
-        full_output=True,
-    )
-    if rest:
-        raise QuadratureError(
-            f"semi-infinite quadrature failed: {rest[0]} "
-            f"(value={val:.6g}, err={err:.6g}, subdivisions={info['last']})"
-        )
-    return val
+    return adaptive_quad(g, 0.0, 1.0)
 
 
 def sr_decoding_exponent(sys: SystemParams, sig: SignalParams, target: RateTarget, g_rr):
     """Threshold exponent of the first hop conditioned on the RSI gain.
 
     Equals (P_r g + 1) / (P_s theta_sr) * psi_r(P_r g c_x / (P_r g + 1));
-    the first-hop outage event is {g_sr < theta_sr * exponent}.
+    the first-hop outage event is {g_sr < theta_sr * exponent}.  A float
+    gain is mapped in `math`, an array elementwise.
     """
+    if isinstance(g_rr, float):
+        loading = sig.p_r * g_rr
+        x = loading * sig.c_x / (loading + 1.0)
+        return (loading + 1.0) / (sys.p_s * sys.sr.theta) * psi_r(target, x)
     g = np.asarray(g_rr, dtype=float)
     loading = sig.p_r * g
     x = loading * sig.c_x / (loading + 1.0)
@@ -146,7 +275,8 @@ def p_sr_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> Eval
 
 def _gamma_interference_survival(m_sig: int, u, load, interferer: LinkStat):
     """E_g[Q(m_sig, u (1 + load g))] for g ~ Gamma(interferer.m, interferer.theta),
-    elementwise over arrays u and load.
+    elementwise over arrays u and load; two floats take the same formula
+    in `math`.
 
     Q(m, y) = e^-y sum_{m'<m} y^m' / m'!, so after a binomial expansion of
     (1 + load g)^m' every term is a Gamma moment E[g^k e^{-u load g}].
@@ -164,6 +294,8 @@ def _gamma_interference_survival(m_sig: int, u, load, interferer: LinkStat):
                 / (math.gamma(m + 1) * pole ** (k + m_i))
             )
     # Rounding lifts the sum up to a few ulp above 1 as u -> 0; a survival cannot exceed 1.
+    if isinstance(u, float) and isinstance(load, float):
+        return min(1.0, math.exp(-u) / (math.gamma(m_i) * th_i**m_i) * total)
     out = np.minimum(1.0, np.exp(-u) / (math.gamma(m_i) * th_i**m_i) * total)
     return float(out) if out.ndim == 0 else out
 
@@ -228,7 +360,6 @@ def p_e2e_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> Eva
 def e2e_lb_value(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Closed-form end-to-end outage lower bound, vectorized over (p_r, c_x):
     1 - (first-hop bound survival)(second-hop survival)."""
-    p_r = np.asarray(p_r, dtype=float)
     first = _sr_survival_lb_complement(sys, target, p_r, c_x)
     return 1.0 - first * _rd_survival(sys, target, p_r, c_x)
 

@@ -2,6 +2,9 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,6 +189,35 @@ def test_grid_n_below_101_is_config_error(capsys):
 def test_throughput_requires_rate_sweep(capsys):
     code, out, err = run(["throughput", "--config", str(REPO_SCENARIO)], capsys)
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["throughput", "sweep"])
+def test_rate_axis_at_zero_is_config_error(command, capsys):
+    # RateTarget refuses r = 0; the axis is checked before any evaluation
+    code, out, err = run(
+        [command, "--config", str(REPO_SCENARIO),
+         "--set", "sweep_var=r", "--set", "sweep_start=0",
+         "--set", "sweep_stop=1", "--set", "sweep_points=2"],
+        capsys,
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "sweep point r=0.0" in err
+    assert out == ""
+
+
+def test_out_of_range_sweep_point_is_config_error(capsys):
+    code, out, err = run(base_args("--set", "sweep_stop=1.5", "--set", "sweep_points=2"), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "c_x=1.5" in err
+
+
+def test_import_loads_no_scipy():
+    # SciPy is needed only by validate's quadrature oracle, imported there
+    probe = "import sys, fdrigs, fdrigs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 def test_throughput_columns(capsys):

@@ -67,6 +67,27 @@ def test_pr_derivative_matches_finite_difference(p_r, c_x):
     assert abs(d - approx) <= abs(approx) * 1e-5 + 1e-10
 
 
+def test_derivatives_accept_arrays():
+    # one call per 2001-point grid, as in acceptance criterion 8
+    rng = np.random.default_rng(18)
+    for pi_rr in (0.5, 10.0, 60.0):
+        sys_p = base_system(pi_rr, p_max=3.0)
+        target = RateTarget(rng.uniform(0.3, 2.0))
+        p_r, c_x = rng.uniform(0.05, 1.0) * sys_p.p_max, rng.uniform(0.02, 0.98)
+        c_grid = np.linspace(1e-7, 1 - 1e-7, 2001)
+        array = ub_derivative_cx(sys_p, target, p_r, c_grid)
+        scalar = [ub_derivative_cx(sys_p, target, p_r, float(c)) for c in c_grid]
+        assert np.max(np.abs(array - scalar)) <= 1e-17
+        p_grid = np.linspace(1e-7 * sys_p.p_max, sys_p.p_max, 2001)
+        array = ub_derivative_pr(sys_p, target, p_grid, c_x)
+        scalar = [ub_derivative_pr(sys_p, target, float(p), c_x) for p in p_grid]
+        assert np.max(np.abs(array - scalar)) <= 1e-17
+    with pytest.raises(ValueError):
+        ub_derivative_cx(base_system(), TARGET, 1.0, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        ub_derivative_pr(base_system(), TARGET, np.array([0.5, 0.0]), 0.5)
+
+
 def test_bisect_circularity_vs_fine_grid():
     for pi_rr in (1.0, 10.0, 10**1.5):
         sys_p = base_system(pi_rr)

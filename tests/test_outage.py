@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, psi_r
+from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, psi_r, psi_ratio_limit
 from fdrigs.outage import (
+    _gamma_interference_survival,
     asymptotic_k,
     e2e_rayleigh_ub_value,
     p_e2e_exact,
@@ -218,6 +219,34 @@ def test_vectorized_ub_matches_scalar():
         for j, cv in enumerate(c):
             scalar = p_e2e_rayleigh_ub(sys_p, SignalParams(pv, cv), TARGET).value
             assert grid[i, j] == pytest.approx(scalar, rel=1e-13)
+
+
+def test_scalar_and_array_branches_agree():
+    # a float takes the `math` branch, an array the NumPy one
+    c_x = np.array([0.0, 0.5, 1.0 - 1e-12, 1.0])
+    rng = np.random.default_rng(7)
+    for r in (0.1, 1.0, 5.0):
+        target = RateTarget(r)
+        for fn in (psi_r, psi_ratio_limit):
+            array = fn(target, c_x)
+            assert [fn(target, float(c)) for c in c_x] == list(array)
+        for _ in range(20):
+            shapes = rng.integers(1, 5, size=3)
+            interferer = LinkStat(int(shapes[2]), float(10.0 ** rng.uniform(-1.0, 4.0)))
+            u = psi_ratio_limit(target, c_x) * 10.0 ** rng.uniform(-3.0, 1.0)
+            load = 10.0 ** rng.uniform(-2.0, 2.0, size=4)
+            for m_sig in shapes[:2]:
+                array = _gamma_interference_survival(int(m_sig), u, load, interferer)
+                for k in range(4):
+                    scalar = _gamma_interference_survival(int(m_sig), float(u[k]), float(load[k]), interferer)
+                    assert isinstance(scalar, float)
+                    assert scalar == pytest.approx(array[k], rel=1e-15, abs=1e-300)
+    sys_p = base_system(2, m_rr=3)
+    g = np.array([0.0, 1e-6, 0.3, 7.0, 1e5])
+    for c in c_x:
+        sig = SignalParams(0.7, float(c))
+        array = sr_decoding_exponent(sys_p, sig, TARGET, g)
+        assert [sr_decoding_exponent(sys_p, sig, TARGET, float(x)) for x in g] == list(array)
 
 
 def test_throughput_helper():

@@ -3,6 +3,7 @@ values and quadrature, and its stability at extreme arguments."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -35,6 +36,16 @@ def test_upper_incomplete_gamma_vs_quadrature():
     for a, x in [(2, 0.3), (3, 4.0), (4, 12.0)]:
         ref, err = integrate.quad(lambda t: t ** (a - 1) * math.exp(-t), x, np.inf)
         assert upper_gamma(a, x) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+def test_log_upper_incomplete_gamma_vs_mpmath(a):
+    # every decade of x from 1e-8 to 1e6, and x = 0, where Gamma(a, 0) = Gamma(a)
+    with mp.workdps(40):
+        for x in [0.0] + [10.0**k for k in range(-8, 7)]:
+            ref = float(mp.log(mp.gammainc(a, x)))
+            err = abs(log_upper_incomplete_gamma_int(a, x) - ref) / max(1.0, abs(ref))
+            assert err <= 1e-15, (a, x, err)
 
 
 def test_log_upper_incomplete_gamma_tail():
