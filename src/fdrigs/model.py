@@ -27,10 +27,16 @@ _SUPPORTED_SHAPES = (1, 2, 3, 4)
 
 @dataclass(frozen=True)
 class LinkStat:
-    """One fading link: integer shape m and mean power pi (scale theta = pi/m)."""
+    """One fading link: integer shape m and mean power pi.
+
+    The Gamma scale theta = pi/m is derived once, here, and is not an
+    argument; it takes no part in equality, hashing or repr, so
+    `dataclasses.replace(link, pi=...)` derives it anew.
+    """
 
     m: int
     pi: float
+    theta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m not in _SUPPORTED_SHAPES:
@@ -38,10 +44,7 @@ class LinkStat:
         object.__setattr__(self, "m", int(self.m))
         if not self.pi > 0:
             raise ValueError(f"mean power pi must be > 0, got {self.pi}")
-
-    @property
-    def theta(self) -> float:
-        return self.pi / self.m
+        object.__setattr__(self, "theta", self.pi / self.m)
 
 
 @dataclass(frozen=True)

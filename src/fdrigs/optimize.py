@@ -34,6 +34,7 @@ from .outage import (
     p_e2e_exact,
     p_e2e_lb,
     p_e2e_rayleigh_ub,
+    throughput,
 )
 
 __all__ = [
@@ -254,10 +255,10 @@ Evaluator = Callable[[SystemParams, SignalParams, RateTarget], EvalResult]
 
 
 def _throughput_of(target: RateTarget, res: EvalResult) -> EvalResult:
-    """Fixed-rate throughput r (1 - P_out) of an outage result, tagged with
-    its method; a Monte Carlo standard error scales by r."""
+    """`throughput` of an outage result, tagged with its method; a Monte
+    Carlo standard error scales by r."""
     stderr = None if res.stderr is None else target.r * res.stderr
-    return EvalResult(target.r * (1.0 - res.value), res.method, stderr)
+    return EvalResult(throughput(target, res.value), res.method, stderr)
 
 
 def _throughput(outage_fn: Evaluator) -> Evaluator:

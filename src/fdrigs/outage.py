@@ -5,8 +5,12 @@ high-RSI asymptote.
 Both hops reduce to one expectation, a Gamma-faded signal against a
 Gamma-faded interferer (`_gamma_interference_survival`): the interferer is
 the residual self-interference on the first hop of the lower bound and the
-direct S-D copy on the second hop.  It works elementwise on arrays, so
-`e2e_lb_value` evaluates the lower bound over a whole design grid at once.
+direct S-D copy on the second hop.  It is a short sum of polynomials in one
+ratio, with integer rising-factorial coefficients (DLMF 5.2(iii))
+tabulated once per interferer shape (`_HOP_POLY`), so an evaluation calls
+no Gamma function or binomial.  It works elementwise on arrays, so
+`e2e_lb_value` evaluates the lower bound over a whole design grid at once,
+and it is the whole integrand of the ergodic upper bound.
 
 The exact first hop is a quadrature over the self-interference gain.  Every
 quadrature in the library, here and in `ergodic`, goes through
@@ -27,7 +31,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import LinkStat, RateTarget, SignalParams, SystemParams, psi_r, psi_ratio_limit
+from .model import (
+    _SUPPORTED_SHAPES,
+    LinkStat,
+    RateTarget,
+    SignalParams,
+    SystemParams,
+    psi_r,
+    psi_ratio_limit,
+)
 from .specfun import log_upper_incomplete_gamma_int
 
 __all__ = [
@@ -273,30 +285,50 @@ def p_sr_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> Eval
     return EvalResult(1.0 - _sr_survival_exact(sys, sig, target), METHOD_EXACT_INTEGRAL)
 
 
+# Coefficients of P_m(z) = sum_{k<=m} C(m, k) (m_i)_k z^k for interferer
+# shapes m_i and signal terms m < max shape, highest power first for Horner's rule.
+_HOP_POLY = {
+    m_i: tuple(
+        tuple(float(math.comb(m, k) * math.perm(m_i + k - 1, k)) for k in range(m, -1, -1))
+        for m in range(max(_SUPPORTED_SHAPES))
+    )
+    for m_i in _SUPPORTED_SHAPES
+}
+
+
 def _gamma_interference_survival(m_sig: int, u, load, interferer: LinkStat):
-    """E_g[Q(m_sig, u (1 + load g))] for g ~ Gamma(interferer.m, interferer.theta),
-    elementwise over arrays u and load; two floats take the same formula
-    in `math`.
+    """E_g[Q(m_sig, u (1 + load g))] for g ~ Gamma(m_i, theta_i), the
+    interferer's shape and scale, elementwise over arrays u and load; two
+    floats take the same formula in `math`.
 
     Q(m, y) = e^-y sum_{m'<m} y^m' / m'!, so after a binomial expansion of
-    (1 + load g)^m' every term is a Gamma moment E[g^k e^{-u load g}].
+    (1 + load g)^m' every term is a Gamma moment E[g^k e^{-u load g}], and
+
+        E = e^-u t^-m_i sum_{m<m_sig} (u^m / m!) P_m(z),
+        t = 1 + theta_i load u,  z = theta_i load / t,
+        P_m(z) = sum_{k<=m} C(m, k) (m_i)_k z^k,
+
+    with the rising factorial (m_i)_k = Gamma(m_i + k) / Gamma(m_i) (DLMF
+    5.2(iii)).  Every term is positive, and P_m takes its integer
+    coefficients from `_HOP_POLY` by Horner's rule.
     """
-    m_i, th_i = interferer.m, interferer.theta
-    pole = load * u + 1.0 / th_i
+    m_i = interferer.m
+    x = interferer.theta * load
+    t = 1.0 + x * u
+    z = x / t
     total = 0.0
-    for m in range(m_sig):
-        for k in range(m + 1):
-            total += (
-                math.comb(m, k)
-                * load**k
-                * math.gamma(k + m_i)
-                * u**m
-                / (math.gamma(m + 1) * pole ** (k + m_i))
-            )
+    term = 1.0  # u^m / m!
+    for m, coeffs in enumerate(_HOP_POLY[m_i][:m_sig]):
+        if m:
+            term = term * u / m
+        poly = coeffs[0]
+        for c in coeffs[1:]:
+            poly = poly * z + c
+        total += term * poly
     # Rounding lifts the sum up to a few ulp above 1 as u -> 0; a survival cannot exceed 1.
     if isinstance(u, float) and isinstance(load, float):
-        return min(1.0, math.exp(-u) / (math.gamma(m_i) * th_i**m_i) * total)
-    out = np.minimum(1.0, np.exp(-u) / (math.gamma(m_i) * th_i**m_i) * total)
+        return min(1.0, math.exp(-u) * total / t**m_i)
+    out = np.minimum(1.0, np.exp(-u) * total / t**m_i)
     return float(out) if out.ndim == 0 else out
 
 

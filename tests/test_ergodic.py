@@ -12,6 +12,7 @@ from scipy import integrate
 from fdrigs.ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, alpha
 from fdrigs.outage import p_e2e_exact
+from mp_oracles import mp_hop_survival
 
 # frozen anchors (cross-checked against quadrature oracles)
 ERG_UB = 3.0983351016783516
@@ -46,22 +47,6 @@ def oracle_survival_integral(sys_p, sig, upper=40.0):
         epsrel=1e-10,
     )
     return val
-
-
-def mp_hop_survival(m, u, beta, m_i, theta_i):
-    """P(g >= u (1 + beta g_i)) for g ~ Gamma(m, 1) and g_i ~ Gamma(m_i, theta_i).
-
-    Q(m, y) = e^-y sum_{j<m} y^j / j!, so each term is a Gamma moment
-    E[g_i^k e^{-t g_i}] after a binomial expansion of (1 + beta g_i)^j.
-    """
-    t = u * beta + 1 / theta_i
-    total = mp.mpf(0)
-    for j in range(m):
-        moments = sum(
-            mp.binomial(j, k) * beta**k * mp.gamma(m_i + k) / t ** (m_i + k) for k in range(j + 1)
-        )
-        total += u**j / mp.factorial(j) * moments
-    return mp.exp(-u) * total / (mp.gamma(m_i) * theta_i**m_i)
 
 
 def mp_ergodic_ub(sys_p, sig):

@@ -1,5 +1,6 @@
 """Parameter containers and the threshold function Psi_r."""
 
+import dataclasses
 import math
 
 import pytest
@@ -38,6 +39,29 @@ def test_link_stat_validation():
     with pytest.raises(ValueError):
         LinkStat(7, 1.0)  # outside the supported shape set
     assert LinkStat(3, 6.0).theta == pytest.approx(2.0)
+
+
+def test_link_scale_is_derived_not_an_argument():
+    link = LinkStat(2, 6.0)
+    # the CLI's pi_* sweeps replace pi and rely on theta following it
+    moved = dataclasses.replace(link, pi=10.0)
+    assert moved.theta == 5.0
+    assert dataclasses.replace(LinkStat(3, 1.0), m=4).theta == 0.25
+    with pytest.raises(TypeError):
+        LinkStat(2, 6.0, theta=3.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(link, theta=1.0)
+    # equality, hash and repr see (m, pi) only
+    assert link == LinkStat(2, 6.0) and link != moved
+    assert hash(link) == hash((2, 6.0))
+    assert repr(link) == "LinkStat(m=2, pi=6.0)"
+    sys_p = make_system()
+    assert sys_p == make_system() and hash(sys_p) == hash(make_system())
+    assert hash(sys_p) == hash((sys_p.sr, sys_p.rd, sys_p.rr, sys_p.sd, 1.0, 1.0))
+    assert repr(sys_p) == (
+        "SystemParams(sr=LinkStat(m=1, pi=100.0), rd=LinkStat(m=1, pi=100.0), "
+        "rr=LinkStat(m=1, pi=10.0), sd=LinkStat(m=1, pi=2.0), p_s=1.0, p_max=1.0)"
+    )
 
 
 def test_system_validation():

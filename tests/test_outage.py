@@ -1,8 +1,10 @@
 """Outage probability: closed forms against brute-force quadrature oracles,
 bound orderings, frozen anchors, and the high-RSI asymptote."""
 
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from fdrigs.outage import (
     sr_decoding_exponent,
     throughput,
 )
+from mp_oracles import mp_hop_survival
 
 # frozen anchors, cross-checked against independent quadrature oracles
 PGS_E2E_EXACT = 0.12638264411162647
@@ -120,6 +123,29 @@ def test_sr_lb_vs_oracle(m_sr, m_rr):
         sig = SignalParams(0.7, c_x)
         ref = 1.0 - oracle_sr_lb_survival(sys_p, sig, TARGET)
         assert p_sr_lb(sys_p, sig, TARGET).value == pytest.approx(ref, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("m_i", [1, 2, 3, 4])
+@pytest.mark.parametrize("m_sig", [1, 2, 3, 4])
+def test_hop_survival_vs_mpmath(m_sig, m_i):
+    # u in 1e-8..1e3, load in 1e-3..1e3, theta_i in 1e-2..1e5: the corners of
+    # the box in log scale and seeded log-uniform draws inside it
+    rng = np.random.default_rng(10 * m_sig + m_i)
+    corners = itertools.product((-8.0, 3.0), (-3.0, 3.0), (-2.0, 5.0))
+    draws = rng.uniform((-8.0, -3.0, -2.0), (3.0, 3.0, 5.0), size=(60, 3))
+    checked = 0
+    with mp.workdps(40):
+        for log_u, log_load, log_theta in [*corners, *draws]:
+            u, load = float(10.0**log_u), float(10.0**log_load)
+            interferer = LinkStat(m_i, float(m_i * 10.0**log_theta))
+            value = _gamma_interference_survival(m_sig, u, load, interferer)
+            ref = mp_hop_survival(m_sig, u, load, m_i, interferer.theta)
+            if ref > 1e-300:
+                assert value == pytest.approx(float(ref), rel=1e-13), (u, load, interferer)
+                checked += 1
+            else:
+                assert 0.0 <= value <= 1e-299
+    assert checked >= 60
 
 
 def test_e2e_factorizes_over_hops():
