@@ -322,14 +322,14 @@ def criterion_10_trend_reproduction(seed: int = 20) -> CriterionResult:
     hdr = montecarlo.estimate_hdr_outage(sys15, targets, McConfig(10**6, seed))
 
     def throughputs(i: int):
-        r = targets[i].r
-        pgs, igs = optimize.design_optima(sys15, targets[i])
+        target = targets[i]
+        pgs, igs = optimize.design_optima(sys15, target)
         mrc = hdr.mrc[i]
         return (
-            r * (1.0 - pgs.objective),
-            r * (1.0 - igs.objective),
-            r * (1.0 - mrc.mean),
-            3 * r * mrc.stderr,
+            outage.throughput(target, pgs.objective),
+            outage.throughput(target, igs.objective),
+            outage.throughput(target, mrc.mean),
+            3 * target.r * mrc.stderr,
         )
 
     t_pgs, t_igs, t_hdr, sig3 = throughputs(0)

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from . import acceptance, montecarlo, optimize
 from .model import LinkStat, RateTarget, SignalParams, SystemParams
 from .montecarlo import McConfig
-from .outage import METHOD_MONTE_CARLO, EvalResult
+from .outage import METHOD_MONTE_CARLO, EvalResult, throughput
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -403,11 +403,11 @@ def cmd_throughput(cfg: RunConfig, out_path: Optional[str]) -> int:
         r = target.r
         rows.append([
             r,
-            r * (1.0 - pgs.objective),
-            r * (1.0 - igs.objective),
-            r * (1.0 - mhdf.mean),
+            throughput(target, pgs.objective),
+            throughput(target, igs.objective),
+            throughput(target, mhdf.mean),
             r * mhdf.stderr,
-            r * (1.0 - mrc.mean),
+            throughput(target, mrc.mean),
             r * mrc.stderr,
         ])
     _write_csv(out_path, header, rows)

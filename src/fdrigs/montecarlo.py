@@ -73,8 +73,17 @@ def _batch_sizes(cfg: McConfig):
 
 
 def _gamma_gain(rng: np.random.Generator, m: int, theta: float, n: int) -> np.ndarray:
-    """Gamma(m, theta) gains as a sum of m exponentials (exact, integer m)."""
-    return rng.exponential(theta, size=(m, n)).sum(axis=0)
+    """Gamma(m, theta) gains as a sum of m exponentials (exact, integer m).
+
+    The m rows of n exponentials are drawn and added one after another, in
+    place: the same draws and the same additions, bit for bit, as
+    ``rng.exponential(theta, size=(m, n)).sum(axis=0)``, without the (m, n)
+    array.
+    """
+    gain = rng.exponential(theta, size=n)
+    for _ in range(m - 1):
+        gain += rng.exponential(theta, size=n)
+    return gain
 
 
 def sample_gains(sys: SystemParams, rng: np.random.Generator, n: int) -> ChannelRealization:
@@ -145,32 +154,40 @@ def estimate_hdr_outage(
 ) -> HdrOutage:
     """Outage of the half-duplex decode-and-forward baselines at every target.
 
-    Each hop occupies half the block, so it must support rate 2r; the relay
-    transmits at full power and suffers no self-interference.  With MRC the
-    destination combines the relayed and direct copies, giving second-stage
-    SNR P_r g_rd + P_s g_sd.  Both baselines at every target are counted on
-    the same samples, so each estimate is bit-identical to a pass of its own.
+    Each hop occupies half the block, so it must support rate 2r, that is an
+    SNR of at least gamma = 2^{2r} - 1; the relay transmits at full power and
+    suffers no self-interference.  With MRC the destination combines the
+    relayed and direct copies, giving second-stage SNR P_r g_rd + P_s g_sd.
+    A batch draws only the three gains the baselines read, g_sr, g_rd and
+    g_sd in that order, and compares the minimum SNRs with gamma, which is
+    the same event as the minimum rate falling below 2r.  Both baselines at
+    every target are counted on the same samples, so each estimate is
+    bit-identical to a pass of its own.
     """
-    thresholds = [2.0 * target.r for target in targets]
+    thresholds = [target.gamma for target in targets]
     hits_mhdf = [0] * len(thresholds)
     hits_mrc = [0] * len(thresholds)
     n = 0
-    # A batch holds no more arrays than a pass for one baseline did: the
-    # gains go once both minimum rates exist, the second reuses r1's buffer,
-    # and nothing outlives the batch into the next draw.
     for i, size in enumerate(_batch_sizes(cfg)):
-        ch = sample_gains(sys, _batch_rng(cfg, i), size)
-        r1 = np.log2(1.0 + sys.p_s * ch.g_sr)
-        snr2 = sys.p_max * ch.g_rd
-        min_mhdf = np.minimum(r1, np.log2(1.0 + snr2))
-        snr2 += sys.p_s * ch.g_sd
-        del ch
-        min_mrc = np.minimum(r1, np.log2(1.0 + snr2), out=r1)
-        del snr2
+        rng = _batch_rng(cfg, i)
+        snr1 = _gamma_gain(rng, sys.sr.m, sys.sr.theta, size)
+        snr1 *= sys.p_s
+        snr2 = _gamma_gain(rng, sys.rd.m, sys.rd.theta, size)
+        snr2 *= sys.p_max
+        # the direct-link-free minimum is counted and dropped before g_sd is
+        # drawn, so a batch holds at most four arrays of its size
+        min_snr = np.minimum(snr1, snr2)
         for j, threshold in enumerate(thresholds):
-            hits_mhdf[j] += int(np.count_nonzero(min_mhdf < threshold))
-            hits_mrc[j] += int(np.count_nonzero(min_mrc < threshold))
-        del r1, min_mhdf, min_mrc
+            hits_mhdf[j] += int(np.count_nonzero(min_snr < threshold))
+        del min_snr
+        direct = _gamma_gain(rng, sys.sd.m, sys.sd.theta, size)
+        direct *= sys.p_s
+        snr2 += direct
+        min_snr = np.minimum(snr1, snr2, out=snr1)
+        for j, threshold in enumerate(thresholds):
+            hits_mrc[j] += int(np.count_nonzero(min_snr < threshold))
+        # nothing outlives the batch into the next draw
+        del snr1, snr2, direct, min_snr
         n += size
     # an outage indicator is its own square
     return HdrOutage(

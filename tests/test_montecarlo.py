@@ -8,8 +8,12 @@ import pytest
 
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
 from fdrigs.montecarlo import (
+    _BATCH,
     McConfig,
+    _batch_rng,
+    _batch_sizes,
     _estimate,
+    _gamma_gain,
     estimate_ergodic,
     estimate_hdr_outage,
     estimate_outage,
@@ -18,6 +22,7 @@ from fdrigs.montecarlo import (
 from fdrigs.ergodic import r_e2e_exact
 from fdrigs.outage import p_e2e_exact, p_rd_exact, p_sr_exact
 from fdrigs.rates import rate_rd, rate_sr
+from fdrigs.specfun import log_upper_incomplete_gamma_int
 
 
 def base_system(m_relayed=1):
@@ -64,6 +69,18 @@ def test_gamma_gain_moments():
     assert ch.g_sr.mean() == pytest.approx(100.0, rel=0.02)
     assert ch.g_sr.var() == pytest.approx(100.0**2 / 3, rel=0.05)
     assert ch.g_rr.mean() == pytest.approx(10.0, rel=0.02)
+
+
+@pytest.mark.parametrize("n", [_BATCH, 20_000])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_gamma_gain_matches_matrix_sum(m, n):
+    # the row-wise sampler draws and adds exactly what the (m, n) draw and
+    # its column sums did, which pins the full-duplex Monte Carlo streams
+    cfg = McConfig(seed=5)
+    got = _gamma_gain(_batch_rng(cfg, 1), m, 2.5, n)
+    ref = _batch_rng(cfg, 1).exponential(2.5, size=(m, n)).sum(axis=0)
+    assert got.shape == (n,)
+    assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -115,9 +132,9 @@ def test_hdr_rate_threshold_doubled():
     # target r equals the full-block outage at 2r of the same hops; one pass
     # must give, for every rate and both baselines, exactly the counts of a
     # pass per rate and baseline over the same substreams (two full batches
-    # and a remainder)
-    from fdrigs.montecarlo import _batch_rng, _batch_sizes
-
+    # and a remainder).  The reference draws the three gains the baselines
+    # read, in the library's order, and compares log-rates with 2r, so it
+    # also checks the library's SNR comparison with 2^{2r} - 1.
     sys_p = SystemParams(
         sr=LinkStat(2, 100.0), rd=LinkStat(3, 30.0), rr=LinkStat(1, 10.0),
         sd=LinkStat(4, 20.0), p_s=1.0, p_max=2.0,
@@ -130,11 +147,14 @@ def test_hdr_rate_threshold_doubled():
         for mrc, est in ((False, res.mhdf[k]), (True, res.mrc[k])):
             hits = 0
             for i, size in enumerate(_batch_sizes(cfg)):
-                ch = sample_gains(sys_p, _batch_rng(cfg, i), size)
-                snr2 = sys_p.p_max * ch.g_rd
+                rng = _batch_rng(cfg, i)
+                g_sr = _gamma_gain(rng, sys_p.sr.m, sys_p.sr.theta, size)
+                g_rd = _gamma_gain(rng, sys_p.rd.m, sys_p.rd.theta, size)
+                g_sd = _gamma_gain(rng, sys_p.sd.m, sys_p.sd.theta, size)
+                snr2 = sys_p.p_max * g_rd
                 if mrc:
-                    snr2 = snr2 + sys_p.p_s * ch.g_sd
-                r1 = np.log2(1.0 + sys_p.p_s * ch.g_sr)
+                    snr2 = snr2 + sys_p.p_s * g_sd
+                r1 = np.log2(1.0 + sys_p.p_s * g_sr)
                 r2 = np.log2(1.0 + snr2)
                 hits += int(np.count_nonzero(np.minimum(r1, r2) < 2.0 * r))
             p = hits / cfg.n_samples
@@ -142,3 +162,41 @@ def test_hdr_rate_threshold_doubled():
             assert est.mean == p
             assert est.stderr == math.sqrt(max(p - p * p, 0.0) / cfg.n_samples)
             assert 0 < hits < cfg.n_samples
+
+
+def test_hdr_ignores_self_interference_link():
+    # neither baseline has a full-duplex relay, so the rr link, shape and
+    # power alike, must not change a single count
+    links = dict(sr=LinkStat(2, 50.0), rd=LinkStat(1, 20.0), sd=LinkStat(3, 5.0))
+    a = SystemParams(rr=LinkStat(1, 10.0), p_s=1.0, p_max=2.0, **links)
+    b = SystemParams(rr=LinkStat(4, 1e4), p_s=1.0, p_max=2.0, **links)
+    cfg = McConfig(270_000, seed=15)
+    targets = [RateTarget(r) for r in (0.5, 1.5)]
+    assert estimate_hdr_outage(a, targets, cfg) == estimate_hdr_outage(b, targets, cfg)
+
+
+def _regularized_q(m, x):
+    """Q(m, x) = Gamma(m, x) / Gamma(m), the Gamma(m, 1) survival at x."""
+    return math.exp(log_upper_incomplete_gamma_int(m, x) - math.lgamma(m))
+
+
+@pytest.mark.parametrize(
+    "sr, rd, r, seed",
+    [
+        (LinkStat(1, 30.0), LinkStat(1, 20.0), 1.0, 16),
+        (LinkStat(2, 10.0), LinkStat(3, 8.0), 1.5, 17),
+    ],
+)
+def test_hdr_mhdf_matches_closed_form(sr, rd, r, seed):
+    # without combining, the half-duplex outage is one minus the product of
+    # the two hop survivals at SNR 2^{2r} - 1
+    sys_p = SystemParams(sr=sr, rd=rd, rr=LinkStat(1, 10.0), sd=LinkStat(1, 2.0),
+                         p_s=1.0, p_max=2.0)
+    target = RateTarget(r)
+    est = estimate_hdr_outage(sys_p, [target], McConfig(seed=seed)).mhdf[0]
+    assert est.n == 1_000_000
+    g = target.gamma
+    ref = 1.0 - (_regularized_q(sr.m, g / (sys_p.p_s * sr.theta))
+                 * _regularized_q(rd.m, g / (sys_p.p_max * rd.theta)))
+    assert 0.05 < ref < 0.95
+    assert abs(est.mean - ref) <= 4.0 * est.stderr
