@@ -6,19 +6,26 @@ overrides win over file values.  All powers are linear inside the library;
 dB values (``*_db`` keys or ``sweep_scale = db``) are converted exactly once,
 here at the boundary, via ``10 ** (db / 10)``.
 
-A sweep looks each (metric, method) column up in ``optimize.METRICS``, the
-table `grid_search` also reads; only the Monte Carlo columns are built here.
-A throughput column is derived from the outage of its method at the same
-point.  `throughput` takes both optima of a rate from
-`optimize.design_optima` and the half-duplex baselines of every rate from
-one Monte Carlo pass.
+A sweep looks each outage and ergodic (metric, method) column up in
+``optimize.METRICS``, the table `grid_search` also reads; only the Monte
+Carlo columns are built here.  A throughput column is r (1 - outage) of the
+outage of its method at the same point, evaluated once for both.  The
+header is laid out before any evaluation: each column is tagged
+``metric:tag`` with the tag ``optimize.METHOD_TAGS`` fixes for its method,
+and a Monte Carlo column is followed by its ``:stderr`` column.  A point
+that fails leaves its cells empty and a line in the diagnostics sidecar.
+`throughput` takes both optima of a rate from `optimize.design_optima` and
+the half-duplex baselines of every rate from one Monte Carlo pass.
 Sweep points run one after another: a worker pool gained only a few percent
 on these interpreter-bound evaluations, so it was removed with its flag.
 
-`optimize` writes the method tag its optimizer attaches to the optimum.  Like
-``samples``, ``grid_n`` is checked here: below 101 it is a configuration error.
-So is a sweep point that the parameter types refuse, such as a rate <= 0 on
-the ``sweep_var = r`` axis of ``sweep`` and ``throughput``.
+`optimize` writes the method tag its optimizer attaches to the optimum.
+Configuration errors (exit 2) are found before any evaluation: a ``grid_n``
+below 101, a Monte Carlo budget ``McConfig`` refuses (``samples`` below
+10000, a ``seed`` outside [0, 2**64)), a sweep point that the parameter
+types refuse, such as a rate <= 0 on the ``sweep_var = r`` axis of
+``sweep`` and ``throughput``, and a Rayleigh-only optimizer (``2d-cd``,
+``1d-cx``, ``1d-pr``) asked to run on other shapes.
 """
 
 from __future__ import annotations
@@ -79,8 +86,7 @@ _DEFAULTS: Dict[str, str] = {
 
 _POWER_LIKE = {"pi_sr", "pi_rd", "pi_rr", "pi_sd", "p_s", "p_max", "p_r"}
 _SWEEPABLE = _POWER_LIKE | {"c_x", "r"}
-_METRICS = tuple(dict.fromkeys(metric for metric, _ in optimize.METRICS))
-_METHODS = tuple(dict.fromkeys(method for _, method in optimize.METRICS)) + ("mc",)
+_METRICS = ("outage", "ergodic", "throughput")
 
 
 @dataclass
@@ -95,8 +101,7 @@ class RunConfig:
     sweep_values: List[float]
     metrics: List[str]
     methods: List[str]
-    samples: int
-    seed: int
+    mc: McConfig
     optimizer: str
     grid_n: int
 
@@ -175,6 +180,7 @@ def build_config(
         sig = SignalParams(_as_float(raw, "p_r"), _as_float(raw, "c_x"))
         sys_params.check_signal(sig)
         target = RateTarget(_as_float(raw, "r"))
+        mc = McConfig(_as_int(raw, "samples"), _as_int(raw, "seed"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -202,11 +208,8 @@ def build_config(
         if m not in _METRICS:
             raise ConfigError(f"unknown metric {m!r} (choose from {_METRICS})")
     for m in methods:
-        if m not in _METHODS:
-            raise ConfigError(f"unknown method {m!r} (choose from {_METHODS})")
-    samples = _as_int(raw, "samples")
-    if samples < 10_000:
-        raise ConfigError(f"samples must be >= 10000, got {samples}")
+        if m not in optimize.METHOD_TAGS:
+            raise ConfigError(f"unknown method {m!r} (choose from {tuple(optimize.METHOD_TAGS)})")
     optimizer = raw["optimizer"]
     if optimizer not in ("1d-cx", "1d-pr", "2d-cd", "grid"):
         raise ConfigError(f"optimizer must be 1d-cx | 1d-pr | 2d-cd | grid, got {optimizer!r}")
@@ -222,8 +225,7 @@ def build_config(
         sweep_values=axis,
         metrics=metrics,
         methods=methods,
-        samples=samples,
-        seed=_as_int(raw, "seed"),
+        mc=mc,
         optimizer=optimizer,
         grid_n=grid_n,
     )
@@ -271,13 +273,6 @@ def _mc_metrics(mc_cfg: McConfig) -> Dict[Tuple[str, str], optimize.Evaluator]:
     return {("outage", "mc"): outage_mc, ("ergodic", "mc"): ergodic_mc}
 
 
-def _cells(res: EvalResult) -> List[Tuple[str, object]]:
-    """An evaluation as [(column suffix, value), ...]; Monte Carlo adds its stderr."""
-    if res.stderr is None:
-        return [(res.method, res.value)]
-    return [(res.method, res.value), (res.method + ":stderr", res.stderr)]
-
-
 def _fmt(value: object) -> str:
     if value is None:
         return ""
@@ -297,55 +292,39 @@ def _write_csv(path: Optional[str], header: List[str], rows: List[List[object]])
 
 
 def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
-    metrics = {**optimize.METRICS, **_mc_metrics(McConfig(cfg.samples, cfg.seed))}
+    metrics = {**optimize.METRICS, **_mc_metrics(cfg.mc)}
     pairs = [(metric, method) for metric in cfg.metrics for method in cfg.methods]
+    header = [cfg.sweep_var + (":db-input" if cfg.raw["sweep_scale"] == "db" else "")]
+    for metric, method in pairs:
+        column = f"{metric}:{optimize.METHOD_TAGS[method]}"
+        header += [column, column + ":stderr"] if method == "mc" else [column]
     diagnostics: List[str] = []
-
-    def evaluate(value: float):
+    rows = []
+    for value in cfg.sweep_values:
         sys_p, sig, target = _apply_sweep_value(cfg, value)
         # The throughput cell is derived from the outage of the same method,
         # so an outage that succeeds is evaluated once per point.
         outages: Dict[str, EvalResult] = {}
-        cells: Dict[Tuple[str, str], List[Tuple[str, object]]] = {}
+        row: List[object] = [value]
         for metric, method in pairs:
+            width = 2 if method == "mc" else 1
             try:
-                if metric in ("outage", "throughput"):
+                if metric == "ergodic":
+                    res = metrics[(metric, method)](sys_p, sig, target)
+                else:
                     if method not in outages:
                         outages[method] = metrics[("outage", method)](sys_p, sig, target)
                     res = outages[method]
-                    if metric == "throughput":
-                        res = optimize._throughput_of(target, res)
-                else:
-                    res = metrics[(metric, method)](sys_p, sig, target)
-                cells[(metric, method)] = _cells(res)
+                cell, stderr = res.value, res.stderr
+                if metric == "throughput":
+                    # r (1 - outage); a Monte Carlo standard error scales by r
+                    cell = throughput(target, cell)
+                    stderr = None if stderr is None else target.r * stderr
+                row += [cell, stderr][:width]
             except (ArithmeticError, ValueError) as exc:
-                cells[(metric, method)] = [("failed", None)]
+                row += [None] * width
                 diagnostics.append(f"{cfg.sweep_var}={value!r} {metric}/{method}: {exc}")
-        return cells
-
-    results = [evaluate(v) for v in cfg.sweep_values]
-
-    # column layout from the first successful evaluation of each pair
-    columns: List[Tuple[str, str, str]] = []
-    for metric, method in pairs:
-        suffixes: List[str] = []
-        for row in results:
-            tags = [s for s, _ in row[(metric, method)] if s != "failed"]
-            if tags:
-                suffixes = tags
-                break
-        for suffix in suffixes or ["failed"]:
-            columns.append((metric, method, suffix))
-
-    axis_name = cfg.sweep_var + (":db-input" if cfg.raw["sweep_scale"] == "db" else "")
-    header = [axis_name] + [f"{metric}:{suffix}" for metric, _, suffix in columns]
-    rows = []
-    for value, row in zip(cfg.sweep_values, results):
-        cells: List[object] = [value]
-        for metric, method, suffix in columns:
-            found = dict(row[(metric, method)])
-            cells.append(found.get(suffix))
-        rows.append(cells)
+        rows.append(row)
     _write_csv(out_path, header, rows)
     if diagnostics:
         sidecar = (out_path or "sweep") + ".diagnostics.txt"
@@ -356,6 +335,11 @@ def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, out_path: Optional[str]) -> int:
+    if cfg.optimizer != "grid" and not cfg.sys.all_rayleigh:
+        raise ConfigError(
+            f"optimizer {cfg.optimizer} minimizes the Rayleigh upper bound and needs "
+            "all shapes equal to 1; use optimizer=grid on other shapes"
+        )
     if cfg.optimizer == "1d-cx":
         result = optimize.bisect_circularity(cfg.sys, cfg.target, cfg.sig.p_r)
     elif cfg.optimizer == "1d-pr":
@@ -386,7 +370,7 @@ def cmd_throughput(cfg: RunConfig, out_path: Optional[str]) -> int:
     if cfg.sweep_var != "r":
         raise ConfigError("the throughput command needs sweep_var = r")
     targets = [RateTarget(r) for r in cfg.sweep_values]
-    hdr = montecarlo.estimate_hdr_outage(cfg.sys, targets, McConfig(cfg.samples, cfg.seed))
+    hdr = montecarlo.estimate_hdr_outage(cfg.sys, targets, cfg.mc)
     optima = [optimize.design_optima(cfg.sys, target, cfg.grid_n) for target in targets]
     pgs_tag, igs_tag = (res.method for res in optima[0])
     header = [

@@ -2,9 +2,12 @@
 coordinate descent for the joint problem, and a grid-search oracle that
 works for every metric and any fading shape.
 
-`METRICS` maps each (metric, method) pair to its evaluator; it is the one
-table behind both `grid_search` and the CLI sweep.  `grid_search` evaluates
-the closed-form bounds over its whole grid as one array.  `design_optima`
+`METRICS` maps each outage and ergodic (metric, method) pair to its
+evaluator; it is the one table behind both `grid_search` and the CLI sweep.
+Throughput is derived from the outage of the same method, and
+`METHOD_TAGS` gives the one tag every evaluation of a method carries.
+`grid_search` evaluates the closed-form bounds over its whole grid as one
+array.  `design_optima`
 gives the proper and improper optima of the throughput table.
 
 The 1D searches exploit that the Rayleigh outage upper bound is monotone or
@@ -25,7 +28,9 @@ from .ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from .model import RateTarget, SignalParams, SystemParams
 from .outage import (
     METHOD_CLOSED_FORM,
+    METHOD_EXACT_INTEGRAL,
     METHOD_LOWER_BOUND,
+    METHOD_MONTE_CARLO,
     METHOD_UPPER_BOUND,
     EvalResult,
     _rayleigh_ub_parts,
@@ -39,6 +44,7 @@ from .outage import (
 
 __all__ = [
     "METRICS",
+    "METHOD_TAGS",
     "OptResult",
     "ub_derivative_cx",
     "ub_derivative_pr",
@@ -254,40 +260,29 @@ def coordinate_descent(sys: SystemParams, target: RateTarget) -> OptResult:
 Evaluator = Callable[[SystemParams, SignalParams, RateTarget], EvalResult]
 
 
-def _throughput_of(target: RateTarget, res: EvalResult) -> EvalResult:
-    """`throughput` of an outage result, tagged with its method; a Monte
-    Carlo standard error scales by r."""
-    stderr = None if res.stderr is None else target.r * res.stderr
-    return EvalResult(throughput(target, res.value), res.method, stderr)
-
-
-def _throughput(outage_fn: Evaluator) -> Evaluator:
-    """The throughput evaluator of an outage evaluator."""
-    return lambda sys, sig, target: _throughput_of(target, outage_fn(sys, sig, target))
-
-
 # The evaluators look their functions up at call time, so a wrapper patched
-# onto this module's names sees every call.
-_OUTAGE: Dict[str, Evaluator] = {
-    "exact": lambda sys, sig, target: p_e2e_exact(sys, sig, target),
-    "lb": lambda sys, sig, target: p_e2e_lb(sys, sig, target),
-    "ub": lambda sys, sig, target: p_e2e_rayleigh_ub(sys, sig, target),
-}
-
+# onto this module's names sees every call.  Throughput is not an entry: it
+# is r (1 - outage) of the outage entry of the same method.
 METRICS: Dict[Tuple[str, str], Evaluator] = {
-    **{("outage", method): fn for method, fn in _OUTAGE.items()},
+    ("outage", "exact"): lambda sys, sig, target: p_e2e_exact(sys, sig, target),
+    ("outage", "lb"): lambda sys, sig, target: p_e2e_lb(sys, sig, target),
+    ("outage", "ub"): lambda sys, sig, target: p_e2e_rayleigh_ub(sys, sig, target),
     ("ergodic", "exact"): lambda sys, sig, target: r_e2e_exact(sys, sig),
     ("ergodic", "lb"): lambda sys, sig, target: r_e2e_rayleigh_lb(sys, sig),
     ("ergodic", "ub"): lambda sys, sig, target: r_e2e_ub(sys, sig),
-    **{("throughput", method): _throughput(fn) for method, fn in _OUTAGE.items()},
 }
 
-# Outage methods with a closed form over a whole (p_r, c_x) grid, with their
-# tags; grid_search evaluates these (and their throughputs) as one array.
-_GRID_OUTAGE = {
-    "lb": (e2e_lb_value, METHOD_LOWER_BOUND),
-    "ub": (e2e_rayleigh_ub_value, METHOD_UPPER_BOUND),
+# The tag every evaluation of a method carries, whatever its metric.
+METHOD_TAGS: Dict[str, str] = {
+    "exact": METHOD_EXACT_INTEGRAL,
+    "lb": METHOD_LOWER_BOUND,
+    "ub": METHOD_UPPER_BOUND,
+    "mc": METHOD_MONTE_CARLO,
 }
+
+# Outage methods with a closed form over a whole (p_r, c_x) grid;
+# grid_search evaluates these (and their throughputs) as one array.
+_GRID_OUTAGE = {"lb": e2e_lb_value, "ub": e2e_rayleigh_ub_value}
 
 
 def _grid_values(
@@ -300,7 +295,7 @@ def _grid_values(
     """The objective on the grid: (p_grid, c_grid, values[p, c], method tag)."""
     metric, _, method = objective.partition("-")
     method = method or "exact"
-    evaluator = METRICS.get((metric, method))
+    evaluator = METRICS.get(("outage" if metric == "throughput" else metric, method))
     if evaluator is None:
         raise ValueError(f"unknown objective {objective!r}")
     if grid_n < 101:
@@ -314,20 +309,17 @@ def _grid_values(
         p_grid = np.minimum(sys.p_max * np.arange(1, grid_n + 1) / grid_n, sys.p_max)
     c_grid = np.linspace(0.0, 1.0, grid_n)
 
-    closed_form = _GRID_OUTAGE.get(method) if metric in ("outage", "throughput") else None
-    if closed_form is not None:
-        outage_fn, tag = closed_form
-        values = outage_fn(sys, target, p_grid[:, None], c_grid[None, :])
+    if metric != "ergodic" and method in _GRID_OUTAGE:
+        values = _GRID_OUTAGE[method](sys, target, p_grid[:, None], c_grid[None, :])
         if metric == "throughput":
             values = target.r * (1.0 - values)
     else:
         values = np.empty((len(p_grid), grid_n))
         for i, p in enumerate(p_grid):
             for j, c in enumerate(c_grid):
-                res = evaluator(sys, SignalParams(p, c), target)
-                values[i, j] = res.value
-        tag = res.method
-    return p_grid, c_grid, values, tag
+                value = evaluator(sys, SignalParams(p, c), target).value
+                values[i, j] = throughput(target, value) if metric == "throughput" else value
+    return p_grid, c_grid, values, METHOD_TAGS[method]
 
 
 def _grid_pick(

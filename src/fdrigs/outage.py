@@ -242,22 +242,16 @@ def integrate_semi_infinite(f: Callable[[float], float], scale: float) -> float:
     return adaptive_quad(g, 0.0, 1.0)
 
 
-def sr_decoding_exponent(sys: SystemParams, sig: SignalParams, target: RateTarget, g_rr):
+def sr_decoding_exponent(sys: SystemParams, sig: SignalParams, target: RateTarget, g_rr: float) -> float:
     """Threshold exponent of the first hop conditioned on the RSI gain.
 
     Equals (P_r g + 1) / (P_s theta_sr) * psi_r(P_r g c_x / (P_r g + 1));
-    the first-hop outage event is {g_sr < theta_sr * exponent}.  A float
-    gain is mapped in `math`, an array elementwise.
+    the first-hop outage event is {g_sr < theta_sr * exponent}.  The
+    quadrature's float gains are mapped in `math`.
     """
-    if isinstance(g_rr, float):
-        loading = sig.p_r * g_rr
-        x = loading * sig.c_x / (loading + 1.0)
-        return (loading + 1.0) / (sys.p_s * sys.sr.theta) * psi_r(target, x)
-    g = np.asarray(g_rr, dtype=float)
-    loading = sig.p_r * g
+    loading = sig.p_r * g_rr
     x = loading * sig.c_x / (loading + 1.0)
-    out = (loading + 1.0) / (sys.p_s * sys.sr.theta) * psi_r(target, x)
-    return float(out) if out.ndim == 0 else out
+    return (loading + 1.0) / (sys.p_s * sys.sr.theta) * psi_r(target, x)
 
 
 def _sr_survival_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> float:

@@ -144,6 +144,8 @@ def test_failed_points_get_empty_cells_and_sidecar(tmp_path):
                               "--out", str(out_file)))
     assert code == 0
     rows = list(csv.reader(io.StringIO(out_file.read_text())))
+    # the header names the method's tag even where every point failed
+    assert rows[0][-1] == "outage:upper-bound"
     assert rows[1][-1] == ""
     sidecar = Path(str(out_file) + ".diagnostics.txt")
     assert sidecar.is_file()
@@ -184,6 +186,47 @@ def test_grid_n_below_101_is_config_error(capsys):
     )
     assert code == cli.EXIT_CONFIG
     assert "grid_n" in err
+
+
+@pytest.mark.parametrize("optimizer", ["2d-cd", "1d-cx", "1d-pr"])
+def test_rayleigh_optimizer_off_rayleigh_is_config_error(optimizer, capsys):
+    code, out, err = run(
+        ["optimize", "--config", str(REPO_SCENARIO), "--set", "m_sr=2",
+         "--set", f"optimizer={optimizer}"],
+        capsys,
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "optimizer=grid" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["sweep", "throughput"])
+def test_out_of_range_seed_is_config_error(command, seed, capsys):
+    code, out, err = run(
+        [command, "--config", str(REPO_SCENARIO), "--set", "sweep_var=r",
+         "--set", "sweep_start=0.5", "--set", "sweep_stop=1", "--set", "sweep_points=2",
+         "--seed", seed],
+        capsys,
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "seed" in err
+    assert out == ""
+
+
+def test_every_evaluation_carries_its_method_tag():
+    # the sweep header is laid out from METHOD_TAGS before any evaluation
+    from fdrigs import optimize
+    from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
+    from fdrigs.montecarlo import McConfig
+
+    sys_p = SystemParams(LinkStat(1, 100.0), LinkStat(1, 100.0), LinkStat(1, 10.0),
+                         LinkStat(1, 2.0), p_s=1.0, p_max=1.0)
+    sig, target = SignalParams(1.0, 0.9), RateTarget(1.0)
+    evaluators = {**optimize.METRICS, **cli._mc_metrics(McConfig(20_000, 3))}
+    assert len(optimize.METRICS) == 6
+    for (metric, method), fn in evaluators.items():
+        assert fn(sys_p, sig, target).method == optimize.METHOD_TAGS[method], (metric, method)
 
 
 def test_throughput_requires_rate_sweep(capsys):

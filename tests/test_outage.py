@@ -267,12 +267,6 @@ def test_scalar_and_array_branches_agree():
                     scalar = _gamma_interference_survival(int(m_sig), float(u[k]), float(load[k]), interferer)
                     assert isinstance(scalar, float)
                     assert scalar == pytest.approx(array[k], rel=1e-15, abs=1e-300)
-    sys_p = base_system(2, m_rr=3)
-    g = np.array([0.0, 1e-6, 0.3, 7.0, 1e5])
-    for c in c_x:
-        sig = SignalParams(0.7, float(c))
-        array = sr_decoding_exponent(sys_p, sig, TARGET, g)
-        assert [sr_decoding_exponent(sys_p, sig, TARGET, float(x)) for x in g] == list(array)
 
 
 def test_throughput_helper():
