@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
 from . import ergodic, montecarlo, optimize, outage, specfun
+from ._lazy import np
 from .model import LinkStat, RateTarget, SignalParams, SystemParams
 from .montecarlo import McConfig
 
@@ -184,12 +183,20 @@ def criterion_6_proper_exactness() -> CriterionResult:
 
 def criterion_7_rsi_immunity() -> CriterionResult:
     """Maximally improper signaling saturates at the high-RSI constant while
-    proper signaling drives the link into certain outage."""
+    proper signaling drives the link into certain outage; off Rayleigh the
+    constant bounds the exact outage from above and is its limit."""
     res = CriterionResult("asymptotic RSI immunity", True)
     sys = _table1(pi_rr=1e6)
     k = outage.asymptotic_k(sys, _TARGET)
     ub = outage.p_e2e_rayleigh_ub(sys, SignalParams(1.0, 1.0), _TARGET).value
     res.add(abs(ub - k) <= 1e-3, f"|bound(c_x=1) - K| = {abs(ub - k):.3e} <= 1e-3 (K={k:.6f})")
+    sys_m = _table1(pi_rr=1e6, shapes=(2, 2, 3, 2))
+    k_m = outage.asymptotic_k(sys_m, _TARGET)
+    gap = (k_m - outage.p_e2e_exact(sys_m, SignalParams(1.0, 1.0), _TARGET).value) / k_m
+    res.add(
+        0.0 <= gap <= 1e-4,
+        f"shapes (2,2,3,2): (K - exact(c_x=1)) / K = {gap:.3e} in [0, 1e-4] (K={k_m:.6g})",
+    )
     pgs = outage.p_e2e_exact(sys, SignalParams(1.0, 0.0), _TARGET).value
     res.add(pgs >= 0.99, f"proper outage at 60 dB RSI: {pgs:.4f} >= 0.99")
     return res

@@ -9,23 +9,31 @@ here at the boundary, via ``10 ** (db / 10)``.
 A sweep looks each outage and ergodic (metric, method) column up in
 ``optimize.METRICS``, the table `grid_search` also reads; only the Monte
 Carlo columns are built here.  A throughput column is r (1 - outage) of the
-outage of its method at the same point, evaluated once for both.  The
-header is laid out before any evaluation: each column is tagged
-``metric:tag`` with the tag ``optimize.METHOD_TAGS`` fixes for its method,
-and a Monte Carlo column is followed by its ``:stderr`` column.  A point
-that fails leaves its cells empty and a line in the diagnostics sidecar.
+outage of its method at the same point, evaluated once for both cells,
+whether it succeeds or fails.  The header is laid out before any
+evaluation: each column is tagged ``metric:tag`` with the tag
+``optimize.METHOD_TAGS`` fixes for its method, and a Monte Carlo column is
+followed by its ``:stderr`` column.  A point that fails leaves its cells
+empty and a line in the diagnostics sidecar.
 `throughput` takes both optima of a rate from `optimize.design_optima` and
 the half-duplex baselines of every rate from one Monte Carlo pass.
 Sweep points run one after another: a worker pool gained only a few percent
 on these interpreter-bound evaluations, so it was removed with its flag.
 
+Importing this module loads neither SciPy nor NumPy, and a sweep of the
+``exact``, ``lb`` and ``ub`` columns evaluates on floats only, so it never
+loads NumPy.  The optimizers, the throughput table, the Monte Carlo columns
+and ``validate`` work on arrays and load NumPy at their first array call;
+``validate`` imports the acceptance suite when it runs.
+
 `optimize` writes the method tag its optimizer attaches to the optimum.
 Configuration errors (exit 2) are found before any evaluation: a ``grid_n``
 below 101, a Monte Carlo budget ``McConfig`` refuses (``samples`` below
-10000, a ``seed`` outside [0, 2**64)), a sweep point that the parameter
-types refuse, such as a rate <= 0 on the ``sweep_var = r`` axis of
-``sweep`` and ``throughput``, and a Rayleigh-only optimizer (``2d-cd``,
-``1d-cx``, ``1d-pr``) asked to run on other shapes.
+10000, a ``seed`` outside [0, 2**64)), a value or sweep point that the
+parameter types refuse, such as a rate <= 0 on the ``sweep_var = r`` axis of
+``sweep`` and ``throughput`` or a rate >= 512, whose gamma overflows, and a
+Rayleigh-only optimizer (``2d-cd``, ``1d-cx``, ``1d-pr``) asked to run on
+other shapes.
 """
 
 from __future__ import annotations
@@ -34,9 +42,9 @@ import argparse
 import csv
 import sys as _sys
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from . import acceptance, montecarlo, optimize
+from . import montecarlo, optimize
 from .model import LinkStat, RateTarget, SignalParams, SystemParams
 from .montecarlo import McConfig
 from .outage import METHOD_MONTE_CARLO, EvalResult, throughput
@@ -181,7 +189,7 @@ def build_config(
         sys_params.check_signal(sig)
         target = RateTarget(_as_float(raw, "r"))
         mc = McConfig(_as_int(raw, "samples"), _as_int(raw, "seed"))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
     sweep_var = raw["sweep_var"]
@@ -229,12 +237,12 @@ def build_config(
         optimizer=optimizer,
         grid_n=grid_n,
     )
-    # A sweep point the parameter types refuse (a rate <= 0, c_x outside
-    # [0, 1], ...) is a configuration error, found before any evaluation.
+    # A sweep point the parameter types refuse (a rate <= 0 or >= 512, c_x
+    # outside [0, 1], ...) is a configuration error, found before any evaluation.
     for value in axis:
         try:
             _apply_sweep_value(cfg, value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"sweep point {sweep_var}={value!r}: {exc}") from exc
     return cfg
 
@@ -303,8 +311,9 @@ def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
     for value in cfg.sweep_values:
         sys_p, sig, target = _apply_sweep_value(cfg, value)
         # The throughput cell is derived from the outage of the same method,
-        # so an outage that succeeds is evaluated once per point.
-        outages: Dict[str, EvalResult] = {}
+        # so each outage is evaluated once per point: its result, or the
+        # error it raised, serves both cells.
+        outages: Dict[str, Union[EvalResult, Exception]] = {}
         row: List[object] = [value]
         for metric, method in pairs:
             width = 2 if method == "mc" else 1
@@ -313,8 +322,13 @@ def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
                     res = metrics[(metric, method)](sys_p, sig, target)
                 else:
                     if method not in outages:
-                        outages[method] = metrics[("outage", method)](sys_p, sig, target)
+                        try:
+                            outages[method] = metrics[("outage", method)](sys_p, sig, target)
+                        except (ArithmeticError, ValueError) as exc:
+                            outages[method] = exc
                     res = outages[method]
+                    if isinstance(res, Exception):
+                        raise res
                 cell, stderr = res.value, res.stderr
                 if metric == "throughput":
                     # r (1 - outage); a Monte Carlo standard error scales by r
@@ -399,6 +413,8 @@ def cmd_throughput(cfg: RunConfig, out_path: Optional[str]) -> int:
 
 
 def cmd_validate() -> int:
+    from . import acceptance
+
     results = acceptance.run_all(report=print)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 

@@ -2,6 +2,10 @@
 
 All powers are linear and normalized to unit noise variance at both
 receivers.  dB conversion happens at the CLI boundary only.
+
+The maps take a float or an array: a float takes the formula in `math`, an
+array the same formula in NumPy.  NumPy is bound lazily (`_lazy`), so
+evaluations on floats leave it unloaded.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "LinkStat",
@@ -23,6 +27,9 @@ __all__ = [
 
 # Integer shapes the analysis is scoped to.
 _SUPPORTED_SHAPES = (1, 2, 3, 4)
+
+# gamma = 2^{2r} - 1 overflows a double from r = 512 on.
+_R_OVERFLOW = 512.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,10 @@ class SignalParams:
 
 @dataclass(frozen=True)
 class RateTarget:
-    """Target rate r with the derived constants gamma = 2^{2r}-1, eta = 2^r-1."""
+    """Target rate r with the derived constants gamma = 2^{2r}-1, eta = 2^r-1.
+
+    A rate whose gamma overflows a double (r >= 512) raises OverflowError.
+    """
 
     r: float
     gamma: float = field(init=False)
@@ -100,7 +110,12 @@ class RateTarget:
     def __post_init__(self) -> None:
         if not self.r > 0:
             raise ValueError(f"target rate r must be > 0, got {self.r}")
-        eta = float(np.exp2(self.r)) - 1.0
+        if not self.r < _R_OVERFLOW:
+            raise OverflowError(
+                f"target rate r={self.r!r} is too large: gamma = 2^(2r) - 1 "
+                f"overflows a double for r >= {_R_OVERFLOW:g}"
+            )
+        eta = 2.0 ** float(self.r) - 1.0
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "gamma", (eta + 1.0) ** 2 - 1.0)
 
@@ -143,7 +158,13 @@ def psi_ratio_limit(target: RateTarget, c_x):
 
 
 def alpha(sys: SystemParams, p_r):
-    """RSI loading factor P_r pi_rr / (P_r pi_rr + 1), strictly inside (0, 1)."""
+    """RSI loading factor P_r pi_rr / (P_r pi_rr + 1), strictly inside (0, 1);
+    a Python float in `math`, an array or NumPy scalar in NumPy."""
+    if type(p_r) is float:
+        if not p_r > 0:
+            raise ValueError("p_r must be > 0")
+        beta = p_r * sys.rr.pi
+        return beta / (beta + 1.0)
     p_r = np.asarray(p_r, dtype=float)
     if np.any(p_r <= 0):
         raise ValueError("p_r must be > 0")

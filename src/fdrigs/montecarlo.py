@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .model import RateTarget, SignalParams, SystemParams
 from .rates import ChannelRealization, e2e_rate
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from .model import RateTarget, SignalParams, SystemParams
 from .outage import (
@@ -84,12 +83,14 @@ def ub_derivative_cx(sys: SystemParams, target: RateTarget, p_r, c_x):
     elementwise over arrays p_r and c_x.
 
     A positive value means increasing impropriety still helps at this point.
-    The leading factor c_x forces a zero at c_x = 0.
+    The leading factor c_x forces a zero at c_x = 0.  The survival factor
+    takes `np.exp` on floats too, so a scalar matches its array element
+    exactly.
     """
     if not np.all((0.0 < c_x) & (c_x < 1.0)):
         raise ValueError(f"c_x must lie in (0, 1), got {c_x}")
     gam = target.gamma
-    u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x)
+    u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)
     s_y = 1.0 + v / w
     s = np.sqrt(1.0 + gam * (1.0 - c_x * c_x))
     du = gam * gam * c_x / (p_r * sys.rd.pi * s * ((1.0 + s) * (1.0 + s)))
@@ -104,12 +105,13 @@ def ub_derivative_pr(sys: SystemParams, target: RateTarget, p_r, c_x):
 
     Balances the second-hop gain (more relay power) against the growing
     self-interference seen by the first hop, including the dependence of the
-    RSI loading factor on p_r.
+    RSI loading factor on p_r.  The survival factor takes `np.exp` on
+    floats too, so a scalar matches its array element exactly.
     """
     if np.any(p_r <= 0):
         raise ValueError(f"p_r must be > 0, got {p_r}")
     gam = target.gamma
-    u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x)
+    u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)
     s_y = 1.0 + v / w
     beta = p_r * sys.rr.pi
     du = -u / p_r

@@ -20,6 +20,12 @@ error until the summed error meets the fixed tolerances `QUAD_*`.  It is
 written in `math`, like the scalar branches of the hop survivals and of the
 rate-threshold maps its integrands call, so no evaluation on this path
 creates a NumPy scalar and the library does not import SciPy.
+
+Every outage function takes the same formula in `math` for Python floats,
+so an evaluation at one point never loads NumPy (bound lazily, see
+`_lazy`); only array arguments do.  The high-RSI limit `asymptotic_k` holds
+for every shape: it is the first-hop Q at its RSI-free threshold times the
+second-hop survival at c_x = 1.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ from dataclasses import dataclass
 from sys import float_info
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._lazy import np
 from .model import (
     _SUPPORTED_SHAPES,
     LinkStat,
@@ -344,7 +349,7 @@ def p_sr_rayleigh_ub(sys: SystemParams, sig: SignalParams, target: RateTarget) -
     if sys.sr.m != 1 or sys.rr.m != 1:
         raise ValueError("p_sr_rayleigh_ub requires m_sr = m_rr = 1")
     sys.check_signal(sig)
-    _, v, *_ = _rayleigh_ub_parts(sys, target, sig.p_r, sig.c_x)
+    _, v, *_ = _rayleigh_ub_parts(sys, target, sig.p_r, sig.c_x, math.exp)
     return EvalResult(-math.expm1(-v), METHOD_UPPER_BOUND)
 
 
@@ -396,9 +401,10 @@ def p_e2e_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalRe
     return EvalResult(e2e_lb_value(sys, target, sig.p_r, sig.c_x), METHOD_LOWER_BOUND)
 
 
-def _rayleigh_ub_parts(sys: SystemParams, target: RateTarget, p_r, c_x):
+def _rayleigh_ub_parts(sys: SystemParams, target: RateTarget, p_r, c_x, exp):
     """Pieces of the Rayleigh survival bound exp(-(u + v)) / (d u + 1),
-    vectorized over (p_r, c_x).
+    vectorized over (p_r, c_x), with the exponential `exp` the caller picks:
+    `math.exp` on floats, `np.exp` on arrays.
 
     u = psi_ratio_limit(c_x) / (p_r pi_rd) is the second-hop exponent and
     v = w psi_r(y) the Jensen first-hop exponent, with
@@ -411,17 +417,24 @@ def _rayleigh_ub_parts(sys: SystemParams, target: RateTarget, p_r, c_x):
     y = beta / (beta + 1.0) * c_x
     v = w * psi_r(target, y)
     d = sys.p_s * sys.sd.pi
-    survival = np.exp(-(u + v)) / (d * u + 1.0)
+    survival = exp(-(u + v)) / (d * u + 1.0)
     return u, v, w, y, d, survival
 
 
 def e2e_rayleigh_ub_value(sys: SystemParams, target: RateTarget, p_r, c_x):
-    """Rayleigh end-to-end outage upper bound, vectorized over (p_r, c_x)."""
+    """Rayleigh end-to-end outage upper bound, vectorized over (p_r, c_x).
+
+    Two Python floats take the same formula in `math`.  NumPy scalars stay
+    on the array branch, so they give exactly the value of their array
+    element: `math.exp` and `np.exp` can differ in the last bit.
+    """
     if not sys.all_rayleigh:
         raise ValueError("the Rayleigh upper bound requires all shapes equal to 1")
+    if type(p_r) is float and type(c_x) is float:
+        return 1.0 - _rayleigh_ub_parts(sys, target, p_r, c_x, math.exp)[-1]
     p_r = np.asarray(p_r, dtype=float)
     c_x = np.asarray(c_x, dtype=float)
-    out = 1.0 - _rayleigh_ub_parts(sys, target, p_r, c_x)[-1]
+    out = 1.0 - _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)[-1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -432,13 +445,19 @@ def p_e2e_rayleigh_ub(sys: SystemParams, sig: SignalParams, target: RateTarget) 
 
 
 def asymptotic_k(sys: SystemParams, target: RateTarget) -> float:
-    """High-RSI limit of the maximally improper upper bound (independent of
-    pi_rr), with the relay transmitting at p_max."""
-    if not sys.all_rayleigh:
-        raise ValueError("asymptotic_k is a Rayleigh-scope result")
-    two_prd = 2.0 * sys.p_max * sys.rd.pi
-    num = two_prd * math.exp(-(target.gamma / two_prd + target.gamma / (sys.p_s * sys.sr.pi)))
-    return 1.0 - num / (two_prd + target.gamma * sys.p_s * sys.sd.pi)
+    """High-RSI limit K of the maximally improper (c_x = 1) outage, with the
+    relay transmitting at p_max, for every shape:
+
+        K = 1 - Q(m_sr, gamma / (p_s theta_sr)) * (second-hop survival at c_x = 1).
+
+    At c_x = 1 the first-hop threshold rises with the RSI gain towards
+    gamma / (p_s theta_sr), so K is the pi_rr -> inf limit of the exact
+    outage and an upper bound on it at every pi_rr.
+    """
+    m_sr = sys.sr.m
+    log_q = log_upper_incomplete_gamma_int(m_sr, target.gamma / (sys.p_s * sys.sr.theta))
+    first = math.exp(log_q - math.lgamma(m_sr))
+    return 1.0 - first * _rd_survival(sys, target, sys.p_max, 1.0)
 
 
 def throughput(target: RateTarget, p_out: float) -> float:

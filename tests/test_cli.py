@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,33 @@ def test_model_constraint_is_config_error(capsys):
     assert code == cli.EXIT_CONFIG
 
 
+def test_failed_outage_is_evaluated_once_per_point(monkeypatch, tmp_path):
+    # an outage that raises serves its outage and its throughput cell from
+    # one call, and both cells still get their sidecar line
+    from fdrigs import optimize
+
+    calls = []
+
+    def failing(sys_p, sig, target):
+        calls.append(sig)
+        raise ArithmeticError("stub failure")
+
+    monkeypatch.setitem(optimize.METRICS, ("outage", "exact"), failing)
+    out_file = tmp_path / "s.csv"
+    code = cli.main(base_args("--set", "sweep_points=3", "--set", "metrics=outage,throughput",
+                              "--set", "methods=exact", "--out", str(out_file)))
+    assert code == 0
+    assert len(calls) == 3
+    rows = parse_csv(out_file.read_text())
+    assert [row[1:] for row in rows[1:]] == [["", ""]] * 3
+    sidecar = Path(str(out_file) + ".diagnostics.txt").read_text().splitlines()
+    assert sidecar == [
+        f"c_x={value!r} {metric}/exact: stub failure"
+        for value in (0.0, 0.5, 1.0)
+        for metric in ("outage", "throughput")
+    ]
+
+
 def test_failed_points_get_empty_cells_and_sidecar(tmp_path):
     # the Rayleigh-only bound fails per point under m_sr = 2 without aborting
     out_file = tmp_path / "s.csv"
@@ -248,6 +276,18 @@ def test_rate_axis_at_zero_is_config_error(command, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("sets", [["r=600"], ["sweep_var=r", "sweep_start=1", "sweep_stop=2000"]])
+def test_overflowing_rate_is_config_error(sets, capsys):
+    # RateTarget refuses a rate whose gamma overflows, before any evaluation
+    argv = base_args("--set", "sweep_points=2")
+    for item in sets:
+        argv += ["--set", item]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "overflows" in err
+    assert out == ""
+
+
 def test_out_of_range_sweep_point_is_config_error(capsys):
     code, out, err = run(base_args("--set", "sweep_stop=1.5", "--set", "sweep_points=2"), capsys)
     assert code == cli.EXIT_CONFIG
@@ -261,6 +301,34 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "[]"
+
+
+def test_float_sweep_leaves_numpy_unloaded(tmp_path):
+    # every exact, lb and ub column evaluates on floats, on Rayleigh and off
+    # it, so NumPy's core is never loaded; optimize, in the same process,
+    # works on arrays and loads it through the lazy binding
+    probe = textwrap.dedent(f"""
+        import sys
+        from fdrigs import cli
+
+        def core():
+            return sorted(m for m in ("numpy._core", "numpy.core") if m in sys.modules)
+
+        sweep = ["sweep", "--config", {str(REPO_SCENARIO)!r}, "--set", "sweep_points=2",
+                 "--set", "metrics=outage,throughput,ergodic", "--set", "methods=exact,lb,ub"]
+        for shapes in ([], ["--set", "m_sr=2", "--set", "m_rd=3", "--set", "m_rr=2"]):
+            assert cli.main(sweep + shapes + ["--out", "sweep.csv"]) == 0
+        print("core after sweep:", core())
+        assert cli.main(["optimize", "--config", {str(REPO_SCENARIO)!r}]) == 0
+        print("core after optimize:", core())
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src)).stdout
+    lines = [line for line in out.splitlines() if line.startswith("core after")]
+    assert lines[0] == "core after sweep: []"
+    assert lines[1] != "core after optimize: []"
+    assert (tmp_path / "sweep.csv").is_file()
 
 
 def test_throughput_columns(capsys):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +135,35 @@ def test_alpha():
     assert 0.0 < alpha(sys_p, 0.3) < 1.0
     with pytest.raises(ValueError):
         alpha(sys_p, 0.0)
+
+
+def test_alpha_float_and_array_branches():
+    # a Python float takes the `math` branch and returns a float; an array,
+    # or a NumPy scalar, the NumPy one
+    sys_p = make_system()
+    p_r = np.array([1e-6, 0.3, 1.0, 7.5])
+    array = alpha(sys_p, p_r)
+    for k, p in enumerate(p_r):
+        scalar = alpha(sys_p, float(p))
+        assert type(scalar) is float
+        assert scalar == pytest.approx(array[k], rel=1e-13)
+        assert alpha(sys_p, p) == array[k]
+    with pytest.raises(ValueError):
+        alpha(sys_p, -1.0)
+
+
+def test_rate_target_overflow_is_one_typed_error():
+    # gamma = 2^(2r) - 1 overflows a double from r = 512 on; every such rate
+    # raises the same error, with no NumPy warning and no silent inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(RateTarget(500.0).gamma)
+        messages = []
+        for r in (520.0, 2000.0):
+            with pytest.raises(OverflowError) as info:
+                RateTarget(r)
+            messages.append(str(info.value).replace(repr(r), "R"))
+    assert messages[0] == messages[1]
 
 
 def test_psi_r_stable_under_strong_gamma():

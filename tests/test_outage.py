@@ -236,6 +236,21 @@ def test_asymptotic_k_high_rsi_limit():
     assert ub == pytest.approx(asymptotic_k(strong, TARGET), abs=1e-5)
 
 
+@pytest.mark.parametrize("shapes", [(2, 2, 3, 2), (4, 1, 2, 3), (3, 4, 4, 1)])
+def test_asymptotic_k_every_shape(shapes):
+    # K is the pi_rr -> inf limit of the exact maximally improper outage at
+    # p_max, and lies above it at moderate RSI
+    def system(pi_rr):
+        links = (LinkStat(m, pi) for m, pi in zip(shapes, (100.0, 100.0, pi_rr, 2.0)))
+        return SystemParams(*links, p_s=1.0, p_max=1.0)
+
+    sig = SignalParams(1.0, 1.0)
+    k = asymptotic_k(system(1e9), TARGET)
+    assert k == asymptotic_k(system(10.0), TARGET)
+    assert p_e2e_exact(system(1e9), sig, TARGET).value == pytest.approx(k, rel=1e-8)
+    assert k >= p_e2e_exact(system(10.0), sig, TARGET).value
+
+
 def test_vectorized_ub_matches_scalar():
     sys_p = base_system(1)
     p = np.array([0.25, 0.5, 1.0])
@@ -245,6 +260,24 @@ def test_vectorized_ub_matches_scalar():
         for j, cv in enumerate(c):
             scalar = p_e2e_rayleigh_ub(sys_p, SignalParams(pv, cv), TARGET).value
             assert grid[i, j] == pytest.approx(scalar, rel=1e-13)
+
+
+def test_rayleigh_ub_float_branch():
+    # two Python floats take the `math` branch and return a float within
+    # rounding of the array branch; NumPy scalars stay on the array branch
+    sys_p = base_system(1)
+    p = np.array([0.25, 0.5, 1.0])
+    c = np.array([0.0, 0.5, 0.9, 1.0])
+    for target in (TARGET, RateTarget(0.3), RateTarget(4.0)):
+        grid = e2e_rayleigh_ub_value(sys_p, target, p[:, None], c[None, :])
+        for i, pv in enumerate(p):
+            for j, cv in enumerate(c):
+                value = e2e_rayleigh_ub_value(sys_p, target, float(pv), float(cv))
+                result = p_e2e_rayleigh_ub(sys_p, SignalParams(float(pv), float(cv)), target)
+                assert type(value) is float and type(result.value) is float
+                assert value == result.value
+                assert value == pytest.approx(grid[i, j], rel=1e-13)
+                assert e2e_rayleigh_ub_value(sys_p, target, pv, cv) == grid[i, j]
 
 
 def test_scalar_and_array_branches_agree():
