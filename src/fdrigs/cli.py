@@ -16,7 +16,10 @@ evaluation: each column is tagged ``metric:tag`` with the tag
 followed by its ``:stderr`` column.  A point that fails leaves its cells
 empty and a line in the diagnostics sidecar.
 `throughput` takes both optima of a rate from `optimize.design_optima` and
-the half-duplex baselines of every rate from one Monte Carlo pass.
+the half-duplex baselines from `outage.p_hdr_mhdf` (``closed-form-exact``)
+and `outage.p_hdr_mrc` (``exact-integral``), so its table has no
+``:stderr`` column and does not depend on ``seed`` or ``samples``; both are
+still checked.
 Sweep points run one after another: a worker pool gained only a few percent
 on these interpreter-bound evaluations, so it was removed with its flag.
 
@@ -47,7 +50,15 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import montecarlo, optimize
 from .model import LinkStat, RateTarget, SignalParams, SystemParams
 from .montecarlo import McConfig
-from .outage import METHOD_MONTE_CARLO, EvalResult, throughput
+from .outage import (
+    METHOD_CLOSED_FORM,
+    METHOD_EXACT_INTEGRAL,
+    METHOD_MONTE_CARLO,
+    EvalResult,
+    p_hdr_mhdf,
+    p_hdr_mrc,
+    throughput,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -384,29 +395,23 @@ def cmd_throughput(cfg: RunConfig, out_path: Optional[str]) -> int:
     if cfg.sweep_var != "r":
         raise ConfigError("the throughput command needs sweep_var = r")
     targets = [RateTarget(r) for r in cfg.sweep_values]
-    hdr = montecarlo.estimate_hdr_outage(cfg.sys, targets, cfg.mc)
     optima = [optimize.design_optima(cfg.sys, target, cfg.grid_n) for target in targets]
     pgs_tag, igs_tag = (res.method for res in optima[0])
     header = [
         "r",
         f"throughput:pgs-optimized:{pgs_tag}",
         f"throughput:igs-optimized:{igs_tag}",
-        "throughput:hdr-mhdf:monte-carlo",
-        "throughput:hdr-mhdf:monte-carlo:stderr",
-        "throughput:hdr-mrc:monte-carlo",
-        "throughput:hdr-mrc:monte-carlo:stderr",
+        f"throughput:hdr-mhdf:{METHOD_CLOSED_FORM}",
+        f"throughput:hdr-mrc:{METHOD_EXACT_INTEGRAL}",
     ]
     rows = []
-    for target, (pgs, igs), mhdf, mrc in zip(targets, optima, hdr.mhdf, hdr.mrc):
-        r = target.r
+    for target, (pgs, igs) in zip(targets, optima):
         rows.append([
-            r,
+            target.r,
             throughput(target, pgs.objective),
             throughput(target, igs.objective),
-            throughput(target, mhdf.mean),
-            r * mhdf.stderr,
-            throughput(target, mrc.mean),
-            r * mrc.stderr,
+            throughput(target, p_hdr_mhdf(cfg.sys, target).value),
+            throughput(target, p_hdr_mrc(cfg.sys, target).value),
         ])
     _write_csv(out_path, header, rows)
     return EXIT_OK

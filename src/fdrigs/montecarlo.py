@@ -1,18 +1,17 @@
-"""Monte Carlo oracle: block-fading simulation of the relay link, empirical
-outage/ergodic estimates, and the half-duplex baselines.
+"""Monte Carlo oracle: block-fading simulation of the relay link and
+empirical outage/ergodic estimates.
 
 Sampling uses counter-based Philox substreams, one per accumulation batch of
 the fixed size `_BATCH`, so estimates are bit-identical regardless of how
 batches are scheduled.  The budget (`McConfig`) is a sample count and a seed.
-Both half-duplex baselines at every target rate come from one pass over the
-substreams (`estimate_hdr_outage`).
+The half-duplex baselines are deterministic (`outage.p_hdr_mhdf`,
+`outage.p_hdr_mrc`); their sampler is a test oracle and lives with the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 from ._lazy import np
 from .model import RateTarget, SignalParams, SystemParams
@@ -21,11 +20,9 @@ from .rates import ChannelRealization, e2e_rate
 __all__ = [
     "McConfig",
     "McEstimate",
-    "HdrOutage",
     "sample_gains",
     "estimate_outage",
     "estimate_ergodic",
-    "estimate_hdr_outage",
 ]
 
 # Samples drawn per substream; bounds the memory one accumulation step holds.
@@ -136,61 +133,3 @@ def estimate_ergodic(sys: SystemParams, sig: SignalParams, cfg: McConfig) -> McE
         return e2e_rate(sys, sig, sample_gains(sys, rng, size))
 
     return _estimate(cfg, batch)
-
-
-@dataclass(frozen=True)
-class HdrOutage:
-    """Half-duplex baseline outages from one pass of n samples: per target
-    rate, in the order given, without (mhdf) and with (mrc) combining."""
-
-    n: int
-    mhdf: Tuple[McEstimate, ...]
-    mrc: Tuple[McEstimate, ...]
-
-
-def estimate_hdr_outage(
-    sys: SystemParams, targets: Sequence[RateTarget], cfg: McConfig
-) -> HdrOutage:
-    """Outage of the half-duplex decode-and-forward baselines at every target.
-
-    Each hop occupies half the block, so it must support rate 2r, that is an
-    SNR of at least gamma = 2^{2r} - 1; the relay transmits at full power and
-    suffers no self-interference.  With MRC the destination combines the
-    relayed and direct copies, giving second-stage SNR P_r g_rd + P_s g_sd.
-    A batch draws only the three gains the baselines read, g_sr, g_rd and
-    g_sd in that order, and compares the minimum SNRs with gamma, which is
-    the same event as the minimum rate falling below 2r.  Both baselines at
-    every target are counted on the same samples, so each estimate is
-    bit-identical to a pass of its own.
-    """
-    thresholds = [target.gamma for target in targets]
-    hits_mhdf = [0] * len(thresholds)
-    hits_mrc = [0] * len(thresholds)
-    n = 0
-    for i, size in enumerate(_batch_sizes(cfg)):
-        rng = _batch_rng(cfg, i)
-        snr1 = _gamma_gain(rng, sys.sr.m, sys.sr.theta, size)
-        snr1 *= sys.p_s
-        snr2 = _gamma_gain(rng, sys.rd.m, sys.rd.theta, size)
-        snr2 *= sys.p_max
-        # the direct-link-free minimum is counted and dropped before g_sd is
-        # drawn, so a batch holds at most four arrays of its size
-        min_snr = np.minimum(snr1, snr2)
-        for j, threshold in enumerate(thresholds):
-            hits_mhdf[j] += int(np.count_nonzero(min_snr < threshold))
-        del min_snr
-        direct = _gamma_gain(rng, sys.sd.m, sys.sd.theta, size)
-        direct *= sys.p_s
-        snr2 += direct
-        min_snr = np.minimum(snr1, snr2, out=snr1)
-        for j, threshold in enumerate(thresholds):
-            hits_mrc[j] += int(np.count_nonzero(min_snr < threshold))
-        # nothing outlives the batch into the next draw
-        del snr1, snr2, direct, min_snr
-        n += size
-    # an outage indicator is its own square
-    return HdrOutage(
-        n=n,
-        mhdf=tuple(_summary(h, h, n) for h in hits_mhdf),
-        mrc=tuple(_summary(h, h, n) for h in hits_mrc),
-    )

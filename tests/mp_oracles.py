@@ -20,3 +20,31 @@ def mp_hop_survival(m, u, beta, m_i, theta_i):
         )
         total += u**j / mp.factorial(j) * moments
     return mp.exp(-u) * total / (mp.gamma(m_i) * theta_i**m_i)
+
+
+def mp_combined_survival(m_x, th_x, m_y, th_y, gamma):
+    """P(X + Y >= gamma) for X ~ Gamma(m_x, th_x) and Y ~ Gamma(m_y, th_y):
+
+        Q(m_y, gamma / th_y) + int_0^gamma f_Y(y) Q(m_x, (gamma - y) / th_x) dy,
+
+    conditioned on Y where the library conditions on X.  The integral runs
+    over all of [0, gamma], split at th_y 4^k and gamma - th_x 4^k, so that
+    tanh-sinh finds a density or a survival edge confined to a sliver of it.
+    """
+    th_x, th_y, gamma = mp.mpf(th_x), mp.mpf(th_y), mp.mpf(gamma)
+    norm = mp.factorial(m_y - 1) * th_y**m_y
+    inv_fact = [1 / mp.factorial(j) for j in range(max(m_x, m_y))]
+
+    def q(m, x):
+        # Q(m, x) = e^-x sum_{j<m} x^j / j!
+        return mp.exp(-x) * mp.fsum(x**j * inv_fact[j] for j in range(m))
+
+    def integrand(y):
+        z = (gamma - y) / th_x
+        weight = mp.fsum(z**j * inv_fact[j] for j in range(m_x))
+        return y ** (m_y - 1) * weight * mp.exp(-y / th_y - z) / norm
+
+    scales = [mp.mpf(4) ** k for k in range(-1, 4)]
+    cuts = {th_y * s for s in scales} | {gamma - th_x * s for s in scales}
+    points = [mp.mpf(0)] + sorted(c for c in cuts if 0 < c < gamma) + [gamma]
+    return q(m_y, gamma / th_y) + mp.quad(integrand, points)

@@ -1,7 +1,10 @@
 """Monte Carlo oracle: determinism, sampling distributions, and agreement
-with the analytics at the 3-sigma level."""
+with the analytics at the 3-sigma level.  The half-duplex baselines' sampler
+lives here, as the oracle of `outage.p_hdr_mhdf` and `outage.p_hdr_mrc`."""
 
 import math
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -10,17 +13,18 @@ from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
 from fdrigs.montecarlo import (
     _BATCH,
     McConfig,
+    McEstimate,
     _batch_rng,
     _batch_sizes,
     _estimate,
     _gamma_gain,
+    _summary,
     estimate_ergodic,
-    estimate_hdr_outage,
     estimate_outage,
     sample_gains,
 )
 from fdrigs.ergodic import r_e2e_exact
-from fdrigs.outage import p_e2e_exact, p_rd_exact, p_sr_exact
+from fdrigs.outage import p_e2e_exact, p_hdr_mhdf, p_hdr_mrc, p_rd_exact, p_sr_exact
 from fdrigs.rates import rate_rd, rate_sr
 from fdrigs.specfun import log_upper_incomplete_gamma_int
 
@@ -116,6 +120,59 @@ def test_ergodic_matches_analytics():
     assert abs(est.mean - ref) <= 3.5 * est.stderr
 
 
+@dataclass(frozen=True)
+class HdrOutage:
+    """Half-duplex baseline outages from one pass of n samples: per target
+    rate, in the order given, without (mhdf) and with (mrc) combining."""
+
+    n: int
+    mhdf: Tuple[McEstimate, ...]
+    mrc: Tuple[McEstimate, ...]
+
+
+def estimate_hdr_outage(
+    sys: SystemParams, targets: Sequence[RateTarget], cfg: McConfig
+) -> HdrOutage:
+    """Outage of the half-duplex decode-and-forward baselines at every target.
+
+    Each hop occupies half the block, so it must support rate 2r, that is an
+    SNR of at least gamma = 2^{2r} - 1; the relay transmits at full power and
+    suffers no self-interference.  With MRC the destination combines the
+    relayed and direct copies, giving second-stage SNR P_r g_rd + P_s g_sd.
+    A batch draws only the three gains the baselines read, g_sr, g_rd and
+    g_sd in that order, and compares the minimum SNRs with gamma, which is
+    the same event as the minimum rate falling below 2r.  Both baselines at
+    every target are counted on the same samples, so each estimate is
+    bit-identical to a pass of its own.
+    """
+    thresholds = [target.gamma for target in targets]
+    hits_mhdf = [0] * len(thresholds)
+    hits_mrc = [0] * len(thresholds)
+    n = 0
+    for i, size in enumerate(_batch_sizes(cfg)):
+        rng = _batch_rng(cfg, i)
+        snr1 = _gamma_gain(rng, sys.sr.m, sys.sr.theta, size)
+        snr1 *= sys.p_s
+        snr2 = _gamma_gain(rng, sys.rd.m, sys.rd.theta, size)
+        snr2 *= sys.p_max
+        min_snr = np.minimum(snr1, snr2)
+        for j, threshold in enumerate(thresholds):
+            hits_mhdf[j] += int(np.count_nonzero(min_snr < threshold))
+        direct = _gamma_gain(rng, sys.sd.m, sys.sd.theta, size)
+        direct *= sys.p_s
+        snr2 += direct
+        min_snr = np.minimum(snr1, snr2)
+        for j, threshold in enumerate(thresholds):
+            hits_mrc[j] += int(np.count_nonzero(min_snr < threshold))
+        n += size
+    # an outage indicator is its own square
+    return HdrOutage(
+        n=n,
+        mhdf=tuple(_summary(h, h, n) for h in hits_mhdf),
+        mrc=tuple(_summary(h, h, n) for h in hits_mrc),
+    )
+
+
 def test_hdr_mrc_dominates_mhdf():
     # combining the direct copy can only reduce half-duplex outage
     sys_p = base_system()
@@ -200,3 +257,20 @@ def test_hdr_mhdf_matches_closed_form(sr, rd, r, seed):
                  * _regularized_q(rd.m, g / (sys_p.p_max * rd.theta)))
     assert 0.05 < ref < 0.95
     assert abs(est.mean - ref) <= 4.0 * est.stderr
+
+
+@pytest.mark.parametrize("shapes", [(1, 1, 1, 1), (2, 3, 1, 2), (4, 2, 3, 1)])
+def test_hdr_baselines_match_oracle(shapes):
+    # the deterministic baselines against the sampler, at three rates
+    m_sr, m_rd, m_rr, m_sd = shapes
+    sys_p = SystemParams(
+        sr=LinkStat(m_sr, 100.0), rd=LinkStat(m_rd, 30.0), rr=LinkStat(m_rr, 10.0),
+        sd=LinkStat(m_sd, 20.0), p_s=1.0, p_max=2.0,
+    )
+    targets = [RateTarget(r) for r in (0.5, 1.0, 2.0)]
+    est = estimate_hdr_outage(sys_p, targets, McConfig(seed=5))
+    for target, mhdf, mrc in zip(targets, est.mhdf, est.mrc):
+        for fn, sample in ((p_hdr_mhdf, mhdf), (p_hdr_mrc, mrc)):
+            value = fn(sys_p, target).value
+            assert sample.stderr > 0, (fn.__name__, target.r)
+            assert abs(sample.mean - value) <= 4.0 * sample.stderr, (fn.__name__, target.r)

@@ -13,12 +13,15 @@ from scipy import integrate, stats
 
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, psi_r, psi_ratio_limit
 from fdrigs.outage import (
+    _combined_survival,
     _gamma_interference_survival,
     asymptotic_k,
     e2e_rayleigh_ub_value,
     p_e2e_exact,
     p_e2e_lb,
     p_e2e_rayleigh_ub,
+    p_hdr_mhdf,
+    p_hdr_mrc,
     p_rd_exact,
     p_sr_exact,
     p_sr_lb,
@@ -26,7 +29,7 @@ from fdrigs.outage import (
     sr_decoding_exponent,
     throughput,
 )
-from mp_oracles import mp_hop_survival
+from mp_oracles import mp_combined_survival, mp_hop_survival
 
 # frozen anchors, cross-checked against independent quadrature oracles
 PGS_E2E_EXACT = 0.12638264411162647
@@ -326,3 +329,65 @@ def test_closed_form_probabilities_in_unit_interval_at_full_impropriety():
         for fn in (p_sr_lb, p_e2e_lb, p_rd_exact):
             value = fn(sys_p, sig, TARGET).value
             assert 0.0 <= value <= 1.0, (fn.__name__, sys_p, value)
+
+
+def audit_draws(n, seed=7):
+    """Systems and rates of the first n draws of the audit domain D: shapes
+    1..4 on each link (every third draw all-Rayleigh), link powers
+    10^U(-1, 5), p_max = 10^U(0, 1), p_s = U(0.1, 1) p_max and
+    r = 10^U(-1, 0.8)."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        shapes = (1, 1, 1, 1) if i % 3 == 0 else tuple(int(m) for m in rng.integers(1, 5, size=4))
+        pis = 10.0 ** rng.uniform(-1.0, 5.0, size=4)
+        p_max = float(10.0 ** rng.uniform(0.0, 1.0))
+        p_s = float(rng.uniform(0.1, 1.0)) * p_max
+        r = float(10.0 ** rng.uniform(-1.0, 0.8))
+        links = (LinkStat(m, float(pi)) for m, pi in zip(shapes, pis))
+        yield SystemParams(*links, p_s=p_s, p_max=p_max), RateTarget(r)
+
+
+def test_asymptotic_k_bounds_exact_over_audit_domain():
+    # K is an upper bound on the exact maximally improper outage at p_max
+    # for every shape and every RSI power, not only in the limit
+    for sys_p, target in audit_draws(300):
+        exact = p_e2e_exact(sys_p, SignalParams(sys_p.p_max, 1.0), target).value
+        assert exact <= asymptotic_k(sys_p, target) + 1e-9, (sys_p, target)
+
+
+def test_hdr_mrc_over_twelve_decades_of_scale():
+    # The MRC survival P(X + Y >= gamma), X = p_max g_rd and Y = p_s g_sd,
+    # against a split-domain mpmath reference, and the MRC outage never
+    # above the MHDF outage.  Two cases put one second-stage link at -50 dB
+    # beside 20 dB links: with pi_sd there, the MRC outage comes out 1.0
+    # (MHDF: 2.1e-7) when the integral, conditioned on Y, runs over a fixed
+    # [0, gamma]; pi_rd there does the same to the integral conditioned on X.
+    # The seeded draws put p_max theta_rd and p_s theta_sd anywhere in
+    # [1e-6, 1e6] gamma, with the first hop surviving with Q(m_sr, 1).
+    weak = 1e-5
+    cases = [
+        (SystemParams(LinkStat(4, 100.0), LinkStat(4, 100.0), LinkStat(4, 10.0), LinkStat(1, weak),
+                      p_s=1.0, p_max=1.0), RateTarget(0.5)),
+        (SystemParams(LinkStat(1, 100.0), LinkStat(1, weak), LinkStat(1, 10.0), LinkStat(4, 100.0),
+                      p_s=1.0, p_max=1.0), RateTarget(0.5)),
+    ]
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        m_sr, m_rd, m_rr, m_sd = (int(m) for m in rng.integers(1, 5, size=4))
+        target = RateTarget(float(rng.uniform(0.1, 6.3)))
+        x_scale, y_scale = target.gamma * 10.0 ** rng.uniform(-6.0, 6.0, size=2)
+        sys_p = SystemParams(
+            sr=LinkStat(m_sr, m_sr * target.gamma), rd=LinkStat(m_rd, m_rd * float(x_scale) / 2.0),
+            rr=LinkStat(m_rr, 10.0), sd=LinkStat(m_sd, m_sd * float(y_scale)), p_s=1.0, p_max=2.0,
+        )
+        cases.append((sys_p, target))
+    with mp.workdps(20):
+        for sys_p, target in cases:
+            stage = (sys_p.rd.m, sys_p.p_max * sys_p.rd.theta, sys_p.sd.m, sys_p.p_s * sys_p.sd.theta,
+                     target.gamma)
+            value = _combined_survival(*stage)
+            ref = float(mp_combined_survival(*stage))
+            # the domain leaves out two tails of less than 1e-20 each
+            assert abs(value - ref) <= 1e-9 * ref + 2e-20, (stage, value, ref)
+            mrc, mhdf = p_hdr_mrc(sys_p, target).value, p_hdr_mhdf(sys_p, target).value
+            assert mrc <= mhdf + 1e-15, (stage, mrc, mhdf)
