@@ -22,6 +22,9 @@ and `outage.p_hdr_mrc` (``exact-integral``), so its table has no
 still checked.
 Sweep points run one after another: a worker pool gained only a few percent
 on these interpreter-bound evaluations, so it was removed with its flag.
+`main` parses with one argument parser per process, built at its first call
+rather than at import and reused by every later call; a call leaves nothing
+in it, so each call parses as in a fresh process.
 
 Importing this module loads neither SciPy nor NumPy, and a sweep of the
 ``exact``, ``lb`` and ``ub`` columns evaluates on floats only, so it never
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys as _sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
@@ -424,7 +428,13 @@ def cmd_validate() -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process, built at the first `main` call.
+
+    Reuse is stateless: parsing writes only to a fresh namespace, and the
+    append action of ``--set`` copies its default list before it appends.
+    """
     parser = argparse.ArgumentParser(
         prog="fdrigs",
         description="Outage and ergodic-rate analysis of a full-duplex relay "

@@ -15,10 +15,17 @@ unimodal in each variable separately, so a single interior stationary point
 (found by bisecting the analytic derivative) plus the interval endpoints
 always contain the global minimizer.  Every optimum carries the method tag
 of the objective it minimized, set by the optimizer that chose it.
+
+The searches run on Python floats.  The derivatives take a float branch
+that checks ranges by comparison and takes square roots in `math`, but keep
+`np.exp` in the survival factor, so a float call returns exactly its array
+element.  The best candidate is picked in plain Python, the first of equal
+minima as with `np.argmin`; a non-finite candidate raises ArithmeticError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -83,16 +90,22 @@ def ub_derivative_cx(sys: SystemParams, target: RateTarget, p_r, c_x):
     elementwise over arrays p_r and c_x.
 
     A positive value means increasing impropriety still helps at this point.
-    The leading factor c_x forces a zero at c_x = 0.  The survival factor
+    The leading factor c_x forces a zero at c_x = 0.  A Python float c_x
+    takes its range check as a plain comparison and its square root in
+    `math`; both square roots are correctly rounded.  The survival factor
     takes `np.exp` on floats too, so a scalar matches its array element
     exactly.
     """
-    if not np.all((0.0 < c_x) & (c_x < 1.0)):
+    if type(c_x) is float:
+        inside, sqrt = 0.0 < c_x < 1.0, math.sqrt
+    else:
+        inside, sqrt = np.all((0.0 < c_x) & (c_x < 1.0)), np.sqrt
+    if not inside:
         raise ValueError(f"c_x must lie in (0, 1), got {c_x}")
     gam = target.gamma
     u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)
     s_y = 1.0 + v / w
-    s = np.sqrt(1.0 + gam * (1.0 - c_x * c_x))
+    s = sqrt(1.0 + gam * (1.0 - c_x * c_x))
     du = gam * gam * c_x / (p_r * sys.rd.pi * s * ((1.0 + s) * (1.0 + s)))
     a = y / c_x  # the RSI loading factor
     dv = -w * gam * a * a * c_x / s_y
@@ -105,10 +118,11 @@ def ub_derivative_pr(sys: SystemParams, target: RateTarget, p_r, c_x):
 
     Balances the second-hop gain (more relay power) against the growing
     self-interference seen by the first hop, including the dependence of the
-    RSI loading factor on p_r.  The survival factor takes `np.exp` on
-    floats too, so a scalar matches its array element exactly.
+    RSI loading factor on p_r.  A Python float p_r takes its range check
+    as a plain comparison.  The survival factor takes `np.exp` on floats
+    too, so a scalar matches its array element exactly.
     """
-    if np.any(p_r <= 0):
+    if (p_r <= 0) if type(p_r) is float else np.any(p_r <= 0):
         raise ValueError(f"p_r must be > 0, got {p_r}")
     gam = target.gamma
     u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)
@@ -121,9 +135,11 @@ def ub_derivative_pr(sys: SystemParams, target: RateTarget, p_r, c_x):
     return -dsurv
 
 
-def _bisect_root(deriv: Callable[[float], float], lo: float, hi: float) -> Tuple[float, int, bool]:
-    """Root of a sign-changing derivative on [lo, hi] by plain bisection."""
-    f_lo = deriv(lo)
+def _bisect_root(
+    deriv: Callable[[float], float], lo: float, hi: float, f_lo: float
+) -> Tuple[float, int, bool]:
+    """Root of a sign-changing derivative on [lo, hi] by plain bisection,
+    given f_lo = deriv(lo)."""
     iters = 0
     while hi - lo > _X_TOL and iters < _MAX_ITERS:
         mid = 0.5 * (lo + hi)
@@ -149,15 +165,22 @@ def _bracket_and_pick(
 ) -> OptResult:
     """Minimize value_fn over the interval ends plus the root of deriv, which
     is bisected only if deriv changes sign on [lo, hi]; point maps the search
-    variable to the design point (p_r, c_x)."""
+    variable to the design point (p_r, c_x).
+
+    The first of equal minima wins, as with `np.argmin`; a non-finite
+    candidate value raises ArithmeticError instead of being picked or skipped.
+    """
     candidates = list(ends)
     iterations = 0
     converged = True
-    if (deriv(lo) > 0) != (deriv(hi) > 0):
-        root, iterations, converged = _bisect_root(deriv, lo, hi)
+    f_lo = deriv(lo)
+    if (f_lo > 0) != (deriv(hi) > 0):
+        root, iterations, converged = _bisect_root(deriv, lo, hi, f_lo)
         candidates.append(root)
     values = [value_fn(x) for x in candidates]
-    best = int(np.argmin(values))
+    if not all(math.isfinite(v) for v in values):
+        raise ArithmeticError(f"non-finite objective among the candidates: {values}")
+    best = min(range(len(values)), key=values.__getitem__)
     p_r, c_x = point(candidates[best])
     return OptResult(
         p_r_star=p_r,

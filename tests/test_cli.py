@@ -197,6 +197,30 @@ def test_optimize_subcommand(tmp_path, capsys):
     assert float(record["converged"]) == 1.0
 
 
+def test_flat_bound_optimum_keeps_the_first_candidate(tmp_path, capsys):
+    # at 80 dB of self-interference the bound reads 1 at every candidate;
+    # the tie goes to the first, the lower end of the p_r bracket at c_x = 0
+    out_file = tmp_path / "flat.csv"
+    code, out, err = run(["optimize", "--set", "pi_rr_db=80", "--out", str(out_file)], capsys)
+    assert code == 0
+    assert "objective  : 1 (upper-bound)" in out
+    assert out_file.read_bytes() == (
+        b"optimizer,p_r_star,c_x_star,objective:upper-bound,iterations,converged\r\n"
+        b"2d-cd,1e-07,0,1,1,1\r\n"
+    )
+
+
+def test_non_finite_optimizer_candidate_is_numerical_error(monkeypatch, capsys):
+    from fdrigs import optimize
+
+    monkeypatch.setattr(optimize, "e2e_rayleigh_ub_value", lambda *args: float("nan"))
+    code, out, err = run(["optimize", "--config", str(REPO_SCENARIO),
+                          "--set", "optimizer=1d-cx"], capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert "non-finite" in err
+    assert out == ""
+
+
 def test_optimize_grid_variant(capsys):
     code, out, err = run(
         ["optimize", "--config", str(REPO_SCENARIO), "--set", "optimizer=grid"],
@@ -365,3 +389,44 @@ def test_validate_wiring(monkeypatch, capsys):
     )
     assert cli.main(["validate"]) == cli.EXIT_VALIDATION
 
+
+def test_parser_reuse_is_stateless(tmp_path, monkeypatch, capsys):
+    # one parser serves every call of a process: each call must print and
+    # write what a fresh process prints and writes for the same argv, and
+    # no --set of an earlier call reaches a later one; the rejected call's
+    # 80 dB of self-interference would change the throughput table after it
+    scenario = ["--config", str(REPO_SCENARIO)]
+    calls = [
+        ["optimize", *scenario, "--set", "optimizer=2d-cd", "--set", "pi_sd_db=0",
+         "--out", "opt.csv"],
+        ["throughput", *scenario, "--set", "pi_rr_db=80", "--no-such-flag"],
+        ["throughput", *scenario, "--set", "sweep_var=r", "--set", "sweep_start=0.5",
+         "--set", "sweep_stop=1.5", "--set", "sweep_points=2", "--seed", "9",
+         "--samples", "30000", "--out", "thr.csv"],
+        ["sweep", *scenario, "--set", "sweep_var=pi_rr", "--set", "sweep_scale=db",
+         "--set", "sweep_start=0", "--set", "sweep_stop=20", "--set", "metrics=outage,throughput"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    for sub in ("in", "fresh"):
+        (tmp_path / sub).mkdir()
+    monkeypatch.chdir(tmp_path / "in")
+    codes = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "fdrigs.cli", *argv], capture_output=True,
+                               cwd=tmp_path / "fresh", env=env)
+        assert code == fresh.returncode
+        assert captured.out.encode() == fresh.stdout
+        assert captured.err.encode() == fresh.stderr
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]
+    for name in ("opt.csv", "thr.csv"):
+        assert (tmp_path / "in" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser().parse_args(["sweep"]).set == []

@@ -4,8 +4,10 @@ against exhaustive search, and deterministic tie-breaking."""
 import numpy as np
 import pytest
 
+from fdrigs import optimize
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
 from fdrigs.optimize import (
+    _bracket_and_pick,
     _grid_values,
     bisect_circularity,
     bisect_power,
@@ -86,6 +88,63 @@ def test_derivatives_accept_arrays():
         ub_derivative_cx(base_system(), TARGET, 1.0, np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         ub_derivative_pr(base_system(), TARGET, np.array([0.5, 0.0]), 0.5)
+
+
+def test_derivative_float_branch_is_exact_and_scalar(monkeypatch):
+    # a float call checks its range by comparison and takes its square root
+    # in math: it returns exactly its array element and calls no NumPy reduction
+    rng = np.random.default_rng(18)
+    cases = []
+    for pi_rr in (0.5, 10.0, 60.0):
+        sys_p = base_system(pi_rr, p_max=3.0)
+        target = RateTarget(rng.uniform(0.3, 2.0))
+        p_r, c_x = rng.uniform(0.05, 1.0) * sys_p.p_max, rng.uniform(0.02, 0.98)
+        c_grid = np.linspace(1e-7, 1 - 1e-7, 2001)
+        p_grid = np.linspace(1e-7 * sys_p.p_max, sys_p.p_max, 2001)
+        cases.append((ub_derivative_cx(sys_p, target, p_r, c_grid),
+                      lambda c, s=sys_p, t=target, p=p_r: ub_derivative_cx(s, t, p, c), c_grid))
+        cases.append((ub_derivative_pr(sys_p, target, p_grid, c_x),
+                      lambda p, s=sys_p, t=target, c=c_x: ub_derivative_pr(s, t, p, c), p_grid))
+
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("a float derivative called a NumPy reduction")
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize.np, "all", no_reduction)
+        m.setattr(optimize.np, "any", no_reduction)
+        scalars = [[fn(float(x)) for x in grid] for _, fn, grid in cases]
+        for c_x in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError):
+                ub_derivative_cx(base_system(), TARGET, 1.0, c_x)
+        with pytest.raises(ValueError):
+            ub_derivative_pr(base_system(), TARGET, 0.0, 0.5)
+    for (array, _, _), scalar in zip(cases, scalars):
+        assert np.array_equal(array, scalar)
+
+
+def _pick(values, deriv=lambda x: 1.0):
+    """_bracket_and_pick over c_x on [0, 1], with value_fn read from a table."""
+    return _bracket_and_pick(deriv, lambda x: values[x], 0.1, 0.9, (0.0, 1.0),
+                             lambda x: (1.0, x), "upper-bound")
+
+
+def test_bracket_and_pick_keeps_the_first_of_equal_minima():
+    res = _pick({0.0: 0.25, 1.0: 0.25})
+    assert (res.c_x_star, res.objective, res.iterations) == (0.0, 0.25, 0)
+    # the derivative 0.5 - x has its root at the first midpoint, 0.5; the
+    # upper end ties with the root and comes first among the candidates
+    res = _pick({0.0: 0.5, 1.0: 0.25, 0.5: 0.25}, deriv=lambda x: 0.5 - x)
+    assert res.trace == [0.5, 0.25, 0.25]
+    assert (res.c_x_star, res.objective, res.iterations) == (1.0, 0.25, 1)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, 0.5])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_bracket_and_pick_rejects_a_non_finite_candidate(bad, value):
+    values = {0.0: 0.5, 1.0: 0.25, 0.5: 0.25}
+    values[bad] = value
+    with pytest.raises(ArithmeticError):
+        _pick(values, deriv=lambda x: 0.5 - x)
 
 
 def test_bisect_circularity_vs_fine_grid():
