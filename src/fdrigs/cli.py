@@ -39,7 +39,8 @@ below 101, a Monte Carlo budget ``McConfig`` refuses (``samples`` below
 parameter types refuse, such as a rate <= 0 on the ``sweep_var = r`` axis of
 ``sweep`` and ``throughput`` or a rate >= 512, whose gamma overflows, and a
 Rayleigh-only optimizer (``2d-cd``, ``1d-cx``, ``1d-pr``) asked to run on
-other shapes.
+other shapes.  An ``--out`` path or diagnostics sidecar that cannot be
+written is one too, found when the output is written.
 """
 
 from __future__ import annotations
@@ -302,8 +303,16 @@ def _fmt(value: object) -> str:
     return format(float(value), ".12g")
 
 
+def _open_out(path: str):
+    """Open an output file for writing; a path that cannot be written is a config error."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: Optional[str], header: List[str], rows: List[List[object]]) -> None:
-    out = open(path, "w", newline="", encoding="utf-8") if path else _sys.stdout
+    out = _open_out(path) if path else _sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(header)
@@ -325,25 +334,22 @@ def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
     rows = []
     for value in cfg.sweep_values:
         sys_p, sig, target = _apply_sweep_value(cfg, value)
-        # The throughput cell is derived from the outage of the same method,
-        # so each outage is evaluated once per point: its result, or the
-        # error it raised, serves both cells.
-        outages: Dict[str, Union[EvalResult, Exception]] = {}
+        # One evaluation per (metric, method) entry and point: its result, or the
+        # error it raised, also serves the throughput cell of the same method.
+        memo: Dict[Tuple[str, str], Union[EvalResult, Exception]] = {}
         row: List[object] = [value]
         for metric, method in pairs:
             width = 2 if method == "mc" else 1
+            key = ("ergodic" if metric == "ergodic" else "outage", method)
+            if key not in memo:
+                try:
+                    memo[key] = metrics[key](sys_p, sig, target)
+                except (ArithmeticError, ValueError) as exc:
+                    memo[key] = exc
+            res = memo[key]
             try:
-                if metric == "ergodic":
-                    res = metrics[(metric, method)](sys_p, sig, target)
-                else:
-                    if method not in outages:
-                        try:
-                            outages[method] = metrics[("outage", method)](sys_p, sig, target)
-                        except (ArithmeticError, ValueError) as exc:
-                            outages[method] = exc
-                    res = outages[method]
-                    if isinstance(res, Exception):
-                        raise res
+                if isinstance(res, Exception):
+                    raise res
                 cell, stderr = res.value, res.stderr
                 if metric == "throughput":
                     # r (1 - outage); a Monte Carlo standard error scales by r
@@ -357,7 +363,7 @@ def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
     _write_csv(out_path, header, rows)
     if diagnostics:
         sidecar = (out_path or "sweep") + ".diagnostics.txt"
-        with open(sidecar, "w", encoding="utf-8") as fh:
+        with _open_out(sidecar) as fh:
             fh.write("\n".join(diagnostics) + "\n")
         print(f"{len(diagnostics)} point(s) failed; see {sidecar}", file=_sys.stderr)
     return EXIT_OK

@@ -3,9 +3,10 @@
 All powers are linear and normalized to unit noise variance at both
 receivers.  dB conversion happens at the CLI boundary only.
 
-The maps take a float or an array: a float takes the formula in `math`, an
-array the same formula in NumPy.  NumPy is bound lazily (`_lazy`), so
-evaluations on floats leave it unloaded.
+The parameter types convert pi, p_s, p_max, p_r and c_x to Python floats
+after their checks.  One rule then picks the arithmetic of every map: a
+Python float takes `math`, anything else NumPy.  NumPy is bound lazily
+(`_lazy`), so an evaluation at one design point leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class LinkStat:
         object.__setattr__(self, "m", int(self.m))
         if not self.pi > 0:
             raise ValueError(f"mean power pi must be > 0, got {self.pi}")
+        object.__setattr__(self, "pi", float(self.pi))
         object.__setattr__(self, "theta", self.pi / self.m)
 
 
@@ -72,6 +74,8 @@ class SystemParams:
             raise ValueError(f"p_max must be > 0, got {self.p_max}")
         if self.p_s > self.p_max:
             raise ValueError(f"p_s={self.p_s} exceeds p_max={self.p_max}")
+        object.__setattr__(self, "p_s", float(self.p_s))
+        object.__setattr__(self, "p_max", float(self.p_max))
 
     @property
     def all_rayleigh(self) -> bool:
@@ -94,6 +98,8 @@ class SignalParams:
             raise ValueError(f"p_r must be > 0, got {self.p_r}")
         if not 0.0 <= self.c_x <= 1.0:
             raise ValueError(f"c_x must lie in [0, 1], got {self.c_x}")
+        object.__setattr__(self, "p_r", float(self.p_r))
+        object.__setattr__(self, "c_x", float(self.c_x))
 
 
 @dataclass(frozen=True)
@@ -120,14 +126,19 @@ class RateTarget:
         object.__setattr__(self, "gamma", (eta + 1.0) ** 2 - 1.0)
 
 
+def _scalar_or_array(out):
+    """A NumPy result as the maps return it: a 0-d array as a Python float."""
+    return float(out) if out.ndim == 0 else out
+
+
 def psi_r(target: RateTarget, x):
     """Rate-threshold map sqrt(1 + gamma (1 - x^2)) - 1 on [0, 1].
 
     Computed as gamma (1-x)(1+x) / (1 + sqrt(1 + gamma (1 - x^2))), which
-    stays accurate as x -> 1 where the naive form cancels.  A float takes
-    the same formula in `math`, an array elementwise in NumPy.
+    stays accurate as x -> 1 where the naive form cancels.  A Python float
+    takes the formula in `math`, anything else the same one in NumPy.
     """
-    if isinstance(x, float):
+    if type(x) is float:
         if x < 0.0 or x > 1.0:
             raise ValueError("psi_r argument must lie in [0, 1]")
         g = target.gamma * ((1.0 - x) * (1.0 + x))
@@ -137,14 +148,13 @@ def psi_r(target: RateTarget, x):
         raise ValueError("psi_r argument must lie in [0, 1]")
     one_minus_x2 = (1.0 - x) * (1.0 + x)
     g = target.gamma * one_minus_x2
-    out = g / (1.0 + np.sqrt(1.0 + g))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(g / (1.0 + np.sqrt(1.0 + g)))
 
 
 def psi_ratio_limit(target: RateTarget, c_x):
     """psi_r(c_x) / (1 - c_x^2), continuously extended to gamma/2 at c_x = 1;
-    a float in `math`, an array in NumPy."""
-    if isinstance(c_x, float):
+    a Python float in `math`, anything else in NumPy."""
+    if type(c_x) is float:
         if c_x < 0.0 or c_x > 1.0:
             raise ValueError("c_x must lie in [0, 1]")
         g = target.gamma * (1.0 - c_x) * (1.0 + c_x)
@@ -153,21 +163,14 @@ def psi_ratio_limit(target: RateTarget, c_x):
     if np.any((c_x < 0) | (c_x > 1)):
         raise ValueError("c_x must lie in [0, 1]")
     g = target.gamma * (1.0 - c_x) * (1.0 + c_x)
-    out = target.gamma / (1.0 + np.sqrt(1.0 + g))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(target.gamma / (1.0 + np.sqrt(1.0 + g)))
 
 
 def alpha(sys: SystemParams, p_r):
-    """RSI loading factor P_r pi_rr / (P_r pi_rr + 1), strictly inside (0, 1);
-    a Python float in `math`, an array or NumPy scalar in NumPy."""
-    if type(p_r) is float:
-        if not p_r > 0:
-            raise ValueError("p_r must be > 0")
-        beta = p_r * sys.rr.pi
-        return beta / (beta + 1.0)
-    p_r = np.asarray(p_r, dtype=float)
-    if np.any(p_r <= 0):
+    """RSI loading factor P_r pi_rr / (P_r pi_rr + 1), strictly inside (0, 1),
+    elementwise over an array p_r.  It takes no square root or exponential,
+    so floats and arrays share one body; only the range check differs."""
+    if (not p_r > 0) if type(p_r) is float else np.any(p_r <= 0):
         raise ValueError("p_r must be > 0")
     beta = p_r * sys.rr.pi
-    out = beta / (beta + 1.0)
-    return float(out) if out.ndim == 0 else out
+    return beta / (beta + 1.0)

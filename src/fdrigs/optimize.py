@@ -16,8 +16,9 @@ unimodal in each variable separately, so a single interior stationary point
 always contain the global minimizer.  Every optimum carries the method tag
 of the objective it minimized, set by the optimizer that chose it.
 
-The searches run on Python floats.  The derivatives take a float branch
-that checks ranges by comparison and takes square roots in `math`, but keep
+The searches run on Python floats, as the 1D searches convert their fixed
+coordinate after its check.  The derivatives take a float branch that
+checks ranges by comparison and takes square roots in `math`, but keep
 `np.exp` in the survival factor, so a float call returns exactly its array
 element.  The best candidate is picked in plain Python, the first of equal
 minima as with `np.argmin`; a non-finite candidate raises ArithmeticError.
@@ -199,6 +200,7 @@ def bisect_circularity(sys: SystemParams, target: RateTarget, p_r: float) -> Opt
         raise ValueError("bisect_circularity requires all shapes equal to 1")
     if not 0 < p_r <= sys.p_max:
         raise ValueError(f"p_r must lie in (0, p_max], got {p_r}")
+    p_r = float(p_r)
     return _bracket_and_pick(
         # The objective falls as the survival rises: bisect on -survival'.
         lambda c: -ub_derivative_cx(sys, target, p_r, c),
@@ -240,6 +242,7 @@ def bisect_power(
         raise ValueError(f"c_x must lie in [0, 1], got {c_x}")
     if objective not in ("auto", "ub"):
         raise ValueError(f"objective must be 'auto' or 'ub', got {objective!r}")
+    c_x = float(c_x)
     lo, hi = _EDGE * sys.p_max, sys.p_max
     if objective == "auto" and c_x == 0.0:
         deriv = lambda p: _pgs_exact_dlog(sys, target, p)

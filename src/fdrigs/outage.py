@@ -21,11 +21,11 @@ written in `math`, like the scalar branches of the hop survivals and of the
 rate-threshold maps its integrands call, so no evaluation on this path
 creates a NumPy scalar and the library does not import SciPy.
 
-Every outage function takes the same formula in `math` for Python floats,
-so an evaluation at one point never loads NumPy (bound lazily, see
-`_lazy`); only array arguments do.  The high-RSI limit `asymptotic_k` holds
-for every shape: it is the first-hop Q at its RSI-free threshold times the
-second-hop survival at c_x = 1.
+The parameter types hold Python floats (`model`), and every outage function
+takes its `math` formula on them, so an evaluation at one point never loads
+NumPy (bound lazily, see `_lazy`); only array arguments do.  The high-RSI
+limit `asymptotic_k` holds for every shape: it is the first-hop Q at its
+RSI-free threshold times the second-hop survival at c_x = 1.
 
 The half-duplex decode-and-forward baselines (Laneman, Tse and Wornell,
 2004) are deterministic too: without combining (`p_hdr_mhdf`) the outage is
@@ -48,6 +48,7 @@ from .model import (
     RateTarget,
     SignalParams,
     SystemParams,
+    _scalar_or_array,
     psi_r,
     psi_ratio_limit,
 )
@@ -306,7 +307,7 @@ _HOP_POLY = {
 def _gamma_interference_survival(m_sig: int, u, load, interferer: LinkStat):
     """E_g[Q(m_sig, u (1 + load g))] for g ~ Gamma(m_i, theta_i), the
     interferer's shape and scale, elementwise over arrays u and load; two
-    floats take the same formula in `math`.
+    Python floats take the same formula in `math`.
 
     Q(m, y) = e^-y sum_{m'<m} y^m' / m'!, so after a binomial expansion of
     (1 + load g)^m' every term is a Gamma moment E[g^k e^{-u load g}], and
@@ -333,10 +334,10 @@ def _gamma_interference_survival(m_sig: int, u, load, interferer: LinkStat):
             poly = poly * z + c
         total += term * poly
     # Rounding lifts the sum up to a few ulp above 1 as u -> 0; a survival cannot exceed 1.
-    if isinstance(u, float) and isinstance(load, float):
+    if type(u) is float and type(load) is float:
         return min(1.0, math.exp(-u) * total / t**m_i)
-    out = np.minimum(1.0, np.exp(-u) * total / t**m_i)
-    return float(out) if out.ndim == 0 else out
+    # np.power, not **: a NumPy scalar's ** (C pow) can differ from the array loop
+    return _scalar_or_array(np.minimum(1.0, np.exp(-u) * total / np.power(t, m_i)))
 
 
 def _sr_survival_lb_complement(sys: SystemParams, target: RateTarget, p_r, c_x):
@@ -432,9 +433,7 @@ def _rayleigh_ub_parts(sys: SystemParams, target: RateTarget, p_r, c_x, exp):
 def e2e_rayleigh_ub_value(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Rayleigh end-to-end outage upper bound, vectorized over (p_r, c_x).
 
-    Two Python floats take the same formula in `math`.  NumPy scalars stay
-    on the array branch, so they give exactly the value of their array
-    element: `math.exp` and `np.exp` can differ in the last bit.
+    Two Python floats take the same formula in `math`, anything else NumPy.
     """
     if not sys.all_rayleigh:
         raise ValueError("the Rayleigh upper bound requires all shapes equal to 1")
@@ -442,8 +441,7 @@ def e2e_rayleigh_ub_value(sys: SystemParams, target: RateTarget, p_r, c_x):
         return 1.0 - _rayleigh_ub_parts(sys, target, p_r, c_x, math.exp)[-1]
     p_r = np.asarray(p_r, dtype=float)
     c_x = np.asarray(c_x, dtype=float)
-    out = 1.0 - _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)[-1]
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(1.0 - _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)[-1])
 
 
 def p_e2e_rayleigh_ub(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:

@@ -17,7 +17,7 @@ __all__ = ["log_upper_incomplete_gamma_int"]
 
 def log_upper_incomplete_gamma_int(a: int, x: float) -> float:
     """log Gamma(a, x), stable for x up to ~1e6."""
-    if isinstance(a, float) and not a.is_integer():
+    if a % 1:
         raise ValueError(f"a must be a positive integer, got {a}")
     a = int(a)
     if a < 1:

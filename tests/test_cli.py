@@ -180,6 +180,31 @@ def test_failed_points_get_empty_cells_and_sidecar(tmp_path):
     assert "ub" in sidecar.read_text()
 
 
+@pytest.mark.parametrize("command", ["sweep", "optimize", "throughput"])
+def test_unwritable_out_is_config_error(command, tmp_path, capsys):
+    # the run evaluates, then cannot write its CSV: one config-error line naming the path
+    out_file = tmp_path / "no-such-dir" / "x.csv"
+    argv = [command, "--config", str(REPO_SCENARIO), "--set", "sweep_points=2", "--out", str(out_file)]
+    if command == "throughput":
+        argv += ["--set", "sweep_var=r", "--set", "sweep_start=0.5", "--set", "sweep_stop=1.5"]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: cannot write {out_file}: ")
+
+
+def test_unwritable_diagnostics_sidecar_is_config_error(tmp_path, capsys):
+    out_file = tmp_path / "s.csv"
+    sidecar = tmp_path / "s.csv.diagnostics.txt"
+    sidecar.mkdir()  # a directory where the sidecar file should go
+    code, out, err = run(base_args("--set", "m_sr=2", "--set", "sweep_points=2",
+                                   "--out", str(out_file)), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: cannot write {sidecar}: ")
+    assert out_file.is_file()
+
+
 def test_optimize_subcommand(tmp_path, capsys):
     out_file = tmp_path / "opt.csv"
     code, out, err = run(

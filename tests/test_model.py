@@ -2,13 +2,19 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdrigs
 from fdrigs.model import (
     LinkStat,
     RateTarget,
@@ -126,6 +132,44 @@ def test_psi_ratio_limit_at_one():
     t = RateTarget(2.0)
     gamma = 2.0 ** (2 * t.r) - 1.0
     assert psi_ratio_limit(t, 1.0) == pytest.approx(gamma / 2.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("num", [int, float, np.float64])
+def test_parameter_fields_hold_python_floats(num):
+    # whatever number type the caller passes, the five fields are Python floats
+    link = LinkStat(2, num(6))
+    sys_p = SystemParams(link, link, link, link, p_s=num(1), p_max=num(2))
+    sig = SignalParams(num(2), num(1))
+    for value in (link.pi, link.theta, sys_p.p_s, sys_p.p_max, sig.p_r, sig.c_x):
+        assert type(value) is float
+    assert (link.pi, sys_p.p_s, sys_p.p_max, sig.p_r, sig.c_x) == (6.0, 1.0, 2.0, 2.0, 1.0)
+
+
+def test_string_parameters_still_raise_type_error():
+    # the conversion runs after the checks, so a string is refused, not parsed
+    with pytest.raises(TypeError):
+        SignalParams("1", 0.5)
+    with pytest.raises(TypeError):
+        LinkStat(1, "2")
+
+
+def test_int_parameters_leave_numpy_unloaded():
+    probe = textwrap.dedent("""
+        import sys
+        from fdrigs import (LinkStat, RateTarget, SignalParams, SystemParams,
+                            p_e2e_lb, p_e2e_rayleigh_ub, r_e2e_ub)
+        links = [LinkStat(1, pi) for pi in (100, 100, 10, 2)]
+        sys_p = SystemParams(*links, p_s=1, p_max=1)
+        sig = SignalParams(1, 0)
+        p_e2e_lb(sys_p, sig, RateTarget(1))
+        p_e2e_rayleigh_ub(sys_p, sig, RateTarget(1))
+        r_e2e_ub(sys_p, sig)
+        print(sorted(m for m in ("numpy._core", "numpy.core") if m in sys.modules))
+    """)
+    src = str(Path(fdrigs.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 def test_alpha():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from fdrigs.ergodic import r_e2e_rayleigh_lb, r_e2e_ub
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, psi_r, psi_ratio_limit
 from fdrigs.outage import (
     _combined_survival,
@@ -284,7 +285,8 @@ def test_rayleigh_ub_float_branch():
 
 
 def test_scalar_and_array_branches_agree():
-    # a float takes the `math` branch, an array the NumPy one
+    # a float takes the `math` branch, an array the NumPy one; a NumPy scalar
+    # takes the NumPy one too and returns its array element bit for bit
     c_x = np.array([0.0, 0.5, 1.0 - 1e-12, 1.0])
     rng = np.random.default_rng(7)
     for r in (0.1, 1.0, 5.0):
@@ -292,6 +294,9 @@ def test_scalar_and_array_branches_agree():
         for fn in (psi_r, psi_ratio_limit):
             array = fn(target, c_x)
             assert [fn(target, float(c)) for c in c_x] == list(array)
+            numpy_scalars = [fn(target, c) for c in c_x]
+            assert numpy_scalars == list(array)
+            assert all(type(value) is float for value in numpy_scalars)
         for _ in range(20):
             shapes = rng.integers(1, 5, size=3)
             interferer = LinkStat(int(shapes[2]), float(10.0 ** rng.uniform(-1.0, 4.0)))
@@ -303,6 +308,27 @@ def test_scalar_and_array_branches_agree():
                     scalar = _gamma_interference_survival(int(m_sig), float(u[k]), float(load[k]), interferer)
                     assert isinstance(scalar, float)
                     assert scalar == pytest.approx(array[k], rel=1e-15, abs=1e-300)
+                    numpy_scalar = _gamma_interference_survival(int(m_sig), u[k], load[k], interferer)
+                    assert type(numpy_scalar) is float and numpy_scalar == array[k]
+
+
+def test_metrics_same_bits_for_int_float_and_numpy_parameters():
+    # the parameter types store Python floats, so a metric cannot tell 1 from
+    # 1.0 or np.float64(1); c_x = 0.9 has no int spelling
+    def build(num, p_r, c_x):
+        links = [LinkStat(1, num(pi)) for pi in (100, 100, 10, 2)]
+        return SystemParams(*links, p_s=num(1), p_max=num(1)), SignalParams(num(p_r), num(c_x))
+
+    for p_r, c_x, kinds in ((1, 0, (int, float, np.float64)), (1, 1, (int, float, np.float64)),
+                            (0.5, 0.9, (float, np.float64))):
+        for fn in (p_e2e_exact, p_e2e_lb, p_e2e_rayleigh_ub):
+            values = [fn(*build(num, p_r, c_x), TARGET).value for num in kinds]
+            assert all(type(v) is float for v in values)
+            assert len({v.hex() for v in values}) == 1, (fn.__name__, p_r, c_x, values)
+        for fn in (r_e2e_ub, r_e2e_rayleigh_lb):
+            values = [fn(*build(num, p_r, c_x)).value for num in kinds]
+            assert all(type(v) is float for v in values)
+            assert len({v.hex() for v in values}) == 1, (fn.__name__, p_r, c_x, values)
 
 
 def test_throughput_helper():
