@@ -224,8 +224,9 @@ def build_config(
     if scale == "db":
         axis = [db_to_linear(v) for v in axis]
 
-    metrics = [m.strip() for m in raw["metrics"].split(",") if m.strip()]
-    methods = [m.strip() for m in raw["methods"].split(",") if m.strip()]
+    # a repeated entry is dropped, the first-seen order kept
+    metrics = list(dict.fromkeys(m.strip() for m in raw["metrics"].split(",") if m.strip()))
+    methods = list(dict.fromkeys(m.strip() for m in raw["methods"].split(",") if m.strip()))
     if not metrics:
         raise ConfigError("at least one metric is required")
     for m in metrics:

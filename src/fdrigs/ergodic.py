@@ -11,7 +11,10 @@
 Each outer integral over r runs on `outage.adaptive_quad`, the library's
 one QK21 quadrature, and each of its integrand evaluations takes the scalar
 `math` branches of the hop survivals; `r_e2e_exact` nests the first-hop
-quadrature inside it.
+quadrature inside it.  `r_e2e_ub` and `r_e2e_exact` run over [0, r_cap],
+where the cap brackets the bound survival's tail from above and below
+(`_rate_cap`), so the nodes sit where the survival lives, also when its
+mass is at r << 1.
 """
 
 from __future__ import annotations
@@ -40,20 +43,40 @@ __all__ = [
 ]
 
 
+# The bound survival past which the rate axis is cut off.
+_CAP_SURVIVAL = 1e-12
+
+
 def _rate_cap(sys: SystemParams, sig: SignalParams) -> float:
-    """Target rate beyond which the complementary outage is below 1e-12."""
+    """The smallest 20 * 2^k (k any integer) at which the bound survival
+    1 - P_lb(r) is at most 1e-12.
+
+    From r = 20 it doubles while the survival is above 1e-12, or else halves
+    while the survival at half the cap is still at most 1e-12, so the cap
+    brackets the survival's tail: at most 1e-12 at the cap, above it at half
+    the cap.  The survival tends to 1 as r -> 0+, so the halving ends; the
+    doubling ends at the latest where `RateTarget` raises OverflowError
+    (r >= 512).  The exact survival is never above the bound survival, so
+    the cap serves both integrals.
+    """
+
+    def survival(r: float) -> float:
+        return 1.0 - p_e2e_lb(sys, sig, RateTarget(r)).value
+
     r_cap = 20.0
-    while 1.0 - p_e2e_lb(sys, sig, RateTarget(r_cap)).value > 1e-12:
+    while survival(r_cap) > _CAP_SURVIVAL:
         r_cap *= 2.0
-        if r_cap > 1e4:
-            break
+    if r_cap == 20.0:
+        while survival(0.5 * r_cap) <= _CAP_SURVIVAL:
+            r_cap *= 0.5
     return r_cap
 
 
 def _rate_integral(
     sys: SystemParams, sig: SignalParams, survival: Callable[[RateTarget], float]
 ) -> float:
-    """int_0^r_cap survival(r) dr by adaptive quadrature."""
+    """int_0^r_cap survival(r) dr by adaptive quadrature, with the cap of
+    `_rate_cap`; `survival` must be at most the bound survival."""
     return adaptive_quad(lambda r: survival(RateTarget(r)), 0.0, _rate_cap(sys, sig))
 
 
@@ -62,7 +85,8 @@ def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:
 
     int_0^inf (1 - P_lb(r)) dr, where 1 - P_lb(r) is the product of the
     first-hop lower-bound survival and the second-hop survival, both in
-    closed form.
+    closed form.  The integral runs over [0, r_cap], past which the
+    integrand is at most 1e-12 (`_rate_cap`).
     """
     sys.check_signal(sig)
 
@@ -75,7 +99,8 @@ def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:
 
 
 def r_e2e_exact(sys: SystemParams, sig: SignalParams) -> EvalResult:
-    """Exact ergodic rate as the integral of the end-to-end survival over r."""
+    """Exact ergodic rate as the integral of the end-to-end survival over r,
+    on [0, r_cap] of the upper bound's survival, which it never exceeds."""
     sys.check_signal(sig)
 
     def survival(target: RateTarget) -> float:

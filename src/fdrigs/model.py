@@ -31,6 +31,7 @@ _SUPPORTED_SHAPES = (1, 2, 3, 4)
 
 # gamma = 2^{2r} - 1 overflows a double from r = 512 on.
 _R_OVERFLOW = 512.0
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,11 @@ class SignalParams:
 class RateTarget:
     """Target rate r with the derived constants gamma = 2^{2r}-1, eta = 2^r-1.
 
-    A rate whose gamma overflows a double (r >= 512) raises OverflowError.
+    Below r = 1, eta is expm1(r ln 2), which keeps full relative precision as
+    r -> 0, where 2^r - 1 cancels; from r = 1 on it is 2^r - 1, exact at
+    integer rates.  Then gamma = eta (eta + 2) in both cases, with no
+    cancellation.  A rate whose gamma overflows a double (r >= 512) raises
+    OverflowError.
     """
 
     r: float
@@ -121,9 +126,10 @@ class RateTarget:
                 f"target rate r={self.r!r} is too large: gamma = 2^(2r) - 1 "
                 f"overflows a double for r >= {_R_OVERFLOW:g}"
             )
-        eta = 2.0 ** float(self.r) - 1.0
+        r = float(self.r)
+        eta = math.expm1(r * _LN2) if r < 1.0 else 2.0**r - 1.0
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "gamma", (eta + 1.0) ** 2 - 1.0)
+        object.__setattr__(self, "gamma", eta * (eta + 2.0))
 
 
 def _scalar_or_array(out):

@@ -63,6 +63,21 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_repeated_metrics_and_methods_give_one_column_each(capsys):
+    code, out, _ = run(base_args("--set", "metrics=outage,throughput,outage",
+                                 "--set", "methods=lb,ub,lb,ub", "--set", "sweep_points=2",
+                                 "--set", "sweep_var=r", "--set", "sweep_start=0.5",
+                                 "--set", "sweep_stop=1"), capsys)
+    assert code == 0
+    assert parse_csv(out)[0] == [
+        "r",
+        "outage:lower-bound",
+        "outage:upper-bound",
+        "throughput:lower-bound",
+        "throughput:upper-bound",
+    ]
+
+
 def test_mc_columns_carry_stderr(capsys):
     code, out, err = run(
         base_args("--set", "methods=mc", "--set", "samples=20000",

@@ -6,12 +6,13 @@ import random
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy import integrate
 
-from fdrigs.ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
+from fdrigs.ergodic import _rate_cap, r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, alpha
-from fdrigs.outage import p_e2e_exact
+from fdrigs.outage import QUAD_ABS_TOL, QUAD_REL_TOL, p_e2e_exact, p_e2e_lb
 from mp_oracles import mp_hop_survival
 
 # frozen anchors (cross-checked against quadrature oracles)
@@ -49,25 +50,34 @@ def oracle_survival_integral(sys_p, sig, upper=40.0):
     return val
 
 
+# Split points of the mpmath reference: the decades of r from 1e-12, where
+# the survival's mass can sit when it is all at r << 1, then the bulk.
+MP_RATE_SPLITS = [0.0] + [10.0**k for k in range(-12, 1)] + [2.0, 4.0, 6.0, 8.0, 12.0, 20.0, 40.0]
+
+
 def mp_ergodic_ub(sys_p, sig):
     """mpmath: int_0^inf of the outage lower bound's survival over r.
 
     Hop 1 survives when p_s g_sr >= (p_r g_rr + 1) (sqrt(1 + gamma (1 - c^2)) - 1);
     hop 2 when p_r g_rd >= (p_s g_sd + 1) gamma / (1 + sqrt(1 + gamma (1 - c^2))).
+    gamma = expm1(2 r ln 2), and sqrt(1 + g) - 1 is taken as g / (1 + sqrt(1 + g)),
+    so neither cancels as r -> 0.  The survival is smooth on each piece, where
+    Gauss-Legendre gives tanh-sinh's value in half its evaluations.
     """
     c = mp.mpf(sig.c_x)
     p_s, p_r = mp.mpf(sys_p.p_s), mp.mpf(sig.p_r)
     sr, rd, rr, sd = sys_p.sr, sys_p.rd, sys_p.rr, sys_p.sd
 
     def survival(r):
-        gam = mp.mpf(2) ** (2 * r) - 1
-        root = mp.sqrt(1 + gam * (1 - c * c))
-        hop1 = mp_hop_survival(sr.m, (root - 1) / (p_s * sr.theta), p_r, rr.m, mp.mpf(rr.theta))
+        gam = mp.expm1(2 * r * mp.log(2))
+        g = gam * (1 - c) * (1 + c)
+        root = mp.sqrt(1 + g)
+        hop1 = mp_hop_survival(sr.m, g / (1 + root) / (p_s * sr.theta), p_r, rr.m, mp.mpf(rr.theta))
         hop2 = mp_hop_survival(rd.m, gam / (1 + root) / (p_r * rd.theta), p_s, sd.m, mp.mpf(sd.theta))
         return hop1 * hop2
 
     with mp.workdps(20):
-        return float(mp.quad(survival, [0, 2, 4, 6, 8, 12, 20]))
+        return float(mp.quad(survival, MP_RATE_SPLITS, method="gauss-legendre"))
 
 
 def test_frozen_anchors():
@@ -219,3 +229,72 @@ def test_monotone_in_circularity_tradeoff():
     )
     vals = [r_e2e_exact(strong, SignalParams(1.0, c)).value for c in (0.0, 0.5, 0.9)]
     assert vals[2] > vals[0]
+
+
+def audit_designs(n, seed=7):
+    """The first n draws of the audit domain D with their design points:
+    shapes 1..4 on each link (every third draw all-Rayleigh), link powers
+    10^U(-1, 5), p_max = 10^U(0, 1), p_s = U(0.1, 1) p_max,
+    p_r = U(0.01, 1) p_max, and c_x drawn from {U(0, 1), 1 - 10^U(-12, -2), 1, 0}."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        shapes = (1, 1, 1, 1) if i % 3 == 0 else tuple(int(m) for m in rng.integers(1, 5, size=4))
+        pis = 10.0 ** rng.uniform(-1.0, 5.0, size=4)
+        p_max = float(10.0 ** rng.uniform(0.0, 1.0))
+        p_s = float(rng.uniform(0.1, 1.0)) * p_max
+        p_r = float(rng.uniform(0.01, 1.0)) * p_max
+        kind = int(rng.integers(4))
+        c_x = (float(rng.uniform(0.0, 1.0)), 1.0 - float(10.0 ** rng.uniform(-12.0, -2.0)), 1.0, 0.0)[kind]
+        links = (LinkStat(m, float(pi)) for m, pi in zip(shapes, pis))
+        yield SystemParams(*links, p_s=p_s, p_max=p_max), SignalParams(p_r, c_x)
+
+
+AUDIT = list(audit_designs(150))
+
+
+def small_rate_system():
+    """Shapes (1, 2, 3, 2) and pi = (-6.7, 4.1, 44.6, 48.6) dB: at c_x = 0 the
+    bound survival falls from 1 to 1e-12 below r = 0.02, and a rate cap that
+    could only grow from 20 let QK21 miss all of it."""
+    pis_db = (-6.7, 4.1, 44.6, 48.6)
+    links = (LinkStat(m, 10.0 ** (db / 10.0)) for m, db in zip((1, 2, 3, 2), pis_db))
+    return SystemParams(*links, p_s=1.0, p_max=1.0)
+
+
+@pytest.mark.parametrize("p_r", [0.3, 0.65, 1.0])
+def test_ergodic_integrals_find_mass_at_small_rates(p_r):
+    # mpmath gives 1.55e-5, 1.52e-5 and 1.26e-5 where a cap of 20 gave ~1e-14
+    sys_p, sig = small_rate_system(), SignalParams(p_r, 0.0)
+    ub = r_e2e_ub(sys_p, sig).value
+    assert ub == pytest.approx(mp_ergodic_ub(sys_p, sig), rel=1e-9)
+    # the bound is exact at c_x = 0, and both integrals share the cap
+    assert r_e2e_exact(sys_p, sig).value == pytest.approx(ub, rel=1e-9)
+
+
+@pytest.mark.parametrize("draw", list(range(16)) + [115])
+def test_ub_matches_mpmath_over_audit_slice(draw):
+    # draw 115 (c_x = 1, value 1.5e-6) is the one of the first 150 that a
+    # cap of 20 got wrong
+    sys_p, sig = AUDIT[draw]
+    ref = mp_ergodic_ub(sys_p, sig)
+    assert abs(r_e2e_ub(sys_p, sig).value - ref) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(ref))
+
+
+def test_rate_cap_brackets_the_bound_survival():
+    # the cap is the smallest 20 * 2^k with survival <= 1e-12
+    def survival(sys_p, sig, r):
+        return 1.0 - p_e2e_lb(sys_p, sig, RateTarget(r)).value
+
+    designs = AUDIT + [(small_rate_system(), SignalParams(p_r, 0.0)) for p_r in (0.3, 0.65, 1.0)]
+    for sys_p, sig in designs:
+        cap = _rate_cap(sys_p, sig)
+        assert math.log2(cap / 20.0).is_integer(), cap
+        assert survival(sys_p, sig, cap) <= 1e-12 < survival(sys_p, sig, 0.5 * cap), (sys_p, sig, cap)
+
+
+@pytest.mark.parametrize("integral", [r_e2e_ub, r_e2e_exact])
+def test_rate_cap_past_overflow_is_overflow_error(integral):
+    # the survival is still above 1e-12 at r = 320, and gamma overflows at 640
+    huge = SystemParams(*(LinkStat(1, pi) for pi in (1e300, 1e300, 1.0, 1.0)), p_s=1.0, p_max=1.0)
+    with pytest.raises(OverflowError):
+        integral(huge, SignalParams(1.0, 0.5))

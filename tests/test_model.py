@@ -9,6 +9,7 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,22 @@ def test_rate_target_overflow_is_one_typed_error():
                 RateTarget(r)
             messages.append(str(info.value).replace(repr(r), "R"))
     assert messages[0] == messages[1]
+
+
+def test_rate_target_constants_match_mpmath():
+    # 2.0**r - 1 cancels as r -> 0 (at r = 1e-9 it left gamma 1.2e-7 off);
+    # expm1 below r = 1 keeps every digit, and integer rates stay exact
+    rng = np.random.default_rng(3)
+    rates = [10.0**k for k in range(-12, 0)] + list(10.0 ** rng.uniform(-12.0, math.log10(511.9), 300))
+    with mp.workdps(60):
+        for r in rates:
+            t = RateTarget(float(r))
+            eta = mp.expm1(mp.mpf(t.r) * mp.log(2))
+            gamma = mp.expm1(2 * mp.mpf(t.r) * mp.log(2))
+            assert abs(t.eta - eta) <= 5e-16 * eta, t.r
+            assert abs(t.gamma - gamma) <= 5e-16 * gamma, t.r
+    for r in range(1, 27):
+        assert (RateTarget(r).eta, RateTarget(r).gamma) == (2.0**r - 1.0, 4.0**r - 1.0)
 
 
 def test_psi_r_stable_under_strong_gamma():
