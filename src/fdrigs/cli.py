@@ -7,40 +7,38 @@ dB values (``*_db`` keys or ``sweep_scale = db``) are converted exactly once,
 here at the boundary, via ``10 ** (db / 10)``.
 
 A sweep looks each outage and ergodic (metric, method) column up in
-``optimize.METRICS``, the table `grid_search` also reads; only the Monte
-Carlo columns are built here.  A throughput column is r (1 - outage) of the
-outage of its method at the same point, evaluated once for both cells,
-whether it succeeds or fails.  The header is laid out before any
-evaluation: each column is tagged ``metric:tag`` with the tag
-``optimize.METHOD_TAGS`` fixes for its method, and a Monte Carlo column is
-followed by its ``:stderr`` column.  A point that fails leaves its cells
-empty and a line in the diagnostics sidecar.
+``optimize.METRICS``, the table `grid_search` also reads.  A throughput
+column is r (1 - outage) of the outage of its method at the same point,
+evaluated once for both cells, whether it succeeds or fails.  The header is
+laid out before any evaluation: each column is tagged ``metric:tag`` with
+the tag ``optimize.METHOD_TAGS`` fixes for its method.  A point that fails
+leaves its cells empty and a line in the diagnostics sidecar.
 `throughput` takes both optima of a rate from `optimize.design_optima` and
 the half-duplex baselines from `outage.p_hdr_mhdf` (``closed-form-exact``)
-and `outage.p_hdr_mrc` (``exact-integral``), so its table has no
-``:stderr`` column and does not depend on ``seed`` or ``samples``; both are
-still checked.
+and `outage.p_hdr_mrc` (``exact-integral``).  Every output is
+deterministic: Monte Carlo runs only inside ``validate``, as an oracle.
+`throughput` still accepts an integer ``--seed``, which it ignores.
 Sweep points run one after another: a worker pool gained only a few percent
 on these interpreter-bound evaluations, so it was removed with its flag.
 `main` parses with one argument parser per process, built at its first call
 rather than at import and reused by every later call; a call leaves nothing
 in it, so each call parses as in a fresh process.
 
-Importing this module loads neither SciPy nor NumPy, and a sweep of the
-``exact``, ``lb`` and ``ub`` columns evaluates on floats only, so it never
-loads NumPy.  The optimizers, the throughput table, the Monte Carlo columns
-and ``validate`` work on arrays and load NumPy at their first array call;
-``validate`` imports the acceptance suite when it runs.
+Importing this module loads neither SciPy, NumPy nor the Monte Carlo
+sampler, and a sweep of the ``exact``, ``lb`` and ``ub`` columns evaluates
+on floats only, so it never loads NumPy.  The optimizers, the throughput
+table and ``validate`` work on arrays and load NumPy at their first array
+call; ``validate`` imports the acceptance suite when it runs.
 
 `optimize` writes the method tag its optimizer attaches to the optimum.
 Configuration errors (exit 2) are found before any evaluation: a ``grid_n``
-below 101, a Monte Carlo budget ``McConfig`` refuses (``samples`` below
-10000, a ``seed`` outside [0, 2**64)), a value or sweep point that the
-parameter types refuse, such as a rate <= 0 on the ``sweep_var = r`` axis of
-``sweep`` and ``throughput`` or a rate >= 512, whose gamma overflows, and a
-Rayleigh-only optimizer (``2d-cd``, ``1d-cx``, ``1d-pr``) asked to run on
-other shapes.  An ``--out`` path or diagnostics sidecar that cannot be
-written is one too, found when the output is written.
+below 101, a non-finite number, a dB value whose linear power overflows a
+float, a value or sweep point that the parameter types refuse, such as a
+rate <= 0 on the ``sweep_var = r`` axis of ``sweep`` and ``throughput`` or
+a rate >= 512, whose gamma overflows, and a Rayleigh-only optimizer
+(``2d-cd``, ``1d-cx``, ``1d-pr``) asked to run on other shapes.  An
+``--out`` path or diagnostics sidecar that cannot be written is one too,
+found when the output is written.
 """
 
 from __future__ import annotations
@@ -48,17 +46,16 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys as _sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import montecarlo, optimize
+from . import optimize
 from .model import LinkStat, RateTarget, SignalParams, SystemParams
-from .montecarlo import McConfig
 from .outage import (
     METHOD_CLOSED_FORM,
     METHOD_EXACT_INTEGRAL,
-    METHOD_MONTE_CARLO,
     EvalResult,
     p_hdr_mhdf,
     p_hdr_mrc,
@@ -75,8 +72,12 @@ class ConfigError(Exception):
     """Invalid scenario file or override."""
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def db_to_linear(db: float, key: str) -> float:
+    """10 ** (db / 10); a linear power that overflows a float is a config error naming key."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"field {key}: {db!r} dB overflows a float") from None
 
 
 # Baseline scenario: 20 dB relayed hops, 10 dB self-interference, 3 dB
@@ -102,8 +103,6 @@ _DEFAULTS: Dict[str, str] = {
     "sweep_scale": "linear",
     "metrics": "outage",
     "methods": "exact,lb,ub",
-    "samples": "1000000",
-    "seed": "0",
     "optimizer": "2d-cd",
     "grid_n": "101",
 }
@@ -125,7 +124,6 @@ class RunConfig:
     sweep_values: List[float]
     metrics: List[str]
     methods: List[str]
-    mc: McConfig
     optimizer: str
     grid_n: int
 
@@ -152,9 +150,12 @@ def _parse_kv_file(path: str) -> Dict[str, str]:
 
 def _as_float(raw: Dict[str, str], key: str) -> float:
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError as exc:
         raise ConfigError(f"field {key}: not a number: {raw[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"field {key}: not a finite number: {raw[key]!r}")
+    return value
 
 
 def _as_int(raw: Dict[str, str], key: str) -> int:
@@ -168,12 +169,10 @@ def _resolve_pi(raw: Dict[str, str], link: str) -> float:
     """A mean link power may be given linearly (pi_xx) or in dB (pi_xx_db)."""
     if f"pi_{link}" in raw:
         return _as_float(raw, f"pi_{link}")
-    return db_to_linear(_as_float(raw, f"pi_{link}_db"))
+    return db_to_linear(_as_float(raw, f"pi_{link}_db"), f"pi_{link}_db")
 
 
-def build_config(
-    scenario: Optional[str], overrides: List[str], args: argparse.Namespace
-) -> RunConfig:
+def build_config(scenario: Optional[str], overrides: List[str]) -> RunConfig:
     raw = dict(_DEFAULTS)
     if scenario:
         raw.update(_parse_kv_file(scenario))
@@ -182,10 +181,6 @@ def build_config(
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
         raw[key.strip()] = val.strip()
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = str(args.seed)
-    if getattr(args, "samples", None) is not None:
-        raw["samples"] = str(args.samples)
 
     known = set(_DEFAULTS) | {f"pi_{l}" for l in ("sr", "rd", "rr", "sd")}
     unknown = set(raw) - known
@@ -204,7 +199,6 @@ def build_config(
         sig = SignalParams(_as_float(raw, "p_r"), _as_float(raw, "c_x"))
         sys_params.check_signal(sig)
         target = RateTarget(_as_float(raw, "r"))
-        mc = McConfig(_as_int(raw, "samples"), _as_int(raw, "seed"))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -222,7 +216,11 @@ def build_config(
     start, stop = _as_float(raw, "sweep_start"), _as_float(raw, "sweep_stop")
     axis = [start + (stop - start) * i / (points - 1) for i in range(points)]
     if scale == "db":
-        axis = [db_to_linear(v) for v in axis]
+        # the points lie between the endpoints: converting those first names the
+        # key whose value overflows
+        db_to_linear(start, "sweep_start")
+        db_to_linear(stop, "sweep_stop")
+        axis = [db_to_linear(v, "sweep_stop") for v in axis]
 
     # a repeated entry is dropped, the first-seen order kept
     metrics = list(dict.fromkeys(m.strip() for m in raw["metrics"].split(",") if m.strip()))
@@ -250,7 +248,6 @@ def build_config(
         sweep_values=axis,
         metrics=metrics,
         methods=methods,
-        mc=mc,
         optimizer=optimizer,
         grid_n=grid_n,
     )
@@ -284,20 +281,6 @@ def _apply_sweep_value(cfg: RunConfig, value: float) -> Tuple[SystemParams, Sign
     return sys_p, sig, target
 
 
-def _mc_metrics(mc_cfg: McConfig) -> Dict[Tuple[str, str], optimize.Evaluator]:
-    """The Monte Carlo outage and ergodic columns, as evaluators like optimize.METRICS."""
-
-    def outage_mc(sys_p, sig, target):
-        est = montecarlo.estimate_outage(sys_p, sig, target, mc_cfg)
-        return EvalResult(est.mean, METHOD_MONTE_CARLO, est.stderr)
-
-    def ergodic_mc(sys_p, sig, target):
-        est = montecarlo.estimate_ergodic(sys_p, sig, mc_cfg)
-        return EvalResult(est.mean, METHOD_MONTE_CARLO, est.stderr)
-
-    return {("outage", "mc"): outage_mc, ("ergodic", "mc"): ergodic_mc}
-
-
 def _fmt(value: object) -> str:
     if value is None:
         return ""
@@ -325,12 +308,9 @@ def _write_csv(path: Optional[str], header: List[str], rows: List[List[object]])
 
 
 def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
-    metrics = {**optimize.METRICS, **_mc_metrics(cfg.mc)}
     pairs = [(metric, method) for metric in cfg.metrics for method in cfg.methods]
     header = [cfg.sweep_var + (":db-input" if cfg.raw["sweep_scale"] == "db" else "")]
-    for metric, method in pairs:
-        column = f"{metric}:{optimize.METHOD_TAGS[method]}"
-        header += [column, column + ":stderr"] if method == "mc" else [column]
+    header += [f"{metric}:{optimize.METHOD_TAGS[method]}" for metric, method in pairs]
     diagnostics: List[str] = []
     rows = []
     for value in cfg.sweep_values:
@@ -340,25 +320,19 @@ def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
         memo: Dict[Tuple[str, str], Union[EvalResult, Exception]] = {}
         row: List[object] = [value]
         for metric, method in pairs:
-            width = 2 if method == "mc" else 1
             key = ("ergodic" if metric == "ergodic" else "outage", method)
             if key not in memo:
                 try:
-                    memo[key] = metrics[key](sys_p, sig, target)
+                    memo[key] = optimize.METRICS[key](sys_p, sig, target)
                 except (ArithmeticError, ValueError) as exc:
                     memo[key] = exc
             res = memo[key]
             try:
                 if isinstance(res, Exception):
                     raise res
-                cell, stderr = res.value, res.stderr
-                if metric == "throughput":
-                    # r (1 - outage); a Monte Carlo standard error scales by r
-                    cell = throughput(target, cell)
-                    stderr = None if stderr is None else target.r * stderr
-                row += [cell, stderr][:width]
+                row.append(throughput(target, res.value) if metric == "throughput" else res.value)
             except (ArithmeticError, ValueError) as exc:
-                row += [None] * width
+                row.append(None)
                 diagnostics.append(f"{cfg.sweep_var}={value!r} {metric}/{method}: {exc}")
         rows.append(row)
     _write_csv(out_path, header, rows)
@@ -460,8 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                            help="override a scenario field (repeatable)")
             p.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
-            p.add_argument("--seed", type=int, help="Monte Carlo seed")
-            p.add_argument("--samples", type=int, help="Monte Carlo sample count")
+        if name == "throughput":
+            p.add_argument("--seed", type=int, help="ignored: the table is deterministic")
     return parser
 
 
@@ -470,7 +444,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "validate":
             return cmd_validate()
-        cfg = build_config(args.config, args.set, args)
+        cfg = build_config(args.config, args.set)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.out)
         if args.command == "optimize":

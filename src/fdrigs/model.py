@@ -3,10 +3,11 @@
 All powers are linear and normalized to unit noise variance at both
 receivers.  dB conversion happens at the CLI boundary only.
 
-The parameter types convert pi, p_s, p_max, p_r and c_x to Python floats
-after their checks.  One rule then picks the arithmetic of every map: a
-Python float takes `math`, anything else NumPy.  NumPy is bound lazily
-(`_lazy`), so an evaluation at one design point leaves it unloaded.
+The parameter types refuse a power pi, p_s, p_max or p_r that is not finite
+and > 0, and convert these and c_x to Python floats after their checks.
+One rule then picks the arithmetic of every map: a Python float takes
+`math`, anything else NumPy.  NumPy is bound lazily (`_lazy`), so an
+evaluation at one design point leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class LinkStat:
         if self.m not in _SUPPORTED_SHAPES:
             raise ValueError(f"shape m must be one of {_SUPPORTED_SHAPES}, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
-        if not self.pi > 0:
-            raise ValueError(f"mean power pi must be > 0, got {self.pi}")
+        if not 0.0 < self.pi < math.inf:
+            raise ValueError(f"mean power pi must be finite and > 0, got {self.pi}")
         object.__setattr__(self, "pi", float(self.pi))
         object.__setattr__(self, "theta", self.pi / self.m)
 
@@ -69,10 +70,10 @@ class SystemParams:
     p_max: float
 
     def __post_init__(self) -> None:
-        if not self.p_s > 0:
-            raise ValueError(f"p_s must be > 0, got {self.p_s}")
-        if not self.p_max > 0:
-            raise ValueError(f"p_max must be > 0, got {self.p_max}")
+        if not 0.0 < self.p_s < math.inf:
+            raise ValueError(f"p_s must be finite and > 0, got {self.p_s}")
+        if not 0.0 < self.p_max < math.inf:
+            raise ValueError(f"p_max must be finite and > 0, got {self.p_max}")
         if self.p_s > self.p_max:
             raise ValueError(f"p_s={self.p_s} exceeds p_max={self.p_max}")
         object.__setattr__(self, "p_s", float(self.p_s))
@@ -95,8 +96,8 @@ class SignalParams:
     c_x: float
 
     def __post_init__(self) -> None:
-        if not self.p_r > 0:
-            raise ValueError(f"p_r must be > 0, got {self.p_r}")
+        if not 0.0 < self.p_r < math.inf:
+            raise ValueError(f"p_r must be finite and > 0, got {self.p_r}")
         if not 0.0 <= self.c_x <= 1.0:
             raise ValueError(f"c_x must lie in [0, 1], got {self.c_x}")
         object.__setattr__(self, "p_r", float(self.p_r))

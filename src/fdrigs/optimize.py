@@ -37,7 +37,6 @@ from .outage import (
     METHOD_CLOSED_FORM,
     METHOD_EXACT_INTEGRAL,
     METHOD_LOWER_BOUND,
-    METHOD_MONTE_CARLO,
     METHOD_UPPER_BOUND,
     EvalResult,
     _rayleigh_ub_parts,
@@ -305,7 +304,6 @@ METHOD_TAGS: Dict[str, str] = {
     "exact": METHOD_EXACT_INTEGRAL,
     "lb": METHOD_LOWER_BOUND,
     "ub": METHOD_UPPER_BOUND,
-    "mc": METHOD_MONTE_CARLO,
 }
 
 # Outage methods with a closed form over a whole (p_r, c_x) grid;

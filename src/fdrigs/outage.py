@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from sys import float_info
-from typing import Callable, Optional
+from typing import Callable
 
 from ._lazy import np
 from .model import (
@@ -86,14 +86,12 @@ METHOD_EXACT_INTEGRAL = "exact-integral"
 METHOD_LOWER_BOUND = "lower-bound"
 METHOD_UPPER_BOUND = "upper-bound"
 METHOD_CLOSED_FORM = "closed-form-exact"
-METHOD_MONTE_CARLO = "monte-carlo"
 
 _METHODS = {
     METHOD_EXACT_INTEGRAL,
     METHOD_LOWER_BOUND,
     METHOD_UPPER_BOUND,
     METHOD_CLOSED_FORM,
-    METHOD_MONTE_CARLO,
 }
 
 
@@ -107,13 +105,10 @@ class EvalResult:
 
     value: float
     method: str
-    stderr: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
-        if (self.stderr is not None) != (self.method == METHOD_MONTE_CARLO):
-            raise ValueError("stderr must be present iff method is monte-carlo")
 
 
 # QUADPACK's QK21 rule on [-1, 1]: the positive Kronrod abscissae (those at

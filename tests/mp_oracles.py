@@ -1,6 +1,19 @@
 """mpmath oracles shared by the test modules."""
 
+import functools
+import math
+
 import mpmath as mp
+
+
+@functools.lru_cache(maxsize=None)
+def _hop_constants(m, m_i):
+    """The exact integers of `mp_hop_survival` for one shape pair, as mpf:
+    j!, C(j, k) and Gamma(m_i + k) for 0 <= k <= j < m."""
+    fact = [mp.mpf(math.factorial(j)) for j in range(m)]
+    binom = [[mp.mpf(math.comb(j, k)) for k in range(j + 1)] for j in range(m)]
+    gam = [mp.mpf(math.factorial(m_i + k - 1)) for k in range(m)]
+    return fact, binom, gam
 
 
 def mp_hop_survival(m, u, beta, m_i, theta_i):
@@ -9,17 +22,20 @@ def mp_hop_survival(m, u, beta, m_i, theta_i):
     Q(m, y) = e^-y sum_{j<m} y^j / j!, so each term is a Gamma moment
     E[g_i^k e^{-t g_i}] after a binomial expansion of (1 + beta g_i)^j.
     Float arguments are taken as exact binary values; the result carries the
-    working precision of the caller's mpmath context.
+    working precision of the caller's mpmath context.  The factorials,
+    binomials and Gamma values are exact integers, tabulated once per shape
+    pair, and each power is formed once per call.
     """
     u, beta, theta_i = mp.mpf(u), mp.mpf(beta), mp.mpf(theta_i)
     t = u * beta + 1 / theta_i
+    fact, binom, gam = _hop_constants(m, m_i)
+    beta_k = [beta**k for k in range(m)]
+    t_k = [t ** (m_i + k) for k in range(m)]
     total = mp.mpf(0)
     for j in range(m):
-        moments = sum(
-            mp.binomial(j, k) * beta**k * mp.gamma(m_i + k) / t ** (m_i + k) for k in range(j + 1)
-        )
-        total += u**j / mp.factorial(j) * moments
-    return mp.exp(-u) * total / (mp.gamma(m_i) * theta_i**m_i)
+        moments = sum(binom[j][k] * beta_k[k] * gam[k] / t_k[k] for k in range(j + 1))
+        total += u**j / fact[j] * moments
+    return mp.exp(-u) * total / (gam[0] * theta_i**m_i)
 
 
 def mp_combined_survival(m_x, th_x, m_y, th_y, gamma):

@@ -56,8 +56,7 @@ def test_sweep_rfc4180_line_endings(tmp_path):
 
 def test_sweep_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = base_args("--set", "methods=mc", "--set", "samples=20000",
-                     "--set", "sweep_points=3", "--seed", "5")
+    args = base_args("--set", "methods=exact,lb,ub", "--set", "sweep_points=3")
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -78,16 +77,17 @@ def test_repeated_metrics_and_methods_give_one_column_each(capsys):
     ]
 
 
-def test_mc_columns_carry_stderr(capsys):
-    code, out, err = run(
-        base_args("--set", "methods=mc", "--set", "samples=20000",
-                  "--set", "sweep_points=3"),
-        capsys,
-    )
-    assert code == 0
-    header = parse_csv(out)[0]
-    assert "outage:monte-carlo" in header
-    assert "outage:monte-carlo:stderr" in header
+def test_monte_carlo_method_and_keys_are_config_errors(tmp_path, capsys):
+    # sampling runs only inside validate: no sweep method and no scenario key reach it
+    code, out, err = run(base_args("--set", "methods=mc"), capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert "unknown method 'mc'" in err
+    for key in ("seed", "samples"):
+        scenario = tmp_path / f"{key}.cfg"
+        scenario.write_text(REPO_SCENARIO.read_text() + f"{key} = 1000000\n")
+        code, out, err = run(["sweep", "--config", str(scenario)], capsys)
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+        assert err == f"config error: unknown field(s): {key}\n"
 
 
 def test_sweep_derives_throughput_from_outage(monkeypatch, capsys):
@@ -293,31 +293,32 @@ def test_rayleigh_optimizer_off_rayleigh_is_config_error(optimizer, capsys):
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-@pytest.mark.parametrize("command", ["sweep", "throughput"])
-def test_out_of_range_seed_is_config_error(command, seed, capsys):
-    code, out, err = run(
-        [command, "--config", str(REPO_SCENARIO), "--set", "sweep_var=r",
-         "--set", "sweep_start=0.5", "--set", "sweep_stop=1", "--set", "sweep_points=2",
-         "--seed", seed],
-        capsys,
-    )
-    assert code == cli.EXIT_CONFIG
-    assert "seed" in err
-    assert out == ""
+@pytest.mark.parametrize("command", ["sweep", "optimize", "throughput"])
+def test_only_throughput_takes_a_seed_and_ignores_it(command, seed, capsys):
+    argv = [command, "--config", str(REPO_SCENARIO), "--set", "sweep_var=r",
+            "--set", "sweep_start=0.5", "--set", "sweep_stop=1", "--set", "sweep_points=2"]
+    if command != "throughput":
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", seed])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        return
+    # any int is accepted, and the table is the same as without it
+    assert run(argv + ["--seed", seed], capsys) == run(argv, capsys)
 
 
 def test_every_evaluation_carries_its_method_tag():
     # the sweep header is laid out from METHOD_TAGS before any evaluation
     from fdrigs import optimize
     from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
-    from fdrigs.montecarlo import McConfig
 
     sys_p = SystemParams(LinkStat(1, 100.0), LinkStat(1, 100.0), LinkStat(1, 10.0),
                          LinkStat(1, 2.0), p_s=1.0, p_max=1.0)
     sig, target = SignalParams(1.0, 0.9), RateTarget(1.0)
-    evaluators = {**optimize.METRICS, **cli._mc_metrics(McConfig(20_000, 3))}
+    assert set(optimize.METRICS) == {(metric, method) for metric in ("outage", "ergodic")
+                                     for method in optimize.METHOD_TAGS}
     assert len(optimize.METRICS) == 6
-    for (metric, method), fn in evaluators.items():
+    for (metric, method), fn in optimize.METRICS.items():
         assert fn(sys_p, sig, target).method == optimize.METHOD_TAGS[method], (metric, method)
 
 
@@ -352,6 +353,31 @@ def test_overflowing_rate_is_config_error(sets, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("sets, message", [
+    (["pi_rr_db=inf"], "field pi_rr_db: not a finite number: 'inf'"),
+    (["pi_rr=1e309"], "field pi_rr: not a finite number: '1e309'"),
+    (["p_max=inf"], "field p_max: not a finite number: 'inf'"),
+    (["p_r=nan"], "field p_r: not a finite number: 'nan'"),
+    (["sweep_var=pi_rr", "sweep_stop=inf"], "field sweep_stop: not a finite number: 'inf'"),
+    (["pi_rr_db=4000"], "field pi_rr_db: 4000.0 dB overflows a float"),
+    (["sweep_var=pi_rr", "sweep_scale=db", "sweep_stop=4000"],
+     "field sweep_stop: 4000.0 dB overflows a float"),
+    # the middle point, 3500 dB, is the first to overflow
+    (["sweep_var=pi_rr", "sweep_scale=db", "sweep_stop=7000", "sweep_points=3"],
+     "field sweep_stop: 7000.0 dB overflows a float"),
+    (["sweep_var=pi_sd", "sweep_scale=db", "sweep_start=4000"],
+     "field sweep_start: 4000.0 dB overflows a float"),
+], ids=["pi_rr_db-inf", "pi_rr-1e309", "p_max-inf", "p_r-nan", "sweep_stop-inf",
+        "pi_rr_db-4000", "sweep_stop-4000", "sweep_stop-7000", "sweep_start-4000"])
+def test_non_finite_or_overflowing_number_is_config_error(sets, message, capsys):
+    # an infinite power gave nan upper bounds and exit 0, and an overflowing
+    # dB axis exit 3 with a message that named no key
+    argv = base_args("--set", "sweep_points=2")
+    for item in sets:
+        argv += ["--set", item]
+    assert run(argv, capsys) == (cli.EXIT_CONFIG, "", f"config error: {message}\n")
+
+
 def test_out_of_range_sweep_point_is_config_error(capsys):
     code, out, err = run(base_args("--set", "sweep_stop=1.5", "--set", "sweep_points=2"), capsys)
     assert code == cli.EXIT_CONFIG
@@ -361,6 +387,15 @@ def test_out_of_range_sweep_point_is_config_error(capsys):
 def test_import_loads_no_scipy():
     # SciPy is needed only by validate's quadrature oracle, imported there
     probe = "import sys, fdrigs, fdrigs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
+
+
+def test_import_loads_no_monte_carlo():
+    # sampling runs only inside validate; the sweep has no Monte Carlo column
+    probe = "import sys, fdrigs.cli; print(sorted(m for m in ('fdrigs.montecarlo', 'fdrigs.rates') if m in sys.modules))"
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
@@ -399,10 +434,10 @@ def test_throughput_columns(capsys):
     argv = ["throughput", "--config", str(REPO_SCENARIO),
             "--set", "sweep_var=r", "--set", "sweep_start=0.5",
             "--set", "sweep_stop=1.5", "--set", "sweep_points=2"]
-    code, out, err = run(argv + ["--samples", "20000"], capsys)
+    code, out, err = run(argv, capsys)
     assert code == 0
-    # every column is deterministic: the Monte Carlo budget changes nothing
-    assert run(argv + ["--samples", "30000", "--seed", "9"], capsys) == (0, out, err)
+    # every column is deterministic: the ignored seed changes nothing
+    assert run(argv + ["--seed", "9"], capsys) == (0, out, err)
     rows = parse_csv(out)
     header = rows[0]
     assert header[0] == "r"
@@ -442,7 +477,7 @@ def test_parser_reuse_is_stateless(tmp_path, monkeypatch, capsys):
         ["throughput", *scenario, "--set", "pi_rr_db=80", "--no-such-flag"],
         ["throughput", *scenario, "--set", "sweep_var=r", "--set", "sweep_start=0.5",
          "--set", "sweep_stop=1.5", "--set", "sweep_points=2", "--seed", "9",
-         "--samples", "30000", "--out", "thr.csv"],
+         "--out", "thr.csv"],
         ["sweep", *scenario, "--set", "sweep_var=pi_rr", "--set", "sweep_scale=db",
          "--set", "sweep_start=0", "--set", "sweep_stop=20", "--set", "metrics=outage,throughput"],
     ]

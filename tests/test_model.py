@@ -47,6 +47,9 @@ def test_link_stat_validation():
         LinkStat(1, -2.0)
     with pytest.raises(ValueError):
         LinkStat(7, 1.0)  # outside the supported shape set
+    for pi in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="mean power pi must be finite and > 0"):
+            LinkStat(1, pi)
     assert LinkStat(3, 6.0).theta == pytest.approx(2.0)
 
 
@@ -78,6 +81,11 @@ def test_system_validation():
         make_system(p_s=2.0)  # p_s above the power cap
     with pytest.raises(ValueError):
         make_system(p_max=0.0)
+    # an infinite cap admits every p_s and p_r, so only the finiteness check refuses it
+    with pytest.raises(ValueError, match="p_max must be finite"):
+        make_system(p_max=math.inf)
+    with pytest.raises(ValueError, match="p_s must be finite"):
+        make_system(p_s=math.inf, p_max=math.inf)
     sys_p = make_system()
     assert sys_p.all_rayleigh
     assert not make_system(rd=LinkStat(2, 100.0)).all_rayleigh
@@ -90,6 +98,9 @@ def test_signal_validation():
         SignalParams(0.0, 0.5)
     with pytest.raises(ValueError):
         SignalParams(1.0, 1.2)
+    for p_r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="p_r must be finite and > 0"):
+            SignalParams(p_r, 0.5)
     with pytest.raises(ValueError):
         RateTarget(0.0)
 
