@@ -114,7 +114,8 @@ _METRICS = ("outage", "ergodic", "throughput")
 
 @dataclass
 class RunConfig:
-    """Fully resolved run description (all values linear)."""
+    """Fully resolved run description: linear powers, and the sweep axis in
+    the scale it was given."""
 
     raw: Dict[str, str]
     sys: SystemParams
@@ -216,11 +217,10 @@ def build_config(scenario: Optional[str], overrides: List[str]) -> RunConfig:
     start, stop = _as_float(raw, "sweep_start"), _as_float(raw, "sweep_stop")
     axis = [start + (stop - start) * i / (points - 1) for i in range(points)]
     if scale == "db":
-        # the points lie between the endpoints: converting those first names the
-        # key whose value overflows
+        # the axis keeps the dB values its column prints; the points lie between
+        # the endpoints, so converting those first names the key that overflows
         db_to_linear(start, "sweep_start")
         db_to_linear(stop, "sweep_stop")
-        axis = [db_to_linear(v, "sweep_stop") for v in axis]
 
     # a repeated entry is dropped, the first-seen order kept
     metrics = list(dict.fromkeys(m.strip() for m in raw["metrics"].split(",") if m.strip()))
@@ -264,6 +264,8 @@ def build_config(scenario: Optional[str], overrides: List[str]) -> RunConfig:
 def _apply_sweep_value(cfg: RunConfig, value: float) -> Tuple[SystemParams, SignalParams, RateTarget]:
     sys_p, sig, target = cfg.sys, cfg.sig, cfg.target
     var = cfg.sweep_var
+    if cfg.raw["sweep_scale"] == "db":
+        value = db_to_linear(value, "sweep_stop")
     if var in ("pi_sr", "pi_rd", "pi_rr", "pi_sd"):
         link = var[3:]
         sys_p = replace(sys_p, **{link: replace(getattr(sys_p, link), pi=value)})

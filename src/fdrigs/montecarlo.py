@@ -1,5 +1,5 @@
-"""Monte Carlo oracle: block-fading simulation of the relay link and
-empirical outage/ergodic estimates.
+"""Monte Carlo oracle: block-fading simulation of the relay link, the
+instantaneous rates of both hops, and empirical outage/ergodic estimates.
 
 Sampling uses counter-based Philox substreams, one per accumulation batch of
 the fixed size `_BATCH`, so estimates are bit-identical regardless of how
@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._lazy import np
 from .model import RateTarget, SignalParams, SystemParams
-from .rates import ChannelRealization, e2e_rate
 
 __all__ = [
     "McConfig",
     "McEstimate",
+    "ChannelRealization",
+    "rate_sr",
+    "rate_rd",
+    "e2e_rate",
     "sample_gains",
     "estimate_outage",
     "estimate_ergodic",
@@ -50,6 +54,44 @@ class McEstimate:
     mean: float
     stderr: float
     n: int
+
+
+class ChannelRealization(NamedTuple):
+    """Power gains of the four links, scalars or arrays of one shape."""
+
+    g_sr: object
+    g_rd: object
+    g_rr: object
+    g_sd: object
+
+
+def rate_sr(sys: SystemParams, sig: SignalParams, ch: ChannelRealization):
+    """First-hop rate: RSI-limited S-R link with improper relay interference.
+
+    The quadratic forms are factored as (A+B)(A-B) so that nothing cancels
+    when c_x -> 1 with strong RSI.
+    """
+    s = sys.p_s * ch.g_sr
+    i = sig.p_r * ch.g_rr
+    y = i * sig.c_x
+    num = (s + i + 1.0 + y) * (s + i + 1.0 - y)
+    den = (i + 1.0 + y) * (i + 1.0 - y)
+    return 0.5 * np.log2(num / den)
+
+
+def rate_rd(sys: SystemParams, sig: SignalParams, ch: ChannelRealization):
+    """Second-hop rate: R-D link with the direct S-D copy as interference."""
+    s = sig.p_r * ch.g_rd
+    i = sys.p_s * ch.g_sd
+    y = s * sig.c_x
+    num = (s + i + 1.0 + y) * (s + i + 1.0 - y)
+    den = (i + 1.0) ** 2
+    return 0.5 * np.log2(num / den)
+
+
+def e2e_rate(sys: SystemParams, sig: SignalParams, ch: ChannelRealization):
+    """Decode-and-forward end-to-end rate min(R_sr, R_rd)."""
+    return np.minimum(rate_sr(sys, sig, ch), rate_rd(sys, sig, ch))
 
 
 def _batch_rng(cfg: McConfig, batch_index: int) -> np.random.Generator:

@@ -12,14 +12,17 @@ no Gamma function or binomial.  It works elementwise on arrays, so
 `e2e_lb_value` evaluates the lower bound over a whole design grid at once,
 and it is the whole integrand of the ergodic upper bound.
 
-The exact first hop is a quadrature over the self-interference gain.  Every
-quadrature in the library, here and in `ergodic`, goes through
-`adaptive_quad`: QUADPACK's 21-point Gauss-Kronrod rule and error estimate
-(QK21, Piessens et al., 1983), bisecting the subinterval with the largest
-error until the summed error meets the fixed tolerances `QUAD_*`.  It is
-written in `math`, like the scalar branches of the hop survivals and of the
-rate-threshold maps its integrands call, so no evaluation on this path
-creates a NumPy scalar and the library does not import SciPy.
+The exact first hop and the MRC baseline below are both a Gamma mixture
+E_X[Q(m, h(X))], with one quadrature, `_gamma_mixture`, over the part of the
+axis where the integrand lives; the first hop adds knots where its mass can
+sit far below the RSI scale.  Every quadrature in the library, here and in
+`ergodic`, goes through `adaptive_quad`: QUADPACK's 21-point Gauss-Kronrod
+rule and error estimate (QK21, Piessens et al., 1983), bisecting the
+subinterval with the largest error until the summed error meets the fixed
+tolerances `QUAD_*`.  It is written in `math`, like the scalar branches of
+the hop survivals and of the rate-threshold maps its integrands call, so no
+evaluation on this path creates a NumPy scalar and the library does not
+import SciPy.
 
 The parameter types hold Python floats (`model`), and every outage function
 takes its `math` formula on them, so an evaluation at one point never loads
@@ -30,8 +33,8 @@ RSI-free threshold times the second-hop survival at c_x = 1.
 The half-duplex decode-and-forward baselines (Laneman, Tse and Wornell,
 2004) are deterministic too: without combining (`p_hdr_mhdf`) the outage is
 a product of two Q values, and with maximum-ratio combining (`p_hdr_mrc`)
-the second one becomes the survival of a sum of two Gamma gains, one
-quadrature over the part of [0, gamma] where its integrand lives.
+the second one becomes the survival of a sum of two Gamma gains, a Gamma
+mixture over the part of [0, gamma] where its integrand lives.
 """
 
 from __future__ import annotations
@@ -251,6 +254,26 @@ def integrate_semi_infinite(f: Callable[[float], float], scale: float) -> float:
     return adaptive_quad(g, 0.0, 1.0)
 
 
+# A Gamma(m, theta) gain exceeds theta (m + _TAIL_SPAN) with probability
+# below 1e-23 for every supported m.
+_TAIL_SPAN = 60.0
+
+
+def _gamma_mixture(m_x: int, th_x: float, m_q: int, arg: Callable[[float], float], edges) -> float:
+    """int f_X(x) Q(m_q, arg(x)) dx over [edges[0], edges[-1]] for X ~ Gamma(m_x, th_x),
+    one `adaptive_quad` per piece between consecutive edges, which the caller
+    picks: the domain where the integrand lives, and knots where its mass may
+    hide from QK21's nodes.  The density and Q are combined in the log domain."""
+    log_norm = math.lgamma(m_x) + m_x * math.log(th_x) + math.lgamma(m_q)
+
+    def integrand(x: float) -> float:
+        log_f = (m_x - 1.0) * math.log(x) - x / th_x - log_norm
+        log_f += log_upper_incomplete_gamma_int(m_q, arg(x))
+        return math.exp(log_f)
+
+    return sum(adaptive_quad(integrand, a, b) for a, b in zip(edges, edges[1:]))
+
+
 def sr_decoding_exponent(sys: SystemParams, sig: SignalParams, target: RateTarget, g_rr: float) -> float:
     """Threshold exponent of the first hop conditioned on the RSI gain.
 
@@ -264,22 +287,32 @@ def sr_decoding_exponent(sys: SystemParams, sig: SignalParams, target: RateTarge
 
 
 def _sr_survival_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> float:
-    """E_{g_rr}{ Q(m_sr, threshold) } by adaptive quadrature on (0, 1)."""
-    m_rr = sys.rr.m
-    th_rr = sys.rr.theta
-    m_sr = sys.sr.m
-    log_norm = math.lgamma(m_rr) + m_rr * math.log(th_rr)
+    """E_{g_rr}{ Q(m_sr, w(g_rr)) }, a `_gamma_mixture` over the part of the
+    g-axis where its integrand lives.
 
-    def integrand(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        w = sr_decoding_exponent(sys, sig, target, x)
-        # gamma pdf and the regularized gamma factor Q(m_sr, w) combined in log domain
-        log_f = (m_rr - 1.0) * math.log(x) - x / th_rr - log_norm
-        log_f += log_upper_incomplete_gamma_int(m_sr, w) - math.lgamma(m_sr)
-        return math.exp(log_f)
-
-    return integrate_semi_infinite(integrand, th_rr)
+    psi_r falls as its argument rises, so w(g) >= s (p_r g + 1) with
+    s = psi_r(c_x) / (p_s theta_sr): past g_q = ((m_sr + 60) / s - 1) / p_r,
+    Q is below 1e-23, so the domain is [0, min(theta_rr (m_rr + 60), g_q)],
+    and the survival is 0 if g_q <= 0.  Knots at 1/p_r (where the loading
+    saturates), at theta_rr, where the bound on w reaches m_sr, and on a x16
+    ladder from 16/p_r up to theta_rr let QK21 see mass at g << theta_rr,
+    which a domain mapped at one scale can miss while reporting convergence.
+    """
+    m_sr, m_rr, th_rr, p_r = sys.sr.m, sys.rr.m, sys.rr.theta, sig.p_r
+    s = psi_r(target, sig.c_x) / (sys.p_s * sys.sr.theta)
+    if s >= m_sr + _TAIL_SPAN:
+        return 0.0
+    hi = th_rr * (m_rr + _TAIL_SPAN)
+    knots = {1.0 / p_r, th_rr}
+    if s > 0.0:  # at c_x = 1, s = 0 and w stays bounded
+        hi = min(hi, ((m_sr + _TAIL_SPAN) / s - 1.0) / p_r)
+        knots.add((m_sr / s - 1.0) / p_r)
+    rung = 16.0 / p_r
+    while rung < th_rr:
+        knots.add(rung)
+        rung *= 16.0
+    edges = [0.0, *sorted(k for k in knots if 0.0 < k < hi), hi]
+    return _gamma_mixture(m_rr, th_rr, m_sr, lambda g: sr_decoding_exponent(sys, sig, target, g), edges)
 
 
 def p_sr_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
@@ -464,11 +497,6 @@ def asymptotic_k(sys: SystemParams, target: RateTarget) -> float:
     return 1.0 - first * _rd_survival(sys, target, sys.p_max, 1.0)
 
 
-# A Gamma(m, theta) gain exceeds theta (m + _TAIL_SPAN) with probability
-# below 1e-23 for every supported m.
-_TAIL_SPAN = 60.0
-
-
 def _combined_survival(m_x: int, th_x: float, m_y: int, th_y: float, gamma: float) -> float:
     """P(X + Y >= gamma) for independent X ~ Gamma(m_x, th_x), Y ~ Gamma(m_y, th_y):
 
@@ -486,15 +514,7 @@ def _combined_survival(m_x: int, th_x: float, m_y: int, th_y: float, gamma: floa
     hi = min(gamma, th_x * (m_x + _TAIL_SPAN))
     if lo >= hi:
         return base
-    log_norm = math.lgamma(m_x) + m_x * math.log(th_x) + math.lgamma(m_y)
-
-    def integrand(x: float) -> float:
-        # Gamma pdf of X and the regularized Q of Y combined in the log domain
-        log_f = (m_x - 1.0) * math.log(x) - x / th_x - log_norm
-        log_f += log_upper_incomplete_gamma_int(m_y, (gamma - x) / th_y)
-        return math.exp(log_f)
-
-    return min(1.0, base + adaptive_quad(integrand, lo, hi))
+    return min(1.0, base + _gamma_mixture(m_x, th_x, m_y, lambda x: (gamma - x) / th_y, (lo, hi)))
 
 
 def p_hdr_mhdf(sys: SystemParams, target: RateTarget) -> EvalResult:

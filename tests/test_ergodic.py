@@ -6,13 +6,13 @@ import random
 import warnings
 
 import mpmath as mp
-import numpy as np
 import pytest
 from scipy import integrate
 
 from fdrigs.ergodic import _rate_cap, r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, alpha
 from fdrigs.outage import QUAD_ABS_TOL, QUAD_REL_TOL, p_e2e_exact, p_e2e_lb
+from audit_domain import d_draws
 from mp_oracles import mp_hop_survival
 
 # frozen anchors (cross-checked against quadrature oracles)
@@ -231,25 +231,7 @@ def test_monotone_in_circularity_tradeoff():
     assert vals[2] > vals[0]
 
 
-def audit_designs(n, seed=7):
-    """The first n draws of the audit domain D with their design points:
-    shapes 1..4 on each link (every third draw all-Rayleigh), link powers
-    10^U(-1, 5), p_max = 10^U(0, 1), p_s = U(0.1, 1) p_max,
-    p_r = U(0.01, 1) p_max, and c_x drawn from {U(0, 1), 1 - 10^U(-12, -2), 1, 0}."""
-    rng = np.random.default_rng(seed)
-    for i in range(n):
-        shapes = (1, 1, 1, 1) if i % 3 == 0 else tuple(int(m) for m in rng.integers(1, 5, size=4))
-        pis = 10.0 ** rng.uniform(-1.0, 5.0, size=4)
-        p_max = float(10.0 ** rng.uniform(0.0, 1.0))
-        p_s = float(rng.uniform(0.1, 1.0)) * p_max
-        p_r = float(rng.uniform(0.01, 1.0)) * p_max
-        kind = int(rng.integers(4))
-        c_x = (float(rng.uniform(0.0, 1.0)), 1.0 - float(10.0 ** rng.uniform(-12.0, -2.0)), 1.0, 0.0)[kind]
-        links = (LinkStat(m, float(pi)) for m, pi in zip(shapes, pis))
-        yield SystemParams(*links, p_s=p_s, p_max=p_max), SignalParams(p_r, c_x)
-
-
-AUDIT = list(audit_designs(150))
+AUDIT = [(sys_p, sig) for sys_p, sig, _ in d_draws(150, rate=False)]
 
 
 def small_rate_system():
@@ -278,6 +260,19 @@ def test_ub_matches_mpmath_over_audit_slice(draw):
     sys_p, sig = AUDIT[draw]
     ref = mp_ergodic_ub(sys_p, sig)
     assert abs(r_e2e_ub(sys_p, sig).value - ref) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(ref))
+
+
+def test_exact_below_upper_bound_and_equal_at_proper_signaling_over_audit_slice():
+    # the exact rate integrates a survival never above the bound's, and at
+    # c_x = 0 the two survivals are equal; with the first hop integrated over
+    # a domain mapped at scale theta_rr, draws 9 and 20 (c_x = 0) read 2.6e-3
+    # and 2.2e-5 relative below the bound
+    for sys_p, sig in AUDIT[:24]:
+        exact, ub = r_e2e_exact(sys_p, sig).value, r_e2e_ub(sys_p, sig).value
+        tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * ub)
+        assert exact <= ub + tol, (sys_p, sig, exact, ub)
+        if sig.c_x == 0.0:
+            assert abs(exact - ub) <= tol, (sys_p, sig, exact, ub)
 
 
 def test_rate_cap_brackets_the_bound_survival():

@@ -21,11 +21,12 @@ from fdrigs.montecarlo import (
     _summary,
     estimate_ergodic,
     estimate_outage,
+    rate_rd,
+    rate_sr,
     sample_gains,
 )
 from fdrigs.ergodic import r_e2e_exact
 from fdrigs.outage import p_e2e_exact, p_hdr_mhdf, p_hdr_mrc, p_rd_exact, p_sr_exact
-from fdrigs.rates import rate_rd, rate_sr
 from fdrigs.specfun import log_upper_incomplete_gamma_int
 
 

@@ -14,8 +14,11 @@ from scipy import integrate, stats
 from fdrigs.ergodic import r_e2e_rayleigh_lb, r_e2e_ub
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, psi_r, psi_ratio_limit
 from fdrigs.outage import (
+    QUAD_ABS_TOL,
+    QUAD_REL_TOL,
     _combined_survival,
     _gamma_interference_survival,
+    _sr_survival_exact,
     asymptotic_k,
     e2e_rayleigh_ub_value,
     p_e2e_exact,
@@ -30,7 +33,8 @@ from fdrigs.outage import (
     sr_decoding_exponent,
     throughput,
 )
-from mp_oracles import mp_combined_survival, mp_hop_survival
+from audit_domain import d_draws
+from mp_oracles import mp_combined_survival, mp_hop_survival, mp_sr_survival_exact
 
 # frozen anchors, cross-checked against independent quadrature oracles
 PGS_E2E_EXACT = 0.12638264411162647
@@ -357,28 +361,48 @@ def test_closed_form_probabilities_in_unit_interval_at_full_impropriety():
             assert 0.0 <= value <= 1.0, (fn.__name__, sys_p, value)
 
 
-def audit_draws(n, seed=7):
-    """Systems and rates of the first n draws of the audit domain D: shapes
-    1..4 on each link (every third draw all-Rayleigh), link powers
-    10^U(-1, 5), p_max = 10^U(0, 1), p_s = U(0.1, 1) p_max and
-    r = 10^U(-1, 0.8)."""
-    rng = np.random.default_rng(seed)
-    for i in range(n):
-        shapes = (1, 1, 1, 1) if i % 3 == 0 else tuple(int(m) for m in rng.integers(1, 5, size=4))
-        pis = 10.0 ** rng.uniform(-1.0, 5.0, size=4)
-        p_max = float(10.0 ** rng.uniform(0.0, 1.0))
-        p_s = float(rng.uniform(0.1, 1.0)) * p_max
-        r = float(10.0 ** rng.uniform(-1.0, 0.8))
-        links = (LinkStat(m, float(pi)) for m, pi in zip(shapes, pis))
-        yield SystemParams(*links, p_s=p_s, p_max=p_max), RateTarget(r)
-
-
 def test_asymptotic_k_bounds_exact_over_audit_domain():
     # K is an upper bound on the exact maximally improper outage at p_max
     # for every shape and every RSI power, not only in the limit
-    for sys_p, target in audit_draws(300):
+    for sys_p, _, target in d_draws(300, signal=False):
         exact = p_e2e_exact(sys_p, SignalParams(sys_p.p_max, 1.0), target).value
         assert exact <= asymptotic_k(sys_p, target) + 1e-9, (sys_p, target)
+
+
+def found_case():
+    """Shapes (3, 4, 1, 4), pi = (-0.75, 21.7, 46.1, -8.9) dB, c_x = 0: over
+    a first-hop domain mapped from (0, inf) at scale theta_rr the exact
+    outage came out 1, where the closed form, exact at c_x = 0, gives
+    0.9999945."""
+    links = (LinkStat(m, 10.0 ** (db / 10.0)) for m, db in zip((3, 4, 1, 4), (-0.75, 21.7, 46.1, -8.9)))
+    return SystemParams(*links, p_s=0.475, p_max=1.24), SignalParams(1.08, 0.0), RateTarget(0.474)
+
+
+D_PINNED = {k: draw for k, draw in enumerate(d_draws(859)) if k in (552, 717, 722, 858)}
+
+
+@pytest.mark.parametrize("case", [722, 858, 552, 717, "found"])
+def test_sr_survival_exact_matches_mpmath_where_mass_hides(case):
+    # Each survival lives at g_rr << theta_rr, where a domain mapped at
+    # scale theta_rr put none of QK21's nodes: draw 722 gave 3.9e-33 for
+    # 2.45e-5, draw 858 (c_x = 0) 3.0e-26 for 5.47e-6, draw 552 (c_x = 1)
+    # 1.8e-22 for 9.27e-9, and draw 717 (c_x = 1) missed by 6.9e-10.
+    sys_p, sig, target = found_case() if case == "found" else D_PINNED[case]
+    with mp.workdps(30):
+        ref = float(mp_sr_survival_exact(sys_p.sr.m, sys_p.sr.theta, sys_p.rr.m, sys_p.rr.theta,
+                                         sys_p.p_s, sig.p_r, sig.c_x, target.r))
+    value = _sr_survival_exact(sys_p, sig, target)
+    assert abs(value - ref) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * ref), (value, ref)
+
+
+def test_exact_equals_lower_bound_at_proper_signaling_over_audit_domain():
+    # at c_x = 0 the lower bound is exact, so the quadrature must agree with
+    # it on each of D's 371 proper draws, the found case included
+    draws = [draw for draw in d_draws(1500) if draw[1].c_x == 0.0] + [found_case()]
+    assert len(draws) == 372
+    for sys_p, sig, target in draws:
+        exact, lb = p_e2e_exact(sys_p, sig, target).value, p_e2e_lb(sys_p, sig, target).value
+        assert abs(exact - lb) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * (1.0 - lb)), (sys_p, sig, target)
 
 
 def test_hdr_mrc_over_twelve_decades_of_scale():

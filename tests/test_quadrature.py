@@ -55,7 +55,9 @@ def test_matches_quadpack_on_library_integrands(monkeypatch):
                 ergodic.r_e2e_ub(sys_p, sig)
 
     calls = _recorded_integrals(monkeypatch, evaluate)
-    assert len(calls) == 50  # 40 first-hop integrals and 10 outer rate integrals
+    # 10 outer rate integrals, and 149 pieces of the 40 first-hop integrals,
+    # each cut to its domain and split at its knots
+    assert len(calls) == 159
     for f, a, b, value in calls:
         evals = [0]
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, psi_r
-from fdrigs.rates import (
+from fdrigs.montecarlo import (
     ChannelRealization,
     e2e_rate,
     rate_rd,
