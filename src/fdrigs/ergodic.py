@@ -11,16 +11,18 @@
 Each outer integral over r runs on `outage.adaptive_quad`, the library's
 one QK21 quadrature, and each of its integrand evaluations takes the scalar
 `math` branches of the hop survivals; `r_e2e_exact` nests the first-hop
-quadrature inside it.  `r_e2e_ub` and `r_e2e_exact` run over [0, r_cap],
-where the cap brackets the bound survival's tail from above and below
+quadrature inside it.  Both integrals share one partition of [0, r_cap]:
+the cap brackets the bound survival's tail from above and below
 (`_rate_cap`), so the nodes sit where the survival lives, also when its
-mass is at r << 1.
+mass is at r << 1.  The bound's integral starts from the knot r_cap / 2,
+where its survival is still above 1e-12, and the exact rate starts from the
+bound's final panels, since its survival is never above the bound's and has
+the same tail; it bisects further only where its own error asks for it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .model import RateTarget, SignalParams, SystemParams, alpha
 from .outage import (
@@ -72,12 +74,19 @@ def _rate_cap(sys: SystemParams, sig: SignalParams) -> float:
     return r_cap
 
 
-def _rate_integral(
-    sys: SystemParams, sig: SignalParams, survival: Callable[[RateTarget], float]
-) -> float:
-    """int_0^r_cap survival(r) dr by adaptive quadrature, with the cap of
-    `_rate_cap`; `survival` must be at most the bound survival."""
-    return adaptive_quad(lambda r: survival(RateTarget(r)), 0.0, _rate_cap(sys, sig))
+def _bound_integral(sys: SystemParams, sig: SignalParams, panels: list | None = None) -> float:
+    """int_0^r_cap (1 - P_lb(r)) dr by adaptive quadrature, with the cap of
+    `_rate_cap` and a knot at r_cap / 2, where the survival is still above
+    1e-12; `panels`, if a list, receives the final panel edges."""
+
+    def survival(r: float) -> float:
+        target = RateTarget(r)
+        return _sr_survival_lb_complement(sys, target, sig.p_r, sig.c_x) * _rd_survival(
+            sys, target, sig.p_r, sig.c_x
+        )
+
+    r_cap = _rate_cap(sys, sig)
+    return adaptive_quad(survival, 0.0, r_cap, (0.5 * r_cap,), panels)
 
 
 def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:
@@ -89,24 +98,25 @@ def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:
     integrand is at most 1e-12 (`_rate_cap`).
     """
     sys.check_signal(sig)
-
-    def survival(target: RateTarget) -> float:
-        return _sr_survival_lb_complement(sys, target, sig.p_r, sig.c_x) * _rd_survival(
-            sys, target, sig.p_r, sig.c_x
-        )
-
-    return EvalResult(_rate_integral(sys, sig, survival), METHOD_UPPER_BOUND)
+    return EvalResult(_bound_integral(sys, sig), METHOD_UPPER_BOUND)
 
 
 def r_e2e_exact(sys: SystemParams, sig: SignalParams) -> EvalResult:
-    """Exact ergodic rate as the integral of the end-to-end survival over r,
-    on [0, r_cap] of the upper bound's survival, which it never exceeds."""
-    sys.check_signal(sig)
+    """Exact ergodic rate as the integral of the end-to-end survival over r.
 
-    def survival(target: RateTarget) -> float:
+    The survival is never above the upper bound's and has the same tail, so
+    the quadrature starts from the final panels of the bound's integral over
+    [0, r_cap] and bisects further only where its own error asks for it.
+    """
+    sys.check_signal(sig)
+    edges: list[float] = []
+    _bound_integral(sys, sig, edges)
+
+    def survival(r: float) -> float:
+        target = RateTarget(r)
         return _sr_survival_exact(sys, sig, target) * _rd_survival(sys, target, sig.p_r, sig.c_x)
 
-    return EvalResult(_rate_integral(sys, sig, survival), METHOD_EXACT_INTEGRAL)
+    return EvalResult(adaptive_quad(survival, 0.0, edges[-1], edges[1:-1]), METHOD_EXACT_INTEGRAL)
 
 
 def r_e2e_rayleigh_lb(sys: SystemParams, sig: SignalParams) -> EvalResult:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from sys import float_info
-from typing import Callable
+from typing import Callable, Sequence
 
 from ._lazy import np
 from .model import (
@@ -193,54 +193,79 @@ def _qk21(f: Callable[[float], float], a: float, b: float):
     return result, err, res_asc
 
 
-def adaptive_quad(f: Callable[[float], float], a: float, b: float) -> float:
+def adaptive_quad(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    breaks: Sequence[float] = (),
+    panels: list | None = None,
+) -> float:
     """Integrate f over [a, b] to the tolerances QUAD_*.
 
-    Starts from one QK21 estimate and bisects the subinterval with the
-    largest error estimate until the summed error is at most
+    Starts from one QK21 estimate on each panel between a, the break points
+    `breaks` (increasing, inside (a, b)) and b, and bisects the panel with
+    the largest error estimate until the summed error is at most
     max(QUAD_ABS_TOL, QUAD_REL_TOL |integral|), with at most QUAD_LIMIT
-    subintervals.  The bookkeeping follows QUADPACK's QAGS without its
-    extrapolation step, so a smooth integrand gets the same nodes, and the
-    same value to rounding, as `scipy.integrate.quad`.  Raises
-    QuadratureError at the subinterval limit or on a non-finite value.
+    panels.  The bookkeeping follows QUADPACK's QAGS (QAGP with break
+    points) without its extrapolation step, so a smooth integrand on one
+    panel gets the same nodes, and the same value to rounding, as
+    `scipy.integrate.quad`.  As there, a first estimate whose error equals
+    its resasc is not trusted: the start does not end on it, and its panel
+    carries the whole first error until it is bisected.  If `panels` is a
+    list, it receives the final panel edges, a to b in increasing order.
+    Raises QuadratureError at the panel limit or on a non-finite value.
     """
-    result, err, res_asc = _qk21(f, a, b)
-    if (err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(result)) and err != res_asc) or err == 0.0:
-        return result
-    # subintervals [lo, hi] with their estimates, in QUADPACK's storage order
-    lo, hi, areas, errs = [a], [b], [result], [err]
-    area, err_sum = result, err
-    for _ in range(QUAD_LIMIT - 1):
-        k = max(range(len(errs)), key=errs.__getitem__)
-        a1, b2 = lo[k], hi[k]
-        mid = 0.5 * (a1 + b2)
-        area1, err1, _ = _qk21(f, a1, mid)
-        area2, err2, _ = _qk21(f, mid, b2)
-        err_sum += err1 + err2 - errs[k]
-        area += area1 + area2 - areas[k]
-        # the half with the larger error keeps slot k
-        if err2 > err1:
-            lo[k], areas[k], errs[k] = mid, area2, err2
-            lo.append(a1)
-            hi.append(mid)
-            areas.append(area1)
-            errs.append(err1)
+    edges = (a, *breaks, b)
+    # panels [lo, hi] with their estimates, in QUADPACK's storage order
+    lo, hi, areas, errs, suspect = list(edges[:-1]), list(edges[1:]), [], [], []
+    area = err_sum = 0.0
+    for a1, b1 in zip(lo, hi):
+        area1, err1, res_asc = _qk21(f, a1, b1)
+        areas.append(area1)
+        errs.append(err1)
+        suspect.append(err1 == res_asc != 0.0)
+        area += area1
+        err_sum += err1
+    if any(suspect) or err_sum > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(area)):
+        errs = [err_sum if s else e for s, e in zip(suspect, errs)]
+        err_sum = 0.0
+        for e in errs:
+            err_sum += e
+        for _ in range(QUAD_LIMIT - len(lo)):
+            k = max(range(len(errs)), key=errs.__getitem__)
+            a1, b2 = lo[k], hi[k]
+            mid = 0.5 * (a1 + b2)
+            area1, err1, _ = _qk21(f, a1, mid)
+            area2, err2, _ = _qk21(f, mid, b2)
+            err_sum += err1 + err2 - errs[k]
+            area += area1 + area2 - areas[k]
+            # the half with the larger error keeps slot k
+            if err2 > err1:
+                lo[k], areas[k], errs[k] = mid, area2, err2
+                lo.append(a1)
+                hi.append(mid)
+                areas.append(area1)
+                errs.append(err1)
+            else:
+                hi[k], areas[k], errs[k] = mid, area1, err1
+                lo.append(mid)
+                hi.append(b2)
+                areas.append(area2)
+                errs.append(err2)
+            if err_sum <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(area)):
+                break
         else:
-            hi[k], areas[k], errs[k] = mid, area1, err1
-            lo.append(mid)
-            hi.append(b2)
-            areas.append(area2)
-            errs.append(err2)
-        if err_sum <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(area)):
-            # a plain running sum, as in QUADPACK (sum() compensates from Python 3.12)
-            total = 0.0
-            for value in areas:
-                total += value
-            return total
-    raise QuadratureError(
-        f"adaptive quadrature on [{a!r}, {b!r}] did not converge in {QUAD_LIMIT} "
-        f"subintervals (value={area:.6g}, err={err_sum:.6g})"
-    )
+            raise QuadratureError(
+                f"adaptive quadrature on [{a!r}, {b!r}] did not converge in {QUAD_LIMIT} "
+                f"subintervals (value={area:.6g}, err={err_sum:.6g})"
+            )
+        # a plain running sum, as in QUADPACK (sum() compensates from Python 3.12)
+        area = 0.0
+        for value in areas:
+            area += value
+    if panels is not None:
+        panels[:] = [*sorted(lo), b]
+    return area
 
 
 def integrate_semi_infinite(f: Callable[[float], float], scale: float) -> float:

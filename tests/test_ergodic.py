@@ -293,3 +293,40 @@ def test_rate_cap_past_overflow_is_overflow_error(integral):
     huge = SystemParams(*(LinkStat(1, pi) for pi in (1e300, 1e300, 1.0, 1.0)), p_s=1.0, p_max=1.0)
     with pytest.raises(OverflowError):
         integral(huge, SignalParams(1.0, 0.5))
+
+
+def test_rayleigh_lower_bound_below_exact_over_audit_slice():
+    # the 20 all-Rayleigh draws among the first 60 designs of D
+    for sys_p, sig in AUDIT[:60:3]:
+        assert sys_p.all_rayleigh
+        exact, lb = r_e2e_exact(sys_p, sig).value, r_e2e_rayleigh_lb(sys_p, sig).value
+        assert lb <= exact + max(QUAD_ABS_TOL, QUAD_REL_TOL * exact), (sys_p, sig, exact, lb)
+
+
+def scaled_hops(t):
+    """base_system() with both relayed hops at 100 t."""
+    return base_system(pi_sr=100.0 * t, pi_rd=100.0 * t)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 10.0), (1e3, 1e4)])
+def test_ergodic_integrals_continuous_where_the_rate_cap_switches(lo, hi):
+    # bisect for the t where the bound survival at the cap of t = lo crosses
+    # 1e-12: the cap (10 -> 20, the turn at r = 20, then 20 -> 40) doubles
+    # there, and the knot at r_cap / 2 moves with it
+    cap = _rate_cap(scaled_hops(lo), SIG)
+    while hi / lo - 1.0 > 1e-13:
+        mid = math.sqrt(lo * hi)
+        if 1.0 - p_e2e_lb(scaled_hops(mid), SIG, RateTarget(cap)).value > 1e-12:
+            hi = mid
+        else:
+            lo = mid
+    t = math.sqrt(lo * hi)
+    assert _rate_cap(scaled_hops(t * (1.0 - 1e-9)), SIG) == cap
+    assert _rate_cap(scaled_hops(t * (1.0 + 1e-9)), SIG) == 2.0 * cap
+    for integral in (r_e2e_ub, r_e2e_exact):
+        value = {d: integral(scaled_hops(t * (1.0 + d)), SIG).value for d in (-1e-6, -1e-9, 1e-9, 1e-6)}
+        # the smooth change over 2e-9, about 6 tolerances here, estimated as
+        # 1e-3 of the change over 2e-6, is not a jump
+        smooth = 1e-3 * (value[1e-6] - value[-1e-6])
+        jump = value[1e-9] - value[-1e-9] - smooth
+        assert abs(jump) <= 4.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * value[1e-9]), (integral, t, value)

@@ -238,6 +238,15 @@ def test_rate_target_constants_match_mpmath():
         assert (RateTarget(r).eta, RateTarget(r).gamma) == (2.0**r - 1.0, 4.0**r - 1.0)
 
 
+def test_rate_target_continuous_where_eta_switches_form():
+    # eta is expm1(r ln 2) below r = 1 and 2^r - 1 from r = 1 on; one ulp
+    # below 1 the true eta is 1.5e-16 under 1 and gamma 6.2e-16 under 3
+    below, at = RateTarget(math.nextafter(1.0, 0.0)), RateTarget(1.0)
+    assert (at.eta, at.gamma) == (1.0, 3.0)
+    assert 0.0 <= at.eta - below.eta <= 4.0 * math.ulp(below.eta)
+    assert 0.0 <= at.gamma - below.gamma <= 4.0 * math.ulp(below.gamma)
+
+
 def test_psi_r_stable_under_strong_gamma():
     # the stable product form must not cancel catastrophically near x = 1
     t = RateTarget(10.0)  # gamma ~ 1.05e6

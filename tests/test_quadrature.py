@@ -1,6 +1,7 @@
 """The library's one adaptive quadrature (QUADPACK's QK21 rule in `math`):
-agreement with SciPy's QUADPACK on the integrands the library builds, and
-its typed failures."""
+agreement with SciPy's QUADPACK on the integrands the library builds, the
+single-panel start's frozen bits, break points and final panels, and its
+typed failures."""
 
 import math
 import random
@@ -33,18 +34,29 @@ def _draws(seed, n):
 
 
 def _recorded_integrals(monkeypatch, evaluate):
-    """(integrand, a, b, value) of every adaptive_quad call made by evaluate()."""
+    """(integrand, a, b, breaks, value) of every adaptive_quad call made by evaluate()."""
     calls = []
 
-    def recording(f, a, b):
-        value = adaptive_quad(f, a, b)
-        calls.append((f, a, b, value))
+    def recording(f, a, b, breaks=(), panels=None):
+        value = adaptive_quad(f, a, b, breaks, panels)
+        calls.append((f, a, b, tuple(breaks), value))
         return value
 
     monkeypatch.setattr(outage, "adaptive_quad", recording)
     monkeypatch.setattr(ergodic, "adaptive_quad", recording)
     evaluate()
     return calls
+
+
+def _counting(f):
+    """f and a one-element list that counts its evaluations."""
+    evals = [0]
+
+    def counted(x):
+        evals[0] += 1
+        return f(x)
+
+    return counted, evals
 
 
 def test_matches_quadpack_on_library_integrands(monkeypatch):
@@ -58,27 +70,25 @@ def test_matches_quadpack_on_library_integrands(monkeypatch):
     # 10 outer rate integrals, and 149 pieces of the 40 first-hop integrals,
     # each cut to its domain and split at its knots
     assert len(calls) == 159
-    for f, a, b, value in calls:
-        evals = [0]
-
-        def counted(x):
-            evals[0] += 1
-            return f(x)
-
+    assert sum(1 for *_, breaks, _ in calls if breaks) == 10
+    for f, a, b, breaks, value in calls:
         ref, _, info = integrate.quad(
-            counted, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT,
-            full_output=True,
+            f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT,
+            points=breaks or None, full_output=True,
         )
-        assert value == pytest.approx(ref, rel=1e-14, abs=1e-300)
-        # the same QK21 nodes: as many integrand evaluations as QUADPACK
-        mine = [0]
-
-        def counted_mine(x):
-            mine[0] += 1
-            return f(x)
-
-        adaptive_quad(counted_mine, a, b)
-        assert mine[0] == info["neval"]
+        mine, mine_evals = _counting(f)
+        adaptive_quad(mine, a, b, breaks)
+        if not breaks:
+            # one panel: the same QK21 nodes and value to rounding as QUADPACK
+            assert value == pytest.approx(ref, rel=1e-14, abs=1e-300)
+            assert mine_evals[0] == info["neval"]
+        else:
+            # the rate integrals start from their knot at r_cap / 2, where a
+            # start from [0, r_cap] would have bisected after one wasted panel
+            assert abs(value - ref) <= 2.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(ref))
+            whole, whole_evals = _counting(f)
+            assert adaptive_quad(whole, a, b) == pytest.approx(value, rel=1e-14, abs=1e-300)
+            assert mine_evals[0] < whole_evals[0]
 
 
 def test_known_integrals():
@@ -86,6 +96,82 @@ def test_known_integrals():
     assert integrate_semi_infinite(lambda x: math.exp(-x), 1.0) == pytest.approx(1.0, rel=1e-13)
     # a polynomial of degree <= 31 is integrated exactly by one QK21 step
     assert adaptive_quad(lambda x: x**31, 0.0, 1.0) == pytest.approx(1.0 / 32.0, rel=1e-15)
+
+
+KINK = 1.0 / 3.0
+
+
+def _kinked(x):
+    return math.exp(-abs(x - KINK))
+
+
+def test_break_point_at_a_kink_saves_evaluations():
+    # exp(-|x - c|) is smooth on each side of c: one QK21 panel each
+    exact = 2.0 - math.exp(-KINK) - math.exp(KINK - 1.0)
+    tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * exact)
+    split, split_evals = _counting(_kinked)
+    whole, whole_evals = _counting(_kinked)
+    assert abs(adaptive_quad(split, 0.0, 1.0, (KINK,)) - exact) <= tol
+    assert abs(adaptive_quad(whole, 0.0, 1.0) - exact) <= tol
+    assert split_evals[0] == 42
+    assert whole_evals[0] == 693
+
+
+@pytest.mark.parametrize(
+    "f, a, b, breaks",
+    [
+        (_kinked, 0.0, 1.0, (KINK,)),
+        (math.sqrt, 0.0, 1.0, (0.25, 0.5)),
+        (lambda x: 1.0 / (1.0 + 100.0 * x * x), -1.0, 2.0, (0.0,)),
+        (lambda x: math.cos(30.0 * x), 0.0, 1.0, ()),
+    ],
+)
+def test_final_panels_tile_the_interval(f, a, b, breaks):
+    panels = []
+    value = adaptive_quad(f, a, b, breaks, panels)
+    assert panels[0] == a and panels[-1] == b
+    assert all(x0 < x1 for x0, x1 in zip(panels, panels[1:]))
+    assert set(breaks) <= set(panels)
+    assert len(panels) - 1 <= QUAD_LIMIT
+    # the value is the sum of the final panels' QK21 estimates
+    pieces = sum(outage._qk21(f, x0, x1)[0] for x0, x1 in zip(panels, panels[1:]))
+    assert pieces == pytest.approx(value, rel=1e-14)
+
+
+# (integrand, a, b, value as float.hex, evaluations) from one panel, as
+# before break points existed; tiny_cos is below QUAD_ABS_TOL from its first
+# panel, whose error equals its resasc, so QUADPACK's rule bisects it once
+SINGLE_PANEL = {
+    "sin": (math.sin, 0.0, math.pi, "0x1.0000000000000p+1", 21),
+    "x31": (lambda x: x**31, 0.0, 1.0, "0x1.0000000000002p-5", 63),
+    "runge": (lambda x: 1.0 / (1.0 + 100.0 * x * x), 0.0, 1.0, "0x1.2d49756780044p-3", 147),
+    "sqrt": (math.sqrt, 0.0, 1.0, "0x1.5555555555696p-1", 777),
+    "tiny_cos": (lambda x: 1e-14 * math.cos(30.0 * x), 0.0, 1.0, "-0x1.7bb5279a76463p-52", 63),
+    "kink": (_kinked, 0.0, 1.0, "0x1.8a44330e25d45p-1", 693),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_PANEL))
+def test_single_panel_keeps_its_bits(name):
+    f, a, b, value, evals = SINGLE_PANEL[name]
+    counted, n = _counting(f)
+    assert adaptive_quad(counted, a, b).hex() == value
+    assert n[0] == evals
+
+
+def test_semi_infinite_keeps_its_bits():
+    counted, n = _counting(lambda x: math.exp(-x))
+    assert integrate_semi_infinite(counted, 1.0) == 1.0
+    assert n[0] == 189
+
+
+def test_start_does_not_end_on_a_panel_whose_error_equals_its_resasc():
+    # both first panels are below QUAD_ABS_TOL, and both errors equal their
+    # resasc: the start goes on to bisect, as one such panel alone would
+    counted, n = _counting(lambda x: 1e-14 * math.cos(30.0 * x))
+    value = adaptive_quad(counted, 0.0, 2.0, (1.0,))
+    assert n[0] == 84
+    assert abs(value - 1e-14 * math.sin(60.0) / 30.0) <= QUAD_ABS_TOL
 
 
 def test_subinterval_limit_raises():
