@@ -9,33 +9,48 @@
   integral (see its docstring).
 
 Each outer integral over r runs on `outage.adaptive_quad`, the library's
-one QK21 quadrature, and each of its integrand evaluations takes the scalar
-`math` branches of the hop survivals; `r_e2e_exact` nests the first-hop
-quadrature inside it.  Both integrals share one partition of [0, r_cap]:
-the cap brackets the bound survival's tail from above and below
-(`_rate_cap`), so the nodes sit where the survival lives, also when its
-mass is at r << 1.  The bound's integral starts from the knot r_cap / 2,
-where its survival is still above 1e-12, and the exact rate starts from the
-bound's final panels, since its survival is never above the bound's and has
-the same tail; it bisects further only where its own error asks for it.
+one QK21 quadrature.  The bound's integrand (`_bound_survival`) is built
+once per design: a float function of r that holds both hops pre-bound
+(`outage._sr_hop`, `outage._rd_hop`) and at each node forms gamma from r
+(`model._rate_constants`, the helper of `RateTarget`), psi_r(c_x) and
+psi_r(c_x) / (1 - c_x^2) from one square root (`model._psi_pair`, the float
+form of `psi_r` and `psi_ratio_limit`), then the two hop polynomials; it
+equals the per-target hop survivals bit for bit.  The rate cap, the bound's
+integral and the second-hop factor of `r_e2e_exact` all use it; the exact
+rate nests the first-hop quadrature inside its nodes.  Both integrals share
+one partition of [0, r_cap]: the cap brackets the bound survival's tail
+from above and below (`_rate_cap`), so the nodes sit where the survival
+lives, also when its mass is at r << 1.  The bound's integral starts from
+the knot r_cap / 2, where its survival is still above 1e-12, and the exact
+rate starts from the bound's final panels, since its survival is never
+above the bound's and has the same tail; it bisects further only where its
+own error asks for it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
-from .model import RateTarget, SignalParams, SystemParams, alpha
+from .model import (
+    RateTarget,
+    SignalParams,
+    SystemParams,
+    _psi_pair,
+    _rate_constants,
+    alpha,
+    psi_ratio_limit,
+)
 from .outage import (
     METHOD_EXACT_INTEGRAL,
     METHOD_LOWER_BOUND,
     METHOD_UPPER_BOUND,
     EvalResult,
-    _rd_survival,
+    _rd_hop,
+    _sr_hop,
     _sr_survival_exact,
-    _sr_survival_lb_complement,
     adaptive_quad,
     integrate_semi_infinite,
-    p_e2e_lb,
 )
 
 __all__ = [
@@ -49,22 +64,35 @@ __all__ = [
 _CAP_SURVIVAL = 1e-12
 
 
-def _rate_cap(sys: SystemParams, sig: SignalParams) -> float:
+def _bound_survival(sys: SystemParams, sig: SignalParams) -> Callable[[float], float]:
+    """The survival 1 - P_lb(r) of the outage lower bound as a float function
+    of the rate r, with both hops bound once for the design (`_sr_hop`,
+    `_rd_hop`).  At each node it forms gamma from r (`_rate_constants`, which
+    raises as `RateTarget` does), psi_r(c_x) and psi_r(c_x) / (1 - c_x^2)
+    from one square root (`_psi_pair`), and the two hop polynomials; the
+    value is that of `_sr_survival_lb_complement * _rd_survival` at
+    `RateTarget(r)`, bit for bit."""
+    first, second, c_x = _sr_hop(sys, sig.p_r), _rd_hop(sys, sig.p_r), sig.c_x
+
+    def survival(r: float) -> float:
+        psi, ratio = _psi_pair(_rate_constants(r)[1], c_x)
+        return first(psi) * second(ratio)
+
+    return survival
+
+
+def _rate_cap(survival: Callable[[float], float]) -> float:
     """The smallest 20 * 2^k (k any integer) at which the bound survival
-    1 - P_lb(r) is at most 1e-12.
+    (`_bound_survival`) is at most 1e-12.
 
     From r = 20 it doubles while the survival is above 1e-12, or else halves
     while the survival at half the cap is still at most 1e-12, so the cap
     brackets the survival's tail: at most 1e-12 at the cap, above it at half
     the cap.  The survival tends to 1 as r -> 0+, so the halving ends; the
-    doubling ends at the latest where `RateTarget` raises OverflowError
-    (r >= 512).  The exact survival is never above the bound survival, so
-    the cap serves both integrals.
+    doubling ends at the latest where gamma overflows and the survival
+    raises OverflowError (r >= 512).  The exact survival is never above the
+    bound survival, so the cap serves both integrals.
     """
-
-    def survival(r: float) -> float:
-        return 1.0 - p_e2e_lb(sys, sig, RateTarget(r)).value
-
     r_cap = 20.0
     while survival(r_cap) > _CAP_SURVIVAL:
         r_cap *= 2.0
@@ -74,18 +102,11 @@ def _rate_cap(sys: SystemParams, sig: SignalParams) -> float:
     return r_cap
 
 
-def _bound_integral(sys: SystemParams, sig: SignalParams, panels: list | None = None) -> float:
-    """int_0^r_cap (1 - P_lb(r)) dr by adaptive quadrature, with the cap of
-    `_rate_cap` and a knot at r_cap / 2, where the survival is still above
+def _bound_integral(survival: Callable[[float], float], panels: list | None = None) -> float:
+    """int_0^r_cap of the bound survival by adaptive quadrature, with the cap
+    of `_rate_cap` and a knot at r_cap / 2, where the survival is still above
     1e-12; `panels`, if a list, receives the final panel edges."""
-
-    def survival(r: float) -> float:
-        target = RateTarget(r)
-        return _sr_survival_lb_complement(sys, target, sig.p_r, sig.c_x) * _rd_survival(
-            sys, target, sig.p_r, sig.c_x
-        )
-
-    r_cap = _rate_cap(sys, sig)
+    r_cap = _rate_cap(survival)
     return adaptive_quad(survival, 0.0, r_cap, (0.5 * r_cap,), panels)
 
 
@@ -98,7 +119,7 @@ def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:
     integrand is at most 1e-12 (`_rate_cap`).
     """
     sys.check_signal(sig)
-    return EvalResult(_bound_integral(sys, sig), METHOD_UPPER_BOUND)
+    return EvalResult(_bound_integral(_bound_survival(sys, sig)), METHOD_UPPER_BOUND)
 
 
 def r_e2e_exact(sys: SystemParams, sig: SignalParams) -> EvalResult:
@@ -107,14 +128,16 @@ def r_e2e_exact(sys: SystemParams, sig: SignalParams) -> EvalResult:
     The survival is never above the upper bound's and has the same tail, so
     the quadrature starts from the final panels of the bound's integral over
     [0, r_cap] and bisects further only where its own error asks for it.
+    Its second-hop factor is the bound's pre-bound hop.
     """
     sys.check_signal(sig)
     edges: list[float] = []
-    _bound_integral(sys, sig, edges)
+    _bound_integral(_bound_survival(sys, sig), edges)
+    second = _rd_hop(sys, sig.p_r)
 
     def survival(r: float) -> float:
         target = RateTarget(r)
-        return _sr_survival_exact(sys, sig, target) * _rd_survival(sys, target, sig.p_r, sig.c_x)
+        return _sr_survival_exact(sys, sig, target) * second(psi_ratio_limit(target, sig.c_x))
 
     return EvalResult(adaptive_quad(survival, 0.0, edges[-1], edges[1:-1]), METHOD_EXACT_INTEGRAL)
 

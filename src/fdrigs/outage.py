@@ -3,14 +3,17 @@ Nakagami lower bounds, Rayleigh closed forms, Jensen upper bounds and the
 high-RSI asymptote.
 
 Both hops reduce to one expectation, a Gamma-faded signal against a
-Gamma-faded interferer (`_gamma_interference_survival`): the interferer is
-the residual self-interference on the first hop of the lower bound and the
-direct S-D copy on the second hop.  It is a short sum of polynomials in one
-ratio, with integer rising-factorial coefficients (DLMF 5.2(iii))
-tabulated once per interferer shape (`_HOP_POLY`), so an evaluation calls
-no Gamma function or binomial.  It works elementwise on arrays, so
-`e2e_lb_value` evaluates the lower bound over a whole design grid at once,
-and it is the whole integrand of the ergodic upper bound.
+Gamma-faded interferer (`_hop_survival`): the interferer is the residual
+self-interference on the first hop of the lower bound (`_sr_hop`) and the
+direct S-D copy on the second hop (`_rd_hop`).  It is a short sum of
+polynomials in one ratio, with integer rising-factorial coefficients (DLMF
+5.2(iii)) tabulated once per interferer shape (`_HOP_POLY`), so an
+evaluation calls no Gamma function or binomial.  `_hop_survival` binds
+everything but the threshold once and returns the survival as a function of
+it.  That function works elementwise on arrays, so `e2e_lb_value` evaluates
+the lower bound over a whole design grid at once, and the ergodic upper
+bound binds both hops once per design and pays only for the polynomials at
+each rate node.
 
 The exact first hop and the MRC baseline below are both a Gamma mixture
 E_X[Q(m, h(X))], with one quadrature, `_gamma_mixture`, over the part of the
@@ -347,20 +350,26 @@ def p_sr_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> Eval
 
 
 # Coefficients of P_m(z) = sum_{k<=m} C(m, k) (m_i)_k z^k for interferer
-# shapes m_i and signal terms m < max shape, highest power first for Horner's rule.
+# shapes m_i and signal terms m < max shape, highest power first for Horner's
+# rule, each row split into (leading coefficient, the rest).
 _HOP_POLY = {
     m_i: tuple(
-        tuple(float(math.comb(m, k) * math.perm(m_i + k - 1, k)) for k in range(m, -1, -1))
-        for m in range(max(_SUPPORTED_SHAPES))
+        (row[0], row[1:])
+        for row in (
+            tuple(float(math.comb(m, k) * math.perm(m_i + k - 1, k)) for k in range(m, -1, -1))
+            for m in range(max(_SUPPORTED_SHAPES))
+        )
     )
     for m_i in _SUPPORTED_SHAPES
 }
 
 
-def _gamma_interference_survival(m_sig: int, u, load, interferer: LinkStat):
-    """E_g[Q(m_sig, u (1 + load g))] for g ~ Gamma(m_i, theta_i), the
-    interferer's shape and scale, elementwise over arrays u and load; two
-    Python floats take the same formula in `math`.
+def _hop_survival(m_sig: int, load, interferer: LinkStat, scale):
+    """The hop survival as a function of v, with everything else bound once:
+    v -> E_g[Q(m_sig, u (1 + load g))] at u = v / scale, for
+    g ~ Gamma(m_i, theta_i), the interferer's shape and scale.  It works
+    elementwise over arrays; a float u with a float load takes the same
+    formula in `math`.
 
     Q(m, y) = e^-y sum_{m'<m} y^m' / m'!, so after a binomial expansion of
     (1 + load g)^m' every term is a Gamma moment E[g^k e^{-u load g}], and
@@ -371,32 +380,56 @@ def _gamma_interference_survival(m_sig: int, u, load, interferer: LinkStat):
 
     with the rising factorial (m_i)_k = Gamma(m_i + k) / Gamma(m_i) (DLMF
     5.2(iii)).  Every term is positive, and P_m takes its integer
-    coefficients from `_HOP_POLY` by Horner's rule.
+    coefficients from `_HOP_POLY` by Horner's rule.  Bound are theta_i load,
+    the coefficient rows, m_i and the scale, so a quadrature over the rate
+    pays only for the polynomials at each node.
     """
     m_i = interferer.m
     x = interferer.theta * load
-    t = 1.0 + x * u
-    z = x / t
-    total = 0.0
-    term = 1.0  # u^m / m!
-    for m, coeffs in enumerate(_HOP_POLY[m_i][:m_sig]):
-        if m:
-            term = term * u / m
-        poly = coeffs[0]
-        for c in coeffs[1:]:
-            poly = poly * z + c
-        total += term * poly
-    # Rounding lifts the sum up to a few ulp above 1 as u -> 0; a survival cannot exceed 1.
-    if type(u) is float and type(load) is float:
-        return min(1.0, math.exp(-u) * total / t**m_i)
-    # np.power, not **: a NumPy scalar's ** (C pow) can differ from the array loop
-    return _scalar_or_array(np.minimum(1.0, np.exp(-u) * total / np.power(t, m_i)))
+    rows = _HOP_POLY[m_i][:m_sig]
+    floats = type(x) is float
+
+    def survival(v):
+        u = v / scale
+        t = 1.0 + x * u
+        z = x / t
+        total = 0.0
+        term = 1.0  # u^m / m!
+        for m, (poly, coeffs) in enumerate(rows):
+            if m:
+                term = term * u / m
+            for c in coeffs:
+                poly = poly * z + c
+            total += term * poly
+        # Rounding lifts the sum up to a few ulp above 1 as u -> 0; a survival
+        # cannot exceed 1.  Past u ~ 745, e^-u and with it the survival are 0
+        # in a double, while the sum can overflow to inf (0 * inf is nan, which
+        # min() would turn into 1) and t**m_i raise, so a float survival is 0
+        # wherever e^-u is.
+        if floats and type(u) is float:
+            damp = math.exp(-u)
+            return min(1.0, damp * total / t**m_i) if damp else 0.0
+        # np.power, not **: a NumPy scalar's ** (C pow) can differ from the array loop
+        return _scalar_or_array(np.minimum(1.0, np.exp(-u) * total / np.power(t, m_i)))
+
+    return survival
+
+
+def _sr_hop(sys: SystemParams, p_r):
+    """The first-hop survival of the lower bound as a function of psi_r(c_x):
+    the RSI gain is the interferer, loaded by p_r."""
+    return _hop_survival(sys.sr.m, p_r, sys.rr, sys.p_s * sys.sr.theta)
+
+
+def _rd_hop(sys: SystemParams, p_r):
+    """The second-hop survival as a function of psi_ratio_limit(c_x): the
+    direct S-D copy is the interferer, loaded by p_s."""
+    return _hop_survival(sys.rd.m, sys.p_s, sys.sd, p_r * sys.rd.theta)
 
 
 def _sr_survival_lb_complement(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Survival probability whose complement is the first-hop lower bound."""
-    u = psi_r(target, c_x) / (sys.p_s * sys.sr.theta)
-    return _gamma_interference_survival(sys.sr.m, u, p_r, sys.rr)
+    return _sr_hop(sys, p_r)(psi_r(target, c_x))
 
 
 def p_sr_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
@@ -433,8 +466,7 @@ def convexity_witness(
 
 def _rd_survival(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Survival probability of the second hop (closed double sum)."""
-    u = psi_ratio_limit(target, c_x) / (p_r * sys.rd.theta)
-    return _gamma_interference_survival(sys.rd.m, u, sys.p_s, sys.sd)
+    return _rd_hop(sys, p_r)(psi_ratio_limit(target, c_x))
 
 
 def p_rd_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:

@@ -9,9 +9,15 @@ import mpmath as mp
 import pytest
 from scipy import integrate
 
-from fdrigs.ergodic import _rate_cap, r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
+from fdrigs.ergodic import _bound_survival, _rate_cap, r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, alpha
-from fdrigs.outage import QUAD_ABS_TOL, QUAD_REL_TOL, p_e2e_exact, p_e2e_lb
+from fdrigs.outage import (
+    QUAD_ABS_TOL,
+    QUAD_REL_TOL,
+    _rd_survival,
+    _sr_survival_lb_complement,
+    p_e2e_exact,
+)
 from audit_domain import d_draws
 from mp_oracles import mp_hop_survival
 
@@ -276,15 +282,14 @@ def test_exact_below_upper_bound_and_equal_at_proper_signaling_over_audit_slice(
 
 
 def test_rate_cap_brackets_the_bound_survival():
-    # the cap is the smallest 20 * 2^k with survival <= 1e-12
-    def survival(sys_p, sig, r):
-        return 1.0 - p_e2e_lb(sys_p, sig, RateTarget(r)).value
-
+    # the cap is the smallest 20 * 2^k with survival <= 1e-12, where the
+    # survival is the cap's own: 1 - p_e2e_lb cancels to ~1e-4 relative there
     designs = AUDIT + [(small_rate_system(), SignalParams(p_r, 0.0)) for p_r in (0.3, 0.65, 1.0)]
     for sys_p, sig in designs:
-        cap = _rate_cap(sys_p, sig)
+        survival = _bound_survival(sys_p, sig)
+        cap = _rate_cap(survival)
         assert math.log2(cap / 20.0).is_integer(), cap
-        assert survival(sys_p, sig, cap) <= 1e-12 < survival(sys_p, sig, 0.5 * cap), (sys_p, sig, cap)
+        assert survival(cap) <= 1e-12 < survival(0.5 * cap), (sys_p, sig, cap)
 
 
 @pytest.mark.parametrize("integral", [r_e2e_ub, r_e2e_exact])
@@ -313,16 +318,19 @@ def test_ergodic_integrals_continuous_where_the_rate_cap_switches(lo, hi):
     # bisect for the t where the bound survival at the cap of t = lo crosses
     # 1e-12: the cap (10 -> 20, the turn at r = 20, then 20 -> 40) doubles
     # there, and the knot at r_cap / 2 moves with it
-    cap = _rate_cap(scaled_hops(lo), SIG)
+    def cap_of(t):
+        return _rate_cap(_bound_survival(scaled_hops(t), SIG))
+
+    cap = cap_of(lo)
     while hi / lo - 1.0 > 1e-13:
         mid = math.sqrt(lo * hi)
-        if 1.0 - p_e2e_lb(scaled_hops(mid), SIG, RateTarget(cap)).value > 1e-12:
+        if _bound_survival(scaled_hops(mid), SIG)(cap) > 1e-12:
             hi = mid
         else:
             lo = mid
     t = math.sqrt(lo * hi)
-    assert _rate_cap(scaled_hops(t * (1.0 - 1e-9)), SIG) == cap
-    assert _rate_cap(scaled_hops(t * (1.0 + 1e-9)), SIG) == 2.0 * cap
+    assert cap_of(t * (1.0 - 1e-9)) == cap
+    assert cap_of(t * (1.0 + 1e-9)) == 2.0 * cap
     for integral in (r_e2e_ub, r_e2e_exact):
         value = {d: integral(scaled_hops(t * (1.0 + d)), SIG).value for d in (-1e-6, -1e-9, 1e-9, 1e-6)}
         # the smooth change over 2e-9, about 6 tolerances here, estimated as
@@ -330,3 +338,41 @@ def test_ergodic_integrals_continuous_where_the_rate_cap_switches(lo, hi):
         smooth = 1e-3 * (value[1e-6] - value[-1e-6])
         jump = value[1e-9] - value[-1e-9] - smooth
         assert abs(jump) <= 4.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * value[1e-9]), (integral, t, value)
+
+
+# Rates on both sides of RateTarget's switch at r = 1, and far into the tail.
+CODED_ONCE_RATES = (1e-3, 0.5, math.nextafter(1.0, 0.0), 1.0, 7.0, 300.0)
+
+
+def test_bound_integrand_is_the_hop_survivals_bit_for_bit_over_audit_domain():
+    # the pre-bound integrand forms gamma, the psi pair and both hops with the
+    # same helpers as RateTarget and the per-target hop survivals, so it
+    # cannot drift from them by a single bit; it raises as RateTarget does
+    for sys_p, sig, _ in d_draws(1500):
+        survival = _bound_survival(sys_p, sig)
+        for r in CODED_ONCE_RATES:
+            target = RateTarget(r)
+            first = _sr_survival_lb_complement(sys_p, target, sig.p_r, sig.c_x)
+            ref = first * _rd_survival(sys_p, target, sig.p_r, sig.c_x)
+            assert survival(r).hex() == ref.hex(), (sys_p, sig, r)
+        with pytest.raises(OverflowError):
+            survival(640.0)
+        with pytest.raises(ValueError):
+            survival(0.0)
+
+
+@pytest.mark.parametrize("shapes", [(1, 1, 1, 1), (3, 4, 3, 1)])
+def test_ergodic_integrals_continuous_as_cx_tends_to_one(shapes):
+    # psi_r(c_x) / (1 - c_x^2) is gamma / (1 + sqrt(1 + g)), whose limit
+    # gamma / 2 at c_x = 1 needs no special case; both integrals must reach
+    # their value at c_x = 1 with no jump
+    sys_p = base_system(shapes=shapes)
+    for integral in (r_e2e_ub, r_e2e_exact):
+        at_one = integral(sys_p, SignalParams(1.0, 1.0)).value
+        tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * at_one)
+        # the smooth change over 1 - c_x, estimated from the change over 1e-6
+        slope = (integral(sys_p, SignalParams(1.0, 1.0 - 1e-6)).value - at_one) / 1e-6
+        for c_x in (1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15):
+            value = integral(sys_p, SignalParams(1.0, c_x)).value
+            jump = value - at_one - slope * (1.0 - c_x)
+            assert abs(jump) <= 4.0 * tol, (integral, c_x, value, at_one)

@@ -21,6 +21,8 @@ from fdrigs.model import (
     RateTarget,
     SignalParams,
     SystemParams,
+    _psi_pair,
+    _rate_constants,
     alpha,
     psi_r,
     psi_ratio_limit,
@@ -245,6 +247,22 @@ def test_rate_target_continuous_where_eta_switches_form():
     assert (at.eta, at.gamma) == (1.0, 3.0)
     assert 0.0 <= at.eta - below.eta <= 4.0 * math.ulp(below.eta)
     assert 0.0 <= at.gamma - below.gamma <= 4.0 * math.ulp(below.gamma)
+
+
+def test_psi_pair_and_rate_constants_are_the_maps_float_form_bit_for_bit():
+    # the ergodic integrand takes gamma from _rate_constants and both maps
+    # from _psi_pair; the maps and RateTarget keep their own entry points, so
+    # the values must agree to the bit, at both ends of [0, 1] and near 1
+    rng = np.random.default_rng(19)
+    rates = [math.nextafter(1.0, 0.0), 1.0, 7.0, 300.0, *(10.0 ** rng.uniform(-3.0, 2.5, size=60))]
+    cs = [0.0, 0.5, 1.0 - 1e-15, 1.0, *rng.uniform(0.0, 1.0, size=20), *(1.0 - 10.0 ** rng.uniform(-12.0, -1.0, size=20))]
+    for r in rates:
+        t = RateTarget(float(r))
+        assert _rate_constants(float(r)) == (t.eta, t.gamma)
+        for c in cs:
+            c = float(c)
+            psi, ratio = _psi_pair(t.gamma, c)
+            assert (psi.hex(), ratio.hex()) == (psi_r(t, c).hex(), psi_ratio_limit(t, c).hex()), (r, c)
 
 
 def test_psi_r_stable_under_strong_gamma():

@@ -17,7 +17,7 @@ from fdrigs.outage import (
     QUAD_ABS_TOL,
     QUAD_REL_TOL,
     _combined_survival,
-    _gamma_interference_survival,
+    _hop_survival,
     _sr_survival_exact,
     asymptotic_k,
     e2e_rayleigh_ub_value,
@@ -146,7 +146,7 @@ def test_hop_survival_vs_mpmath(m_sig, m_i):
         for log_u, log_load, log_theta in [*corners, *draws]:
             u, load = float(10.0**log_u), float(10.0**log_load)
             interferer = LinkStat(m_i, float(m_i * 10.0**log_theta))
-            value = _gamma_interference_survival(m_sig, u, load, interferer)
+            value = _hop_survival(m_sig, load, interferer, 1.0)(u)
             ref = mp_hop_survival(m_sig, u, load, m_i, interferer.theta)
             if ref > 1e-300:
                 assert value == pytest.approx(float(ref), rel=1e-13), (u, load, interferer)
@@ -154,6 +154,29 @@ def test_hop_survival_vs_mpmath(m_sig, m_i):
             else:
                 assert 0.0 <= value <= 1e-299
     assert checked >= 60
+
+
+@pytest.mark.parametrize("m_i", [1, 2, 3, 4])
+def test_hop_survival_is_zero_where_its_exponential_underflows(m_i):
+    # past u ~ 745 the survival is below the smallest double; from u ~ 1e103
+    # its polynomial sum overflows, and 0 * inf = nan came out as a survival
+    # of 1 through the clamp, or t**m_i raised OverflowError
+    interferer = LinkStat(m_i, 10.0)
+    u = [800.0, 1e103, 1e120, 1e200, 1e300]
+    for m_sig in (1, 2, 3, 4):
+        for load in (1e-3, 1.0, 1e3):
+            assert [_hop_survival(m_sig, load, interferer, 1.0)(v) for v in u] == [0.0] * 5
+
+
+def test_second_hop_outage_is_one_at_huge_rates_over_audit_domain():
+    # gamma = 2^(2r) - 1 puts the second hop's threshold past 1e54 here; at
+    # r = 200 the sum without the zero at e^-u = 0 gave outage 0 on 23 of
+    # D's draws and raised OverflowError on 127
+    for sys_p, sig, _ in d_draws(1500):
+        for r in (200.0, 300.0, 500.0):
+            target = RateTarget(r)
+            assert p_rd_exact(sys_p, sig, target).value == 1.0, (sys_p, sig, r)
+            assert p_e2e_lb(sys_p, sig, target).value == 1.0, (sys_p, sig, r)
 
 
 def test_e2e_factorizes_over_hops():
@@ -307,13 +330,21 @@ def test_scalar_and_array_branches_agree():
             u = psi_ratio_limit(target, c_x) * 10.0 ** rng.uniform(-3.0, 1.0)
             load = 10.0 ** rng.uniform(-2.0, 2.0, size=4)
             for m_sig in shapes[:2]:
-                array = _gamma_interference_survival(int(m_sig), u, load, interferer)
+                array = _hop_survival(int(m_sig), load, interferer, 1.0)(u)
                 for k in range(4):
-                    scalar = _gamma_interference_survival(int(m_sig), float(u[k]), float(load[k]), interferer)
+                    scalar = _hop_survival(int(m_sig), float(load[k]), interferer, 1.0)(float(u[k]))
                     assert isinstance(scalar, float)
                     assert scalar == pytest.approx(array[k], rel=1e-15, abs=1e-300)
-                    numpy_scalar = _gamma_interference_survival(int(m_sig), u[k], load[k], interferer)
+                    numpy_scalar = _hop_survival(int(m_sig), load[k], interferer, 1.0)(u[k])
                     assert type(numpy_scalar) is float and numpy_scalar == array[k]
+                # a hop bound once over a float load and a threshold scale, as
+                # the rate integrand binds it, gives an array's elements bit for
+                # bit to NumPy scalars and within rounding to floats
+                for k, scale in enumerate((0.1, 0.5, 2.0, 7.3)):
+                    hop = _hop_survival(int(m_sig), float(load[k]), interferer, scale)
+                    on_array = hop(u)
+                    assert type(hop(u[k])) is float and hop(u[k]) == on_array[k]
+                    assert hop(float(u[k])) == pytest.approx(on_array[k], rel=1e-15, abs=1e-300)
 
 
 def test_metrics_same_bits_for_int_float_and_numpy_parameters():
