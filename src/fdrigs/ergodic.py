@@ -70,8 +70,8 @@ def _bound_survival(sys: SystemParams, sig: SignalParams) -> Callable[[float], f
     `_rd_hop`).  At each node it forms gamma from r (`_rate_constants`, which
     raises as `RateTarget` does), psi_r(c_x) and psi_r(c_x) / (1 - c_x^2)
     from one square root (`_psi_pair`), and the two hop polynomials; the
-    value is that of `_sr_survival_lb_complement * _rd_survival` at
-    `RateTarget(r)`, bit for bit."""
+    value is that of the same hops applied to `psi_r` and `psi_ratio_limit`
+    at `RateTarget(r)`, bit for bit."""
     first, second, c_x = _sr_hop(sys, sig.p_r), _rd_hop(sys, sig.p_r), sig.c_x
 
     def survival(r: float) -> float:

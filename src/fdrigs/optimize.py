@@ -351,9 +351,13 @@ def _grid_values(
 def _grid_pick(
     p_grid: np.ndarray, c_grid: np.ndarray, values: np.ndarray, tag: str, minimize: bool
 ) -> OptResult:
-    """The best grid cell, first in row-major order among ties."""
+    """The best grid cell, first in row-major order among ties.  A non-finite
+    objective there raises ArithmeticError: `np.argmin` and `np.argmax`
+    return the first nan, so checking the chosen cell suffices."""
     flat = np.argmin(values) if minimize else np.argmax(values)
     i, j = np.unravel_index(flat, values.shape)
+    if not math.isfinite(values[i, j]):
+        raise ArithmeticError(f"non-finite objective {values[i, j]} at p_r={p_grid[i]}, c_x={c_grid[j]}")
     return OptResult(
         p_r_star=float(p_grid[i]),
         c_x_star=float(c_grid[j]),

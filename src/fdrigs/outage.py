@@ -1,6 +1,6 @@
 """Outage probability of both hops and end to end: exact integrals,
-Nakagami lower bounds, Rayleigh closed forms, Jensen upper bounds and the
-high-RSI asymptote.
+Nakagami lower bounds, Rayleigh closed forms, Jensen upper bounds, the
+high-RSI asymptote and the half-duplex baselines.
 
 Both hops reduce to one expectation, a Gamma-faded signal against a
 Gamma-faded interferer (`_hop_survival`): the interferer is the residual
@@ -13,7 +13,12 @@ everything but the threshold once and returns the survival as a function of
 it.  That function works elementwise on arrays, so `e2e_lb_value` evaluates
 the lower bound over a whole design grid at once, and the ergodic upper
 bound binds both hops once per design and pays only for the polynomials at
-each rate node.
+each rate node.  It is the library's only closed-form Gamma survival: at
+load 0 it is Q(m, u), and the high-RSI limit `asymptotic_k` and the
+half-duplex baselines take their Q factors from it (`_zero_load_survivals`).
+Its Poisson weights carry e^-u and its interferer factor is (1/t)^m_i, so
+floats and arrays share one underflow rule: the survival is 0 where either
+underflows (a float also at u = inf, where an array gives nan).
 
 The exact first hop and the MRC baseline below are both a Gamma mixture
 E_X[Q(m, h(X))], with one quadrature, `_gamma_mixture`, over the part of the
@@ -350,14 +355,14 @@ def p_sr_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> Eval
 
 
 # Coefficients of P_m(z) = sum_{k<=m} C(m, k) (m_i)_k z^k for interferer
-# shapes m_i and signal terms m < max shape, highest power first for Horner's
-# rule, each row split into (leading coefficient, the rest).
+# shapes m_i and signal terms 1 <= m < max shape (P_0 = 1), highest power
+# first for Horner's rule, each row split into (leading coefficient, the rest).
 _HOP_POLY = {
     m_i: tuple(
         (row[0], row[1:])
         for row in (
             tuple(float(math.comb(m, k) * math.perm(m_i + k - 1, k)) for k in range(m, -1, -1))
-            for m in range(max(_SUPPORTED_SHAPES))
+            for m in range(1, max(_SUPPORTED_SHAPES))
         )
     )
     for m_i in _SUPPORTED_SHAPES
@@ -369,12 +374,13 @@ def _hop_survival(m_sig: int, load, interferer: LinkStat, scale):
     v -> E_g[Q(m_sig, u (1 + load g))] at u = v / scale, for
     g ~ Gamma(m_i, theta_i), the interferer's shape and scale.  It works
     elementwise over arrays; a float u with a float load takes the same
-    formula in `math`.
+    formula in `math`.  At load 0 it is Q(m_sig, u), the library's one
+    closed-form Gamma survival.
 
     Q(m, y) = e^-y sum_{m'<m} y^m' / m'!, so after a binomial expansion of
     (1 + load g)^m' every term is a Gamma moment E[g^k e^{-u load g}], and
 
-        E = e^-u t^-m_i sum_{m<m_sig} (u^m / m!) P_m(z),
+        E = (1/t)^m_i sum_{m<m_sig} (e^-u u^m / m!) P_m(z),
         t = 1 + theta_i load u,  z = theta_i load / t,
         P_m(z) = sum_{k<=m} C(m, k) (m_i)_k z^k,
 
@@ -383,34 +389,39 @@ def _hop_survival(m_sig: int, load, interferer: LinkStat, scale):
     coefficients from `_HOP_POLY` by Horner's rule.  Bound are theta_i load,
     the coefficient rows, m_i and the scale, so a quadrature over the rate
     pays only for the polynomials at each node.
+
+    One underflow rule serves floats and arrays: e^-u rides in the Poisson
+    weights and t enters as (1/t)^m_i, so where either underflows the
+    survival is 0, with no sum or power to overflow on the way.  A float
+    returns 0 where e^-u is 0 before the sum, since at u = inf the weights
+    would be 0 * inf = nan, which min() would turn into 1; an array gives
+    nan there.
     """
     m_i = interferer.m
     x = interferer.theta * load
-    rows = _HOP_POLY[m_i][:m_sig]
+    rows = _HOP_POLY[m_i][: m_sig - 1]
     floats = type(x) is float
 
     def survival(v):
         u = v / scale
         t = 1.0 + x * u
         z = x / t
-        total = 0.0
-        term = 1.0  # u^m / m!
-        for m, (poly, coeffs) in enumerate(rows):
-            if m:
-                term = term * u / m
+        scalar = floats and type(u) is float
+        term = math.exp(-u) if scalar else np.exp(-u)  # e^-u u^m / m!
+        if scalar and not term:
+            return 0.0
+        total = term  # P_0 = 1
+        for m, (poly, coeffs) in enumerate(rows, 1):
+            term = term * u / m
             for c in coeffs:
                 poly = poly * z + c
-            total += term * poly
-        # Rounding lifts the sum up to a few ulp above 1 as u -> 0; a survival
-        # cannot exceed 1.  Past u ~ 745, e^-u and with it the survival are 0
-        # in a double, while the sum can overflow to inf (0 * inf is nan, which
-        # min() would turn into 1) and t**m_i raise, so a float survival is 0
-        # wherever e^-u is.
-        if floats and type(u) is float:
-            damp = math.exp(-u)
-            return min(1.0, damp * total / t**m_i) if damp else 0.0
+            total = total + term * poly
+        # rounding lifts the sum up to a few ulp above 1 as u -> 0; a survival
+        # cannot exceed 1
+        if scalar:
+            return min(1.0, total * (1.0 / t) ** m_i)
         # np.power, not **: a NumPy scalar's ** (C pow) can differ from the array loop
-        return _scalar_or_array(np.minimum(1.0, np.exp(-u) * total / np.power(t, m_i)))
+        return _scalar_or_array(np.minimum(1.0, total * np.power(1.0 / t, m_i)))
 
     return survival
 
@@ -427,15 +438,10 @@ def _rd_hop(sys: SystemParams, p_r):
     return _hop_survival(sys.rd.m, sys.p_s, sys.sd, p_r * sys.rd.theta)
 
 
-def _sr_survival_lb_complement(sys: SystemParams, target: RateTarget, p_r, c_x):
-    """Survival probability whose complement is the first-hop lower bound."""
-    return _sr_hop(sys, p_r)(psi_r(target, c_x))
-
-
 def p_sr_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
     """Closed-form lower bound on the first-hop outage; exact at c_x = 0."""
     sys.check_signal(sig)
-    survival = _sr_survival_lb_complement(sys, target, sig.p_r, sig.c_x)
+    survival = _sr_hop(sys, sig.p_r)(psi_r(target, sig.c_x))
     return EvalResult(1.0 - survival, METHOD_LOWER_BOUND)
 
 
@@ -464,29 +470,24 @@ def convexity_witness(
     return (4.0 * a * c - b * b) / (4.0 * (c + g_rr * (b + a * g_rr)) ** 1.5)
 
 
-def _rd_survival(sys: SystemParams, target: RateTarget, p_r, c_x):
-    """Survival probability of the second hop (closed double sum)."""
-    return _rd_hop(sys, p_r)(psi_ratio_limit(target, c_x))
-
-
 def p_rd_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
     """Exact second-hop outage probability (closed form, no bounding)."""
     sys.check_signal(sig)
-    return EvalResult(1.0 - _rd_survival(sys, target, sig.p_r, sig.c_x), METHOD_CLOSED_FORM)
+    return EvalResult(1.0 - _rd_hop(sys, sig.p_r)(psi_ratio_limit(target, sig.c_x)), METHOD_CLOSED_FORM)
 
 
 def p_e2e_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
     """Exact end-to-end outage: 1 - (1 - P_sr)(1 - P_rd)."""
     sys.check_signal(sig)
-    survival = _sr_survival_exact(sys, sig, target) * _rd_survival(sys, target, sig.p_r, sig.c_x)
-    return EvalResult(1.0 - survival, METHOD_EXACT_INTEGRAL)
+    second = _rd_hop(sys, sig.p_r)(psi_ratio_limit(target, sig.c_x))
+    return EvalResult(1.0 - _sr_survival_exact(sys, sig, target) * second, METHOD_EXACT_INTEGRAL)
 
 
 def e2e_lb_value(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Closed-form end-to-end outage lower bound, vectorized over (p_r, c_x):
     1 - (first-hop bound survival)(second-hop survival)."""
-    first = _sr_survival_lb_complement(sys, target, p_r, c_x)
-    return 1.0 - first * _rd_survival(sys, target, p_r, c_x)
+    first = _sr_hop(sys, p_r)(psi_r(target, c_x))
+    return 1.0 - first * _rd_hop(sys, p_r)(psi_ratio_limit(target, c_x))
 
 
 def p_e2e_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
@@ -535,9 +536,11 @@ def p_e2e_rayleigh_ub(sys: SystemParams, sig: SignalParams, target: RateTarget) 
     return EvalResult(e2e_rayleigh_ub_value(sys, target, sig.p_r, sig.c_x), METHOD_UPPER_BOUND)
 
 
-def _q(m: int, x: float) -> float:
-    """Regularized upper incomplete gamma Q(m, x), the Gamma(m, 1) survival at x."""
-    return math.exp(log_upper_incomplete_gamma_int(m, x) - math.lgamma(m))
+def _zero_load_survivals(sys: SystemParams, gamma: float) -> tuple[float, float]:
+    """(Q(m_sr, gamma / (p_s theta_sr)), Q(m_rd, gamma / (p_max theta_rd))):
+    the S-R hop without RSI and the R-D hop at p_max without the direct copy,
+    each `_hop_survival` at load 0."""
+    return _sr_hop(sys, 0.0)(gamma), _hop_survival(sys.rd.m, 0.0, sys.sd, sys.p_max * sys.rd.theta)(gamma)
 
 
 def asymptotic_k(sys: SystemParams, target: RateTarget) -> float:
@@ -550,12 +553,13 @@ def asymptotic_k(sys: SystemParams, target: RateTarget) -> float:
     gamma / (p_s theta_sr), so K is the pi_rr -> inf limit of the exact
     outage and an upper bound on it at every pi_rr.
     """
-    first = _q(sys.sr.m, target.gamma / (sys.p_s * sys.sr.theta))
-    return 1.0 - first * _rd_survival(sys, target, sys.p_max, 1.0)
+    first, _ = _zero_load_survivals(sys, target.gamma)
+    return 1.0 - first * _rd_hop(sys, sys.p_max)(psi_ratio_limit(target, 1.0))
 
 
-def _combined_survival(m_x: int, th_x: float, m_y: int, th_y: float, gamma: float) -> float:
-    """P(X + Y >= gamma) for independent X ~ Gamma(m_x, th_x), Y ~ Gamma(m_y, th_y):
+def _combined_survival(sys: SystemParams, gamma: float) -> float:
+    """P(X + Y >= gamma) for the half-duplex second stage, X = p_max g_rd ~
+    Gamma(m_x, th_x) and Y = p_s g_sd ~ Gamma(m_y, th_y):
 
         Q(m_x, gamma / th_x) + int_0^gamma f_X(x) Q(m_y, (gamma - x) / th_y) dx.
 
@@ -566,7 +570,8 @@ def _combined_survival(m_x: int, th_x: float, m_y: int, th_y: float, gamma: floa
     miss mass confined to a sliver of it and still report convergence.  The
     two tails left out hold less than 1e-20.
     """
-    base = _q(m_x, gamma / th_x)
+    m_x, th_x, m_y, th_y = sys.rd.m, sys.p_max * sys.rd.theta, sys.sd.m, sys.p_s * sys.sd.theta
+    _, base = _zero_load_survivals(sys, gamma)
     lo = max(0.0, gamma - th_y * (m_y + _TAIL_SPAN))
     hi = min(gamma, th_x * (m_x + _TAIL_SPAN))
     if lo >= hi:
@@ -584,8 +589,7 @@ def p_hdr_mhdf(sys: SystemParams, target: RateTarget) -> EvalResult:
 
         P = 1 - Q(m_sr, gamma / (p_s theta_sr)) Q(m_rd, gamma / (p_max theta_rd)).
     """
-    first = _q(sys.sr.m, target.gamma / (sys.p_s * sys.sr.theta))
-    second = _q(sys.rd.m, target.gamma / (sys.p_max * sys.rd.theta))
+    first, second = _zero_load_survivals(sys, target.gamma)
     return EvalResult(1.0 - first * second, METHOD_CLOSED_FORM)
 
 
@@ -594,11 +598,8 @@ def p_hdr_mrc(sys: SystemParams, target: RateTarget) -> EvalResult:
     of the direct copy: as `p_hdr_mhdf`, with the second-hop survival
     replaced by P(p_max g_rd + p_s g_sd >= gamma), one quadrature.  It is
     never above the MHDF outage."""
-    first = _q(sys.sr.m, target.gamma / (sys.p_s * sys.sr.theta))
-    second = _combined_survival(
-        sys.rd.m, sys.p_max * sys.rd.theta, sys.sd.m, sys.p_s * sys.sd.theta, target.gamma
-    )
-    return EvalResult(1.0 - first * second, METHOD_EXACT_INTEGRAL)
+    first, _ = _zero_load_survivals(sys, target.gamma)
+    return EvalResult(1.0 - first * _combined_survival(sys, target.gamma), METHOD_EXACT_INTEGRAL)
 
 
 def throughput(target: RateTarget, p_out: float) -> float:

@@ -259,6 +259,15 @@ def test_non_finite_optimizer_candidate_is_numerical_error(monkeypatch, capsys):
     assert code == cli.EXIT_NUMERICAL
     assert "non-finite" in err
     assert out == ""
+    # a grid cell whose threshold overflows a double is nan, and np.argmin
+    # picks the first nan: the grid refuses it rather than print it
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run(["optimize", "--set", "m_sr=2", "--set", "m_rd=3",
+                              "--set", "optimizer=grid", "--set", "r=511.9",
+                              "--set", "pi_rd_db=0"], capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert "non-finite" in err
+    assert out == ""
 
 
 def test_optimize_grid_variant(capsys):

@@ -10,14 +10,8 @@ import pytest
 from scipy import integrate
 
 from fdrigs.ergodic import _bound_survival, _rate_cap, r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
-from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, alpha
-from fdrigs.outage import (
-    QUAD_ABS_TOL,
-    QUAD_REL_TOL,
-    _rd_survival,
-    _sr_survival_lb_complement,
-    p_e2e_exact,
-)
+from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, alpha, psi_r, psi_ratio_limit
+from fdrigs.outage import QUAD_ABS_TOL, QUAD_REL_TOL, _rd_hop, _sr_hop, p_e2e_exact
 from audit_domain import d_draws
 from mp_oracles import mp_hop_survival
 
@@ -352,8 +346,8 @@ def test_bound_integrand_is_the_hop_survivals_bit_for_bit_over_audit_domain():
         survival = _bound_survival(sys_p, sig)
         for r in CODED_ONCE_RATES:
             target = RateTarget(r)
-            first = _sr_survival_lb_complement(sys_p, target, sig.p_r, sig.c_x)
-            ref = first * _rd_survival(sys_p, target, sig.p_r, sig.c_x)
+            first = _sr_hop(sys_p, sig.p_r)(psi_r(target, sig.c_x))
+            ref = first * _rd_hop(sys_p, sig.p_r)(psi_ratio_limit(target, sig.c_x))
             assert survival(r).hex() == ref.hex(), (sys_p, sig, r)
         with pytest.raises(OverflowError):
             survival(640.0)

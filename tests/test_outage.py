@@ -159,13 +159,50 @@ def test_hop_survival_vs_mpmath(m_sig, m_i):
 @pytest.mark.parametrize("m_i", [1, 2, 3, 4])
 def test_hop_survival_is_zero_where_its_exponential_underflows(m_i):
     # past u ~ 745 the survival is below the smallest double; from u ~ 1e103
-    # its polynomial sum overflows, and 0 * inf = nan came out as a survival
-    # of 1 through the clamp, or t**m_i raised OverflowError
+    # u^m overflows, so e^-u must enter the Poisson weights before the sum:
+    # 0 * inf = nan would come out as a survival of 1 through the clamp (as
+    # at a float u = inf), or as nan on an array.  At u = 700 and 740, e^-u
+    # is positive but theta_i load u of 1e77..1e300 overflows t**m_i, while
+    # (1/t)**m_i is 0.
     interferer = LinkStat(m_i, 10.0)
-    u = [800.0, 1e103, 1e120, 1e200, 1e300]
+    u = np.array([800.0, 1e103, 1e120, 1e200, 1e300])
     for m_sig in (1, 2, 3, 4):
         for load in (1e-3, 1.0, 1e3):
-            assert [_hop_survival(m_sig, load, interferer, 1.0)(v) for v in u] == [0.0] * 5
+            hop = _hop_survival(m_sig, load, interferer, 1.0)
+            assert [hop(float(v)) for v in u] == [0.0] * 5
+            assert hop(math.inf) == 0.0
+            assert list(hop(u)) == [0.0] * 5
+            assert list(_hop_survival(m_sig, np.full(5, load), interferer, 1.0)(u)) == [0.0] * 5
+        for v in (700.0, 740.0):
+            load = 10.0 ** np.array([77.0, 100.0, 200.0, 300.0]) / (interferer.theta * v)
+            array = _hop_survival(m_sig, load, interferer, 1.0)(np.full(4, v))
+            floats = [_hop_survival(m_sig, float(b), interferer, 1.0)(v) for b in load]
+            assert floats == list(array) == [0.0] * 4
+
+
+def test_zero_load_hop_is_q_within_1e15_of_mpmath():
+    # At load 0 the hop survival is Q(m, x) = e^-x sum_{k<m} x^k / k!, the
+    # library's one closed-form Gamma survival, which the half-duplex
+    # baselines and K take at this precision.  Checked where Q > 1e-300 on
+    # seeded (m, x), x = 10^U(-8, log10 700); the array branch agrees with
+    # the float one.
+    rng = np.random.default_rng(11)
+    ms = rng.integers(1, 5, size=20_000)
+    xs = 10.0 ** rng.uniform(-8.0, math.log10(700.0), size=20_000)
+    hops = {m: _hop_survival(m, 0.0, LinkStat(1, 1.0), 1.0) for m in (1, 2, 3, 4)}
+    checked = 0
+    with mp.workdps(40):
+        for m, x in zip(ms.tolist(), xs.tolist()):
+            x_mp = mp.mpf(x)
+            ref = mp.exp(-x_mp) * mp.fsum(x_mp**k / mp.factorial(k) for k in range(m))
+            if ref > 1e-300:
+                assert abs(hops[m](x) - ref) <= 1e-15 * ref, (m, x)
+                checked += 1
+    assert checked >= 19_900
+    for m, hop in hops.items():
+        array = hop(xs[ms == m])
+        floats = np.array([hop(x) for x in xs[ms == m].tolist()])
+        assert np.all(np.abs(array - floats) <= 1e-15 * floats)
 
 
 def test_second_hop_outage_is_one_at_huge_rates_over_audit_domain():
@@ -177,6 +214,12 @@ def test_second_hop_outage_is_one_at_huge_rates_over_audit_domain():
             target = RateTarget(r)
             assert p_rd_exact(sys_p, sig, target).value == 1.0, (sys_p, sig, r)
             assert p_e2e_lb(sys_p, sig, target).value == 1.0, (sys_p, sig, r)
+    # here the threshold u itself overflows to inf; without the zero at
+    # e^-u = 0, Poisson weights carrying e^-u would read 0 * inf = nan, which
+    # the clamp turns into survival 1 (outage 0)
+    links = (LinkStat(m, pi) for m, pi in zip((2, 3, 1, 2), (100.0, 1e-3, 10.0, 1.0)))
+    sys_p = SystemParams(*links, p_s=1.0, p_max=1.0)
+    assert p_rd_exact(sys_p, SignalParams(1e-12, 1.0), RateTarget(505.0)).value == 1.0
 
 
 def test_e2e_factorizes_over_hops():
@@ -466,9 +509,38 @@ def test_hdr_mrc_over_twelve_decades_of_scale():
         for sys_p, target in cases:
             stage = (sys_p.rd.m, sys_p.p_max * sys_p.rd.theta, sys_p.sd.m, sys_p.p_s * sys_p.sd.theta,
                      target.gamma)
-            value = _combined_survival(*stage)
+            value = _combined_survival(sys_p, target.gamma)
             ref = float(mp_combined_survival(*stage))
             # the domain leaves out two tails of less than 1e-20 each
             assert abs(value - ref) <= 1e-9 * ref + 2e-20, (stage, value, ref)
             mrc, mhdf = p_hdr_mrc(sys_p, target).value, p_hdr_mhdf(sys_p, target).value
             assert mrc <= mhdf + 1e-15, (stage, mrc, mhdf)
+
+
+@pytest.mark.parametrize("m_x, m_y", [(1, 1), (4, 3), (2, 4)])
+def test_combined_survival_continuous_where_its_domain_closes(m_x, m_y):
+    # the cut domain [gamma - th_y (m_y + 60), th_x (m_x + 60)] is empty from
+    # gamma* = th_y (m_y + 60) + th_x (m_x + 60) on, where the survival is
+    # X's alone; it must not jump there
+    for th_x, th_y in ((1.0, 1.0), (100.0, 0.01), (0.01, 100.0)):
+        sys_p = SystemParams(LinkStat(1, 1.0), LinkStat(m_x, m_x * th_x), LinkStat(1, 1.0),
+                             LinkStat(m_y, m_y * th_y), p_s=1.0, p_max=1.0)
+        edge = th_y * (m_y + 60.0) + th_x * (m_x + 60.0)
+        below, above = (_combined_survival(sys_p, edge * f) for f in (1.0 - 1e-9, 1.0 + 1e-9))
+        assert abs(below - above) <= QUAD_ABS_TOL, (th_x, th_y, below, above)
+
+
+def test_metrics_are_probabilities_and_ordered_over_audit_domain():
+    # every outage metric is a finite probability; the lower bound is not
+    # above the exact outage, nor the exact outage above the Rayleigh upper
+    # bound, beyond the quadrature's tolerance
+    for k, (sys_p, sig, target) in enumerate(d_draws(300)):
+        exact, lb = p_e2e_exact(sys_p, sig, target).value, p_e2e_lb(sys_p, sig, target).value
+        values = (exact, lb, p_hdr_mhdf(sys_p, target).value, p_hdr_mrc(sys_p, target).value,
+                  asymptotic_k(sys_p, target))
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values), (k, values)
+        tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * exact)
+        assert lb <= exact + tol, (k, lb, exact)
+        if sys_p.all_rayleigh:
+            ub = p_e2e_rayleigh_ub(sys_p, sig, target).value
+            assert exact <= ub + tol, (k, exact, ub)
