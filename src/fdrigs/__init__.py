@@ -18,10 +18,6 @@ from .outage import (
     p_e2e_exact,
     p_e2e_lb,
     p_e2e_rayleigh_ub,
-    p_rd_exact,
-    p_sr_exact,
-    p_sr_lb,
-    p_sr_rayleigh_ub,
     throughput,
 )
 from .ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
@@ -41,10 +37,6 @@ __all__ = [
     "p_e2e_exact",
     "p_e2e_lb",
     "p_e2e_rayleigh_ub",
-    "p_rd_exact",
-    "p_sr_exact",
-    "p_sr_lb",
-    "p_sr_rayleigh_ub",
     "throughput",
     "r_e2e_exact",
     "r_e2e_rayleigh_lb",

@@ -391,6 +391,22 @@ def criterion_11_special_functions() -> CriterionResult:
     return res
 
 
+def convexity_witness(
+    sys: SystemParams, sig: SignalParams, target: RateTarget, g_rr: float
+) -> float:
+    """Second derivative in g_rr of the first-hop exponent
+    sqrt(A g^2 + B g + C) - (D g + F); <= 0 everywhere.  The linear part
+    drops out, so only A, B and C are formed."""
+    if g_rr < 0:
+        raise ValueError("g_rr must be nonnegative")
+    ps2 = (sys.p_s * sys.sr.pi) ** 2
+    g1 = 1.0 + target.gamma
+    a = sig.p_r**2 * (1.0 + target.gamma * (1.0 - sig.c_x**2)) / ps2
+    b = 2.0 * g1 * sig.p_r / ps2
+    c = g1 / ps2
+    return (4.0 * a * c - b * b) / (4.0 * (c + g_rr * (b + a * g_rr)) ** 1.5)
+
+
 def criterion_12_convexity() -> CriterionResult:
     """The first-hop decoding exponent is concave in the self-interference
     gain: its analytic second derivative stays nonpositive."""
@@ -404,7 +420,7 @@ def criterion_12_convexity() -> CriterionResult:
         for c_x in np.linspace(0.0, 1.0, 100):
             sig = SignalParams(p_r, c_x)
             for g in np.linspace(0.0, 20.0, 100):
-                worst = max(worst, outage.convexity_witness(sys, sig, target, float(g)))
+                worst = max(worst, convexity_witness(sys, sig, target, float(g)))
     res.add(worst <= 1e-9, f"max second derivative over grids: {worst:.3e} <= 1e-9")
     return res
 

@@ -31,6 +31,8 @@ table and ``validate`` work on arrays and load NumPy at their first array
 call; ``validate`` imports the acceptance suite when it runs.
 
 `optimize` writes the method tag its optimizer attaches to the optimum.
+`build_config` resolves each sweep point once, into its axis value and
+parameters, and `sweep` and `throughput` read those points.
 Configuration errors (exit 2) are found before any evaluation: a ``grid_n``
 below 101, a non-finite number, a dB value whose linear power overflows a
 float, a value or sweep point that the parameter types refuse, such as a
@@ -114,15 +116,16 @@ _METRICS = ("outage", "ergodic", "throughput")
 
 @dataclass
 class RunConfig:
-    """Fully resolved run description: linear powers, and the sweep axis in
-    the scale it was given."""
+    """Fully resolved run description: linear powers, and each sweep point
+    as its axis value, in the scale it was given, and the parameters it
+    resolves to."""
 
     raw: Dict[str, str]
     sys: SystemParams
     sig: SignalParams
     target: RateTarget
     sweep_var: str
-    sweep_values: List[float]
+    sweep_points: List[Tuple[float, SystemParams, SignalParams, RateTarget]]
     metrics: List[str]
     methods: List[str]
     optimizer: str
@@ -239,33 +242,33 @@ def build_config(scenario: Optional[str], overrides: List[str]) -> RunConfig:
     grid_n = _as_int(raw, "grid_n")
     if grid_n < 101:
         raise ConfigError(f"grid_n must be >= 101, got {grid_n}")
-    cfg = RunConfig(
+    # A sweep point the parameter types refuse (a rate <= 0 or >= 512, c_x
+    # outside [0, 1], ...) is a configuration error, found before any evaluation.
+    sweep_points = []
+    for value in axis:
+        linear = db_to_linear(value, "sweep_stop") if scale == "db" else value
+        try:
+            sweep_points.append((value, *_sweep_point(sys_params, sig, target, sweep_var, linear)))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"sweep point {sweep_var}={value!r}: {exc}") from exc
+    return RunConfig(
         raw=raw,
         sys=sys_params,
         sig=sig,
         target=target,
         sweep_var=sweep_var,
-        sweep_values=axis,
+        sweep_points=sweep_points,
         metrics=metrics,
         methods=methods,
         optimizer=optimizer,
         grid_n=grid_n,
     )
-    # A sweep point the parameter types refuse (a rate <= 0 or >= 512, c_x
-    # outside [0, 1], ...) is a configuration error, found before any evaluation.
-    for value in axis:
-        try:
-            _apply_sweep_value(cfg, value)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"sweep point {sweep_var}={value!r}: {exc}") from exc
-    return cfg
 
 
-def _apply_sweep_value(cfg: RunConfig, value: float) -> Tuple[SystemParams, SignalParams, RateTarget]:
-    sys_p, sig, target = cfg.sys, cfg.sig, cfg.target
-    var = cfg.sweep_var
-    if cfg.raw["sweep_scale"] == "db":
-        value = db_to_linear(value, "sweep_stop")
+def _sweep_point(
+    sys_p: SystemParams, sig: SignalParams, target: RateTarget, var: str, value: float
+) -> Tuple[SystemParams, SignalParams, RateTarget]:
+    """The parameters with the sweep variable var set to its linear value."""
     if var in ("pi_sr", "pi_rd", "pi_rr", "pi_sd"):
         link = var[3:]
         sys_p = replace(sys_p, **{link: replace(getattr(sys_p, link), pi=value)})
@@ -315,8 +318,7 @@ def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
     header += [f"{metric}:{optimize.METHOD_TAGS[method]}" for metric, method in pairs]
     diagnostics: List[str] = []
     rows = []
-    for value in cfg.sweep_values:
-        sys_p, sig, target = _apply_sweep_value(cfg, value)
+    for value, sys_p, sig, target in cfg.sweep_points:
         # One evaluation per (metric, method) entry and point: its result, or the
         # error it raised, also serves the throughput cell of the same method.
         memo: Dict[Tuple[str, str], Union[EvalResult, Exception]] = {}
@@ -381,7 +383,7 @@ def cmd_optimize(cfg: RunConfig, out_path: Optional[str]) -> int:
 def cmd_throughput(cfg: RunConfig, out_path: Optional[str]) -> int:
     if cfg.sweep_var != "r":
         raise ConfigError("the throughput command needs sweep_var = r")
-    targets = [RateTarget(r) for r in cfg.sweep_values]
+    targets = [target for *_, target in cfg.sweep_points]
     optima = [optimize.design_optima(cfg.sys, target, cfg.grid_n) for target in targets]
     pgs_tag, igs_tag = (res.method for res in optima[0])
     header = [

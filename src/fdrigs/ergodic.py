@@ -1,4 +1,5 @@
-"""Ergodic-rate analytics, each an integral over the target rate r.
+"""Ergodic-rate analytics: two integrals over the target rate r and one
+Laplace-type bound.
 
 * `r_e2e_exact`: the integral of the exact end-to-end survival
   (1 - P_sr(r)) (1 - P_rd(r)).
@@ -6,11 +7,13 @@
   int_0^inf (1 - P_lb(r)) dr, whose integrand is the product of the two
   closed-form hop survivals.
 * `r_e2e_rayleigh_lb`: the Rayleigh lower bound, a single Laplace-type
-  integral (see its docstring).
+  integral (see its docstring), over a finite cut that leaves out less
+  than 1e-15.
 
-Each outer integral over r runs on `outage.adaptive_quad`, the library's
-one QK21 quadrature.  The bound's integrand (`_bound_survival`) is built
-once per design: a float function of r that holds both hops pre-bound
+Each integral runs on `outage.adaptive_quad`, the library's one QK21
+quadrature, over a finite domain.  The bound's integrand
+(`_bound_survival`) is built once per design: a float function of r that
+holds both hops pre-bound
 (`outage._sr_hop`, `outage._rd_hop`) and at each node forms gamma from r
 (`model._rate_constants`, the helper of `RateTarget`), psi_r(c_x) and
 psi_r(c_x) / (1 - c_x^2) from one square root (`model._psi_pair`, the float
@@ -50,7 +53,6 @@ from .outage import (
     _sr_hop,
     _sr_survival_exact,
     adaptive_quad,
-    integrate_semi_infinite,
 )
 
 __all__ = [
@@ -62,6 +64,9 @@ __all__ = [
 
 # The bound survival past which the rate axis is cut off.
 _CAP_SURVIVAL = 1e-12
+
+# The part of the Rayleigh lower bound's integral left out past its cut.
+_LB_TAIL = 1e-15
 
 
 def _bound_survival(sys: SystemParams, sig: SignalParams) -> Callable[[float], float]:
@@ -152,6 +157,12 @@ def r_e2e_rayleigh_lb(sys: SystemParams, sig: SignalParams) -> EvalResult:
     Every factor is positive on s >= 0, so the integrand stays smooth where
     two of its poles -(1 -+ a c_x) and -x coincide.  At c_x = 1, x = 0 and
     the bound is exactly 0.
+
+    The integrand is at most e^{-omega s} / (1 - a c_x), so the integral runs
+    over the finite cut [0, S], S = ln(1 / (omega (1 - a c_x) eps)) / omega,
+    past which less than eps = 1e-15 is left; where S <= 0 the whole bound is
+    below eps and reads 0.  Knots at x, 1 - a c_x and 1 / omega, the scales
+    of its factors, split the cut where they fall inside it.
     """
     if not sys.all_rayleigh:
         raise ValueError("r_e2e_rayleigh_lb requires all shapes equal to 1")
@@ -162,9 +173,14 @@ def r_e2e_rayleigh_lb(sys: SystemParams, sig: SignalParams) -> EvalResult:
     x = prd / (sys.p_s * sys.sd.pi)
     ac = alpha(sys, sig.p_r) * sig.c_x
     omega = (sig.p_r * sys.rr.pi + 1.0) / (sys.p_s * sys.sr.pi) + 1.0 / prd
+    # each factor's own log, so that no product underflows on the way
+    cut = -(math.log(omega) + math.log(1.0 - ac) + math.log(_LB_TAIL)) / omega
+    if cut <= 0.0:
+        return EvalResult(0.0, METHOD_LOWER_BOUND)
 
     def integrand(s: float) -> float:
         return math.exp(-omega * s) * x * (s + 1.0) / ((s + 1.0 - ac) * (s + 1.0 + ac) * (s + x))
 
-    value = integrate_semi_infinite(integrand, 1.0 / omega) / math.log(2.0)
+    knots = sorted(k for k in {x, 1.0 - ac, 1.0 / omega} if 0.0 < k < cut)
+    value = adaptive_quad(integrand, 0.0, cut, knots) / math.log(2.0)
     return EvalResult(value, METHOD_LOWER_BOUND)

@@ -4,11 +4,13 @@ works for every metric and any fading shape.
 
 `METRICS` maps each outage and ergodic (metric, method) pair to its
 evaluator; it is the one table behind both `grid_search` and the CLI sweep.
-Throughput is derived from the outage of the same method, and
-`METHOD_TAGS` gives the one tag every evaluation of a method carries.
-`grid_search` evaluates the closed-form bounds over its whole grid as one
-array.  `design_optima`
-gives the proper and improper optima of the throughput table.
+Throughput is derived from the outage of the same method, so it is neither
+an entry nor a `grid_search` objective: at a fixed rate it peaks where the
+outage is least.  `METHOD_TAGS` gives the one tag every evaluation of a
+method carries.  `grid_search` minimizes outage and maximizes the ergodic
+rate, and evaluates the closed-form outage bounds over its whole grid as
+one array.  `design_optima` gives the proper and improper optima of the
+throughput table.
 
 The 1D searches exploit that the Rayleigh outage upper bound is monotone or
 unimodal in each variable separately, so a single interior stationary point
@@ -45,7 +47,6 @@ from .outage import (
     p_e2e_exact,
     p_e2e_lb,
     p_e2e_rayleigh_ub,
-    throughput,
 )
 
 __all__ = [
@@ -307,7 +308,7 @@ METHOD_TAGS: Dict[str, str] = {
 }
 
 # Outage methods with a closed form over a whole (p_r, c_x) grid;
-# grid_search evaluates these (and their throughputs) as one array.
+# grid_search evaluates these as one array.
 _GRID_OUTAGE = {"lb": e2e_lb_value, "ub": e2e_rayleigh_ub_value}
 
 
@@ -321,7 +322,7 @@ def _grid_values(
     """The objective on the grid: (p_grid, c_grid, values[p, c], method tag)."""
     metric, _, method = objective.partition("-")
     method = method or "exact"
-    evaluator = METRICS.get(("outage" if metric == "throughput" else metric, method))
+    evaluator = METRICS.get((metric, method))
     if evaluator is None:
         raise ValueError(f"unknown objective {objective!r}")
     if grid_n < 101:
@@ -335,16 +336,13 @@ def _grid_values(
         p_grid = np.minimum(sys.p_max * np.arange(1, grid_n + 1) / grid_n, sys.p_max)
     c_grid = np.linspace(0.0, 1.0, grid_n)
 
-    if metric != "ergodic" and method in _GRID_OUTAGE:
+    if metric == "outage" and method in _GRID_OUTAGE:
         values = _GRID_OUTAGE[method](sys, target, p_grid[:, None], c_grid[None, :])
-        if metric == "throughput":
-            values = target.r * (1.0 - values)
     else:
         values = np.empty((len(p_grid), grid_n))
         for i, p in enumerate(p_grid):
             for j, c in enumerate(c_grid):
-                value = evaluator(sys, SignalParams(p, c), target).value
-                values[i, j] = throughput(target, value) if metric == "throughput" else value
+                values[i, j] = evaluator(sys, SignalParams(p, c), target).value
     return p_grid, c_grid, values, METHOD_TAGS[method]
 
 
@@ -380,11 +378,12 @@ def grid_search(
     Works for every metric and any fading shape its evaluator accepts.  The
     objective names a METRICS key as "metric-method" ("outage-lb",
     "ergodic-ub"); a bare metric name means its exact method.  Outage is
-    minimized and every other metric maximized.  Ties break
-    deterministically toward the smallest p_r, then the smallest c_x.
-    Fixing p_r collapses the search to a 1D sweep over c_x.  The outage and
-    throughput bounds are evaluated as one closed-form array, every other
-    objective point by point.
+    minimized and the ergodic rate maximized; at a fixed rate r the
+    throughput r (1 - outage) peaks where the outage is least, so it needs
+    no objective of its own.  Ties break deterministically toward the
+    smallest p_r, then the smallest c_x.  Fixing p_r collapses the search
+    to a 1D sweep over c_x.  The outage bounds are evaluated as one
+    closed-form array, every other objective point by point.
     """
     p_grid, c_grid, values, tag = _grid_values(sys, target, objective, grid_n, p_r_fixed)
     return _grid_pick(p_grid, c_grid, values, tag, objective.startswith("outage"))

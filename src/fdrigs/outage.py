@@ -1,6 +1,8 @@
-"""Outage probability of both hops and end to end: exact integrals,
-Nakagami lower bounds, Rayleigh closed forms, Jensen upper bounds, the
-high-RSI asymptote and the half-duplex baselines.
+"""End-to-end outage probability from its two hop survivals: the exact
+integral, the Nakagami lower bound, the Rayleigh (Jensen) upper bound, the
+high-RSI asymptote and the half-duplex baselines.  The hops have no public
+metric of their own; each end-to-end metric takes them from the private
+primitives below.
 
 Both hops reduce to one expectation, a Gamma-faded signal against a
 Gamma-faded interferer (`_hop_survival`): the interferer is the residual
@@ -18,7 +20,7 @@ load 0 it is Q(m, u), and the high-RSI limit `asymptotic_k` and the
 half-duplex baselines take their Q factors from it (`_zero_load_survivals`).
 Its Poisson weights carry e^-u and its interferer factor is (1/t)^m_i, so
 floats and arrays share one underflow rule: the survival is 0 where either
-underflows (a float also at u = inf, where an array gives nan).
+underflows, also at u = inf.
 
 The exact first hop and the MRC baseline below are both a Gamma mixture
 E_X[Q(m, h(X))], with one quadrature, `_gamma_mixture`, over the part of the
@@ -27,7 +29,7 @@ sit far below the RSI scale.  Every quadrature in the library, here and in
 `ergodic`, goes through `adaptive_quad`: QUADPACK's 21-point Gauss-Kronrod
 rule and error estimate (QK21, Piessens et al., 1983), bisecting the
 subinterval with the largest error until the summed error meets the fixed
-tolerances `QUAD_*`.  It is written in `math`, like the scalar branches of
+tolerances `QUAD_*`, always over a finite domain.  It is written in `math`, like the scalar branches of
 the hop survivals and of the rate-threshold maps its integrands call, so no
 evaluation on this path creates a NumPy scalar and the library does not
 import SciPy.
@@ -68,11 +70,6 @@ from .specfun import log_upper_incomplete_gamma_int
 __all__ = [
     "EvalResult",
     "QuadratureError",
-    "p_sr_exact",
-    "p_sr_lb",
-    "p_sr_rayleigh_ub",
-    "convexity_witness",
-    "p_rd_exact",
     "p_e2e_exact",
     "p_e2e_lb",
     "p_e2e_rayleigh_ub",
@@ -84,7 +81,6 @@ __all__ = [
     "e2e_lb_value",
     "e2e_rayleigh_ub_value",
     "adaptive_quad",
-    "integrate_semi_infinite",
 ]
 
 
@@ -276,17 +272,6 @@ def adaptive_quad(
     return area
 
 
-def integrate_semi_infinite(f: Callable[[float], float], scale: float) -> float:
-    """Integrate f over (0, inf) through the substitution x = scale * t / (1 - t)."""
-
-    def g(t: float) -> float:
-        one_minus = 1.0 - t
-        x = scale * t / one_minus
-        return f(x) * scale / (one_minus * one_minus)
-
-    return adaptive_quad(g, 0.0, 1.0)
-
-
 # A Gamma(m, theta) gain exceeds theta (m + _TAIL_SPAN) with probability
 # below 1e-23 for every supported m.
 _TAIL_SPAN = 60.0
@@ -348,12 +333,6 @@ def _sr_survival_exact(sys: SystemParams, sig: SignalParams, target: RateTarget)
     return _gamma_mixture(m_rr, th_rr, m_sr, lambda g: sr_decoding_exponent(sys, sig, target, g), edges)
 
 
-def p_sr_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
-    """Exact first-hop outage probability (one-dimensional integral)."""
-    sys.check_signal(sig)
-    return EvalResult(1.0 - _sr_survival_exact(sys, sig, target), METHOD_EXACT_INTEGRAL)
-
-
 # Coefficients of P_m(z) = sum_{k<=m} C(m, k) (m_i)_k z^k for interferer
 # shapes m_i and signal terms 1 <= m < max shape (P_0 = 1), highest power
 # first for Horner's rule, each row split into (leading coefficient, the rest).
@@ -367,6 +346,11 @@ _HOP_POLY = {
     )
     for m_i in _SUPPORTED_SHAPES
 }
+
+
+# e^-u is 0 in double precision past u ~ 745.2, so a threshold capped here
+# gives the same survival, 0, as any larger one, an overflowed u = inf included.
+_U_CAP = 1e3
 
 
 def _hop_survival(m_sig: int, load, interferer: LinkStat, scale):
@@ -392,10 +376,10 @@ def _hop_survival(m_sig: int, load, interferer: LinkStat, scale):
 
     One underflow rule serves floats and arrays: e^-u rides in the Poisson
     weights and t enters as (1/t)^m_i, so where either underflows the
-    survival is 0, with no sum or power to overflow on the way.  A float
-    returns 0 where e^-u is 0 before the sum, since at u = inf the weights
-    would be 0 * inf = nan, which min() would turn into 1; an array gives
-    nan there.
+    survival is 0, with no sum or power to overflow on the way.  That holds
+    at u = inf too, where the weights would read 0 * inf = nan (which min()
+    would turn into 1): a float returns 0 where e^-u is 0 before the sum,
+    and an array caps u at `_U_CAP`, past which e^-u is already 0.
     """
     m_i = interferer.m
     x = interferer.theta * load
@@ -404,12 +388,16 @@ def _hop_survival(m_sig: int, load, interferer: LinkStat, scale):
 
     def survival(v):
         u = v / scale
+        scalar = floats and type(u) is float
+        if scalar:
+            term = math.exp(-u)  # e^-u u^m / m!
+            if not term:
+                return 0.0
+        else:
+            u = np.minimum(u, _U_CAP)
+            term = np.exp(-u)
         t = 1.0 + x * u
         z = x / t
-        scalar = floats and type(u) is float
-        term = math.exp(-u) if scalar else np.exp(-u)  # e^-u u^m / m!
-        if scalar and not term:
-            return 0.0
         total = term  # P_0 = 1
         for m, (poly, coeffs) in enumerate(rows, 1):
             term = term * u / m
@@ -436,44 +424,6 @@ def _rd_hop(sys: SystemParams, p_r):
     """The second-hop survival as a function of psi_ratio_limit(c_x): the
     direct S-D copy is the interferer, loaded by p_s."""
     return _hop_survival(sys.rd.m, sys.p_s, sys.sd, p_r * sys.rd.theta)
-
-
-def p_sr_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
-    """Closed-form lower bound on the first-hop outage; exact at c_x = 0."""
-    sys.check_signal(sig)
-    survival = _sr_hop(sys, sig.p_r)(psi_r(target, sig.c_x))
-    return EvalResult(1.0 - survival, METHOD_LOWER_BOUND)
-
-
-def p_sr_rayleigh_ub(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
-    """Jensen upper bound on the Rayleigh first-hop outage."""
-    if sys.sr.m != 1 or sys.rr.m != 1:
-        raise ValueError("p_sr_rayleigh_ub requires m_sr = m_rr = 1")
-    sys.check_signal(sig)
-    _, v, *_ = _rayleigh_ub_parts(sys, target, sig.p_r, sig.c_x, math.exp)
-    return EvalResult(-math.expm1(-v), METHOD_UPPER_BOUND)
-
-
-def convexity_witness(
-    sys: SystemParams, sig: SignalParams, target: RateTarget, g_rr: float
-) -> float:
-    """Second derivative in g_rr of the first-hop exponent
-    sqrt(A g^2 + B g + C) - (D g + F); <= 0 everywhere.  The linear part
-    drops out, so only A, B and C are formed."""
-    if g_rr < 0:
-        raise ValueError("g_rr must be nonnegative")
-    ps2 = (sys.p_s * sys.sr.pi) ** 2
-    g1 = 1.0 + target.gamma
-    a = sig.p_r**2 * (1.0 + target.gamma * (1.0 - sig.c_x**2)) / ps2
-    b = 2.0 * g1 * sig.p_r / ps2
-    c = g1 / ps2
-    return (4.0 * a * c - b * b) / (4.0 * (c + g_rr * (b + a * g_rr)) ** 1.5)
-
-
-def p_rd_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
-    """Exact second-hop outage probability (closed form, no bounding)."""
-    sys.check_signal(sig)
-    return EvalResult(1.0 - _rd_hop(sys, sig.p_r)(psi_ratio_limit(target, sig.c_x)), METHOD_CLOSED_FORM)
 
 
 def p_e2e_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:

@@ -259,12 +259,18 @@ def test_non_finite_optimizer_candidate_is_numerical_error(monkeypatch, capsys):
     assert code == cli.EXIT_NUMERICAL
     assert "non-finite" in err
     assert out == ""
-    # a grid cell whose threshold overflows a double is nan, and np.argmin
-    # picks the first nan: the grid refuses it rather than print it
+    # a grid cell whose threshold v / scale overflows a double (and warns) has
+    # survival 0, as a float threshold has: outage 1 in every cell
     with pytest.warns(RuntimeWarning):
         code, out, err = run(["optimize", "--set", "m_sr=2", "--set", "m_rd=3",
                               "--set", "optimizer=grid", "--set", "r=511.9",
                               "--set", "pi_rd_db=0"], capsys)
+    assert code == cli.EXIT_OK
+    assert "objective  : 1 (lower-bound)" in out.splitlines()
+    # np.argmin picks the first nan of a grid: the grid refuses it rather
+    # than print it
+    monkeypatch.setitem(optimize._GRID_OUTAGE, "lb", lambda sys_p, target, p_r, c_x: p_r * c_x * float("nan"))
+    code, out, err = run(["optimize", "--set", "m_sr=2", "--set", "optimizer=grid"], capsys)
     assert code == cli.EXIT_NUMERICAL
     assert "non-finite" in err
     assert out == ""

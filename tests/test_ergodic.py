@@ -302,6 +302,21 @@ def test_rayleigh_lower_bound_below_exact_over_audit_slice():
         assert lb <= exact + max(QUAD_ABS_TOL, QUAD_REL_TOL * exact), (sys_p, sig, exact, lb)
 
 
+def test_ergodic_bounds_finite_and_rayleigh_lb_matches_mpmath_over_audit_domain():
+    # r_e2e_ub on every draw of D and r_e2e_rayleigh_lb on its all-Rayleigh
+    # draws are finite and >= 0; on the all-Rayleigh draws of D[:300] the
+    # Rayleigh bound is within QUAD_* of mpmath (0 at c_x = 1, exactly)
+    for k, (sys_p, sig, _) in enumerate(d_draws(1500)):
+        ub = r_e2e_ub(sys_p, sig).value
+        assert math.isfinite(ub) and ub >= 0.0, (k, ub)
+        if sys_p.all_rayleigh:
+            lb = r_e2e_rayleigh_lb(sys_p, sig).value
+            assert math.isfinite(lb) and lb >= 0.0, (k, lb)
+            if k < 300:
+                ref = 0.0 if sig.c_x == 1.0 else mp_rayleigh_lb(sys_p, sig)
+                assert abs(lb - ref) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * ref), (k, lb, ref)
+
+
 def scaled_hops(t):
     """base_system() with both relayed hops at 100 t."""
     return base_system(pi_sr=100.0 * t, pi_rd=100.0 * t)

@@ -9,7 +9,7 @@ from typing import Sequence, Tuple
 import numpy as np
 import pytest
 
-from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
+from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, psi_ratio_limit
 from fdrigs.montecarlo import (
     _BATCH,
     McConfig,
@@ -26,7 +26,7 @@ from fdrigs.montecarlo import (
     sample_gains,
 )
 from fdrigs.ergodic import r_e2e_exact
-from fdrigs.outage import p_e2e_exact, p_hdr_mhdf, p_hdr_mrc, p_rd_exact, p_sr_exact
+from fdrigs.outage import _rd_hop, _sr_survival_exact, p_e2e_exact, p_hdr_mhdf, p_hdr_mrc
 from fdrigs.specfun import log_upper_incomplete_gamma_int
 
 
@@ -110,8 +110,10 @@ def test_link_outages_factorize():
     cfg = McConfig(400_000, seed=11)
     sr = estimate_hop_outage(sys_p, SIG, TARGET, cfg, rate_sr)
     rd = estimate_hop_outage(sys_p, SIG, TARGET, cfg, rate_rd)
-    assert abs(sr.mean - p_sr_exact(sys_p, SIG, TARGET).value) <= 3.5 * sr.stderr
-    assert abs(rd.mean - p_rd_exact(sys_p, SIG, TARGET).value) <= 3.5 * rd.stderr
+    p_sr = 1.0 - _sr_survival_exact(sys_p, SIG, TARGET)
+    p_rd = 1.0 - _rd_hop(sys_p, SIG.p_r)(psi_ratio_limit(TARGET, SIG.c_x))
+    assert abs(sr.mean - p_sr) <= 3.5 * sr.stderr
+    assert abs(rd.mean - p_rd) <= 3.5 * rd.stderr
 
 
 def test_ergodic_matches_analytics():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdrigs import optimize
+from fdrigs.ergodic import r_e2e_ub
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
 from fdrigs.optimize import (
     _bracket_and_pick,
@@ -237,11 +238,17 @@ def test_grid_search_fixed_power_slice():
 
 def test_grid_search_maximize_metric():
     sys_p = base_system()
-    res = grid_search(sys_p, TARGET, "throughput", p_r_fixed=1.0)
-    # maximizing throughput must match minimizing the exact outage
-    other = grid_search(sys_p, TARGET, "outage-exact", p_r_fixed=1.0)
-    assert res.p_r_star == other.p_r_star
-    assert res.c_x_star == other.c_x_star
+    res = grid_search(sys_p, TARGET, "ergodic-ub", p_r_fixed=1.0)
+    # the ergodic rate is maximized: the first of the largest cells wins
+    c_grid = np.linspace(0.0, 1.0, 101)
+    values = [r_e2e_ub(sys_p, SignalParams(1.0, c)).value for c in c_grid]
+    assert res.objective == max(values)
+    assert res.c_x_star == c_grid[values.index(max(values))]
+    # at a fixed rate the throughput peaks where the outage is least, so it
+    # is no objective of its own
+    for objective in ("throughput", "throughput-lb", "throughput-ub"):
+        with pytest.raises(ValueError, match="unknown objective"):
+            grid_search(sys_p, TARGET, objective)
 
 
 @pytest.mark.parametrize("shapes", [(2, 2, 3, 2), (4, 4, 4, 4), (1, 3, 2, 4)])
@@ -264,8 +271,6 @@ def test_lb_grid_array_matches_scalar_bound(shapes, r):
     assert np.max(np.abs(values - ref)) <= 1e-14
     if r == 40.0:
         assert np.all(values == 1.0) and np.all(ref == 1.0)
-    *_, throughput, _ = _grid_values(sys_p, target, "throughput-lb", 101, None)
-    assert np.array_equal(throughput, r * (1.0 - values))
 
 
 def test_design_optima_tags_and_proper_column():

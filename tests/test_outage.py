@@ -18,6 +18,9 @@ from fdrigs.outage import (
     QUAD_REL_TOL,
     _combined_survival,
     _hop_survival,
+    _rayleigh_ub_parts,
+    _rd_hop,
+    _sr_hop,
     _sr_survival_exact,
     asymptotic_k,
     e2e_rayleigh_ub_value,
@@ -26,10 +29,6 @@ from fdrigs.outage import (
     p_e2e_rayleigh_ub,
     p_hdr_mhdf,
     p_hdr_mrc,
-    p_rd_exact,
-    p_sr_exact,
-    p_sr_lb,
-    p_sr_rayleigh_ub,
     sr_decoding_exponent,
     throughput,
 )
@@ -59,6 +58,23 @@ def base_system(m_relayed=1, m_rr=1, m_sd=1):
 
 SIG = SignalParams(1.0, 0.9)
 TARGET = RateTarget(1.0)
+
+
+# Each hop's outage, from the primitive the end-to-end metrics take it from.
+def sr_exact_outage(sys_p, sig, target):
+    """The exact first-hop outage (the first factor of `p_e2e_exact`)."""
+    return 1.0 - _sr_survival_exact(sys_p, sig, target)
+
+
+def sr_lb_outage(sys_p, sig, target):
+    """The first-hop lower bound (the first factor of `e2e_lb_value`)."""
+    return 1.0 - _sr_hop(sys_p, sig.p_r)(psi_r(target, sig.c_x))
+
+
+def rd_outage(sys_p, sig, target):
+    """The second-hop outage, exact in closed form (the second factor of
+    every end-to-end outage)."""
+    return 1.0 - _rd_hop(sys_p, sig.p_r)(psi_ratio_limit(target, sig.c_x))
 
 
 def oracle_sr_outage(sys_p, sig, target):
@@ -110,7 +126,7 @@ def test_sr_exact_vs_oracle(m, c_x):
     sys_p = base_system(m)
     sig = SignalParams(0.7, c_x)
     ref = oracle_sr_outage(sys_p, sig, TARGET)
-    assert p_sr_exact(sys_p, sig, TARGET).value == pytest.approx(ref, rel=1e-8, abs=1e-12)
+    assert sr_exact_outage(sys_p, sig, TARGET) == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -120,7 +136,7 @@ def test_rd_exact_vs_oracle(m, c_x):
     for m_sd in (1, 2, 3, 4):
         sys_p = base_system(m, m_sd=m_sd)
         ref = oracle_rd_outage(sys_p, sig, TARGET)
-        assert p_rd_exact(sys_p, sig, TARGET).value == pytest.approx(ref, rel=1e-8, abs=1e-12)
+        assert rd_outage(sys_p, sig, TARGET) == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
 
 @pytest.mark.parametrize("m_rr", [1, 2, 3, 4])
@@ -130,7 +146,7 @@ def test_sr_lb_vs_oracle(m_sr, m_rr):
     for c_x in (0.0, 0.5, 0.9, 1.0):
         sig = SignalParams(0.7, c_x)
         ref = 1.0 - oracle_sr_lb_survival(sys_p, sig, TARGET)
-        assert p_sr_lb(sys_p, sig, TARGET).value == pytest.approx(ref, rel=1e-8, abs=1e-12)
+        assert sr_lb_outage(sys_p, sig, TARGET) == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
 
 @pytest.mark.parametrize("m_i", [1, 2, 3, 4])
@@ -160,19 +176,18 @@ def test_hop_survival_vs_mpmath(m_sig, m_i):
 def test_hop_survival_is_zero_where_its_exponential_underflows(m_i):
     # past u ~ 745 the survival is below the smallest double; from u ~ 1e103
     # u^m overflows, so e^-u must enter the Poisson weights before the sum:
-    # 0 * inf = nan would come out as a survival of 1 through the clamp (as
-    # at a float u = inf), or as nan on an array.  At u = 700 and 740, e^-u
-    # is positive but theta_i load u of 1e77..1e300 overflows t**m_i, while
-    # (1/t)**m_i is 0.
+    # 0 * inf = nan would come out as a survival of 1 through the clamp, or
+    # as nan on an array, as it does at u = inf unless the float returns 0
+    # first and the array caps u.  At u = 700 and 740, e^-u is positive but
+    # theta_i load u of 1e77..1e300 overflows t**m_i, while (1/t)**m_i is 0.
     interferer = LinkStat(m_i, 10.0)
-    u = np.array([800.0, 1e103, 1e120, 1e200, 1e300])
+    u = np.array([800.0, 1e103, 1e120, 1e200, 1e300, math.inf])
     for m_sig in (1, 2, 3, 4):
         for load in (1e-3, 1.0, 1e3):
             hop = _hop_survival(m_sig, load, interferer, 1.0)
-            assert [hop(float(v)) for v in u] == [0.0] * 5
-            assert hop(math.inf) == 0.0
-            assert list(hop(u)) == [0.0] * 5
-            assert list(_hop_survival(m_sig, np.full(5, load), interferer, 1.0)(u)) == [0.0] * 5
+            assert [hop(float(v)) for v in u] == [0.0] * 6
+            assert list(hop(u)) == [0.0] * 6
+            assert list(_hop_survival(m_sig, np.full(6, load), interferer, 1.0)(u)) == [0.0] * 6
         for v in (700.0, 740.0):
             load = 10.0 ** np.array([77.0, 100.0, 200.0, 300.0]) / (interferer.theta * v)
             array = _hop_survival(m_sig, load, interferer, 1.0)(np.full(4, v))
@@ -212,21 +227,21 @@ def test_second_hop_outage_is_one_at_huge_rates_over_audit_domain():
     for sys_p, sig, _ in d_draws(1500):
         for r in (200.0, 300.0, 500.0):
             target = RateTarget(r)
-            assert p_rd_exact(sys_p, sig, target).value == 1.0, (sys_p, sig, r)
+            assert rd_outage(sys_p, sig, target) == 1.0, (sys_p, sig, r)
             assert p_e2e_lb(sys_p, sig, target).value == 1.0, (sys_p, sig, r)
     # here the threshold u itself overflows to inf; without the zero at
     # e^-u = 0, Poisson weights carrying e^-u would read 0 * inf = nan, which
     # the clamp turns into survival 1 (outage 0)
     links = (LinkStat(m, pi) for m, pi in zip((2, 3, 1, 2), (100.0, 1e-3, 10.0, 1.0)))
     sys_p = SystemParams(*links, p_s=1.0, p_max=1.0)
-    assert p_rd_exact(sys_p, SignalParams(1e-12, 1.0), RateTarget(505.0)).value == 1.0
+    assert rd_outage(sys_p, SignalParams(1e-12, 1.0), RateTarget(505.0)) == 1.0
 
 
 def test_e2e_factorizes_over_hops():
     # hops depend on disjoint gain sets, so survivals multiply
     sys_p = base_system(2)
-    p_sr = p_sr_exact(sys_p, SIG, TARGET).value
-    p_rd = p_rd_exact(sys_p, SIG, TARGET).value
+    p_sr = sr_exact_outage(sys_p, SIG, TARGET)
+    p_rd = rd_outage(sys_p, SIG, TARGET)
     expected = 1.0 - (1.0 - p_sr) * (1.0 - p_rd)
     assert p_e2e_exact(sys_p, SIG, TARGET).value == pytest.approx(expected, rel=1e-10)
 
@@ -251,7 +266,7 @@ def test_rayleigh_specialization_agrees():
     pi_rr = sys_p.rr.pi
     for c_x in (0.0, 0.4, 0.95):
         sig = SignalParams(0.8, c_x)
-        general = p_sr_exact(sys_p, sig, TARGET).value
+        general = sr_exact_outage(sys_p, sig, TARGET)
         survival, _ = integrate.quad(
             lambda x: math.exp(-sr_decoding_exponent(sys_p, sig, TARGET, x) - x / pi_rr) / pi_rr,
             0.0,
@@ -293,9 +308,9 @@ def test_sr_ub_jensen_direction():
     sys_p = base_system(1)
     for c_x in (0.1, 0.5, 0.9):
         sig = SignalParams(1.0, c_x)
-        assert p_sr_rayleigh_ub(sys_p, sig, TARGET).value >= (
-            p_sr_exact(sys_p, sig, TARGET).value - 1e-10
-        )
+        # the Jensen first-hop exponent v of the Rayleigh upper bound
+        _, v, *_ = _rayleigh_ub_parts(sys_p, TARGET, sig.p_r, sig.c_x, math.exp)
+        assert -math.expm1(-v) >= sr_exact_outage(sys_p, sig, TARGET) - 1e-10
 
 
 def test_asymptotic_k_high_rsi_limit():
@@ -430,8 +445,8 @@ def test_closed_form_probabilities_in_unit_interval_at_full_impropriety():
         pis = 10.0 ** rng.uniform(-1.0, 4.0, size=4)
         links = [LinkStat(int(m), float(pi)) for m, pi in zip(shapes, pis)]
         sys_p = SystemParams(*links, p_s=1.0, p_max=1.0)
-        for fn in (p_sr_lb, p_e2e_lb, p_rd_exact):
-            value = fn(sys_p, sig, TARGET).value
+        for fn in (sr_lb_outage, lambda *args: p_e2e_lb(*args).value, rd_outage):
+            value = fn(sys_p, sig, TARGET)
             assert 0.0 <= value <= 1.0, (fn.__name__, sys_p, value)
 
 

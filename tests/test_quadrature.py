@@ -17,7 +17,6 @@ from fdrigs.outage import (
     QUAD_REL_TOL,
     QuadratureError,
     adaptive_quad,
-    integrate_semi_infinite,
 )
 
 
@@ -93,7 +92,6 @@ def test_matches_quadpack_on_library_integrands(monkeypatch):
 
 def test_known_integrals():
     assert adaptive_quad(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-14)
-    assert integrate_semi_infinite(lambda x: math.exp(-x), 1.0) == pytest.approx(1.0, rel=1e-13)
     # a polynomial of degree <= 31 is integrated exactly by one QK21 step
     assert adaptive_quad(lambda x: x**31, 0.0, 1.0) == pytest.approx(1.0 / 32.0, rel=1e-15)
 
@@ -159,12 +157,6 @@ def test_single_panel_keeps_its_bits(name):
     assert n[0] == evals
 
 
-def test_semi_infinite_keeps_its_bits():
-    counted, n = _counting(lambda x: math.exp(-x))
-    assert integrate_semi_infinite(counted, 1.0) == 1.0
-    assert n[0] == 189
-
-
 def test_start_does_not_end_on_a_panel_whose_error_equals_its_resasc():
     # both first panels are below QUAD_ABS_TOL, and both errors equal their
     # resasc: the start goes on to bisect, as one such panel alone would
@@ -191,5 +183,6 @@ def test_subinterval_limit_raises():
 def test_non_finite_integrand_raises(bad):
     with pytest.raises(QuadratureError, match="non-finite"):
         adaptive_quad(lambda x: bad if x > 0.7 else 1.0, 0.0, 1.0)
+    # non-finite on every panel of a start split at a break point
     with pytest.raises(QuadratureError, match="non-finite"):
-        integrate_semi_infinite(lambda x: bad, 1.0)
+        adaptive_quad(lambda x: bad, 0.0, 1.0, (0.5,))
