@@ -2,9 +2,11 @@
 the self-validation gate, all emitting RFC-4180 CSV.
 
 Scenario files are plain ``key = value`` text; command-line ``--set``
-overrides win over file values.  All powers are linear inside the library;
-dB values (``*_db`` keys or ``sweep_scale = db``) are converted exactly once,
-here at the boundary, via ``10 ** (db / 10)``.
+overrides win over file values, and a later ``--set`` over an earlier one,
+also where they give a link power in its other form (linear or dB).  All
+powers are linear inside the library; dB values (``*_db`` keys or
+``sweep_scale = db``) are converted exactly once, here at the boundary, via
+``10 ** (db / 10)``.
 
 A sweep looks each outage and ergodic (metric, method) column up in
 ``optimize.METRICS``, the table `grid_search` also reads.  A throughput
@@ -169,8 +171,21 @@ def _as_int(raw: Dict[str, str], key: str) -> int:
         raise ConfigError(f"field {key}: not an integer: {raw[key]!r}") from exc
 
 
+def _apply_source(raw: Dict[str, str], values: Dict[str, str]) -> None:
+    """Lay one source's values over those of earlier sources: a link power
+    it sets in one form, linear (pi_xx) or dB (pi_xx_db), drops the other
+    form an earlier source set, so the later source wins in either form."""
+    for key in values:
+        if key.startswith("pi_"):
+            other = key[:-3] if key.endswith("_db") else f"{key}_db"
+            if other not in values:
+                raw.pop(other, None)
+    raw.update(values)
+
+
 def _resolve_pi(raw: Dict[str, str], link: str) -> float:
-    """A mean link power may be given linearly (pi_xx) or in dB (pi_xx_db)."""
+    """A mean link power may be given linearly (pi_xx) or in dB (pi_xx_db);
+    where one source gives both, the linear form wins."""
     if f"pi_{link}" in raw:
         return _as_float(raw, f"pi_{link}")
     return db_to_linear(_as_float(raw, f"pi_{link}_db"), f"pi_{link}_db")
@@ -179,12 +194,12 @@ def _resolve_pi(raw: Dict[str, str], link: str) -> float:
 def build_config(scenario: Optional[str], overrides: List[str]) -> RunConfig:
     raw = dict(_DEFAULTS)
     if scenario:
-        raw.update(_parse_kv_file(scenario))
+        _apply_source(raw, _parse_kv_file(scenario))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
-        raw[key.strip()] = val.strip()
+        _apply_source(raw, {key.strip(): val.strip()})
 
     known = set(_DEFAULTS) | {f"pi_{l}" for l in ("sr", "rd", "rr", "sd")}
     unknown = set(raw) - known

@@ -11,23 +11,25 @@ Laplace-type bound.
   than 1e-15.
 
 Each integral runs on `outage.adaptive_quad`, the library's one QK21
-quadrature, over a finite domain.  The bound's integrand
-(`_bound_survival`) is built once per design: a float function of r that
-holds both hops pre-bound
-(`outage._sr_hop`, `outage._rd_hop`) and at each node forms gamma from r
-(`model._rate_constants`, the helper of `RateTarget`), psi_r(c_x) and
-psi_r(c_x) / (1 - c_x^2) from one square root (`model._psi_pair`, the float
-form of `psi_r` and `psi_ratio_limit`), then the two hop polynomials; it
-equals the per-target hop survivals bit for bit.  The rate cap, the bound's
-integral and the second-hop factor of `r_e2e_exact` all use it; the exact
-rate nests the first-hop quadrature inside its nodes.  Both integrals share
-one partition of [0, r_cap]: the cap brackets the bound survival's tail
-from above and below (`_rate_cap`), so the nodes sit where the survival
+quadrature, over a finite domain.  Both rate integrands take the hop
+thresholds of a rate node in the same two steps: gamma from r
+(`model._rate_constants`, the helper of `RateTarget`), then psi_r(c_x) and
+psi_r(c_x) / (1 - c_x^2) from one square root (`model._psi_pair`, the one
+body of `psi_r` and `psi_ratio_limit`), with no `RateTarget` built.  The
+bound's integrand (`_bound_survival`) is built once per design: a float
+function of r that holds both hops pre-bound (`outage._sr_hop`,
+`outage._rd_hop`) and evaluates the two hop polynomials at the node's
+thresholds; it equals the per-target hop survivals bit for bit.  The exact
+rate's integrand multiplies the exact first hop
+(`outage._sr_survival_exact`, a quadrature over the RSI gain, fed the node's
+gamma and psi_r(c_x)) by the same pre-bound second hop.  Both integrals
+share one partition of [0, r_cap]: the cap brackets the bound survival's
+tail from above and below (`_rate_cap`), so the nodes sit where the survival
 lives, also when its mass is at r << 1.  The bound's integral starts from
 the knot r_cap / 2, where its survival is still above 1e-12, and the exact
-rate starts from the bound's final panels, since its survival is never
-above the bound's and has the same tail; it bisects further only where its
-own error asks for it.
+rate starts from the bound's final panels, since its survival is never above
+the bound's and has the same tail; it bisects further only where its own
+error asks for it.
 """
 
 from __future__ import annotations
@@ -35,15 +37,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .model import (
-    RateTarget,
-    SignalParams,
-    SystemParams,
-    _psi_pair,
-    _rate_constants,
-    alpha,
-    psi_ratio_limit,
-)
+from .model import SignalParams, SystemParams, _psi_pair, _rate_constants, alpha
 from .outage import (
     METHOD_EXACT_INTEGRAL,
     METHOD_LOWER_BOUND,
@@ -73,10 +67,9 @@ def _bound_survival(sys: SystemParams, sig: SignalParams) -> Callable[[float], f
     """The survival 1 - P_lb(r) of the outage lower bound as a float function
     of the rate r, with both hops bound once for the design (`_sr_hop`,
     `_rd_hop`).  At each node it forms gamma from r (`_rate_constants`, which
-    raises as `RateTarget` does), psi_r(c_x) and psi_r(c_x) / (1 - c_x^2)
-    from one square root (`_psi_pair`), and the two hop polynomials; the
-    value is that of the same hops applied to `psi_r` and `psi_ratio_limit`
-    at `RateTarget(r)`, bit for bit."""
+    raises as `RateTarget` does), both hop thresholds from one `_psi_pair`,
+    and the two hop polynomials; the value is that of the same hops applied
+    to `psi_r` and `psi_ratio_limit` at `RateTarget(r)`, bit for bit."""
     first, second, c_x = _sr_hop(sys, sig.p_r), _rd_hop(sys, sig.p_r), sig.c_x
 
     def survival(r: float) -> float:
@@ -133,16 +126,20 @@ def r_e2e_exact(sys: SystemParams, sig: SignalParams) -> EvalResult:
     The survival is never above the upper bound's and has the same tail, so
     the quadrature starts from the final panels of the bound's integral over
     [0, r_cap] and bisects further only where its own error asks for it.
-    Its second-hop factor is the bound's pre-bound hop.
+    Each node takes the same steps as the bound's integrand: gamma from
+    `_rate_constants`, both hop thresholds from one `_psi_pair`, then the
+    exact first hop at (gamma, psi_r(c_x)) times the bound's pre-bound
+    second hop.
     """
     sys.check_signal(sig)
     edges: list[float] = []
     _bound_integral(_bound_survival(sys, sig), edges)
-    second = _rd_hop(sys, sig.p_r)
+    second, c_x = _rd_hop(sys, sig.p_r), sig.c_x
 
     def survival(r: float) -> float:
-        target = RateTarget(r)
-        return _sr_survival_exact(sys, sig, target) * second(psi_ratio_limit(target, sig.c_x))
+        gamma = _rate_constants(r)[1]
+        psi, ratio = _psi_pair(gamma, c_x)
+        return _sr_survival_exact(sys, sig, gamma, psi) * second(ratio)
 
     return EvalResult(adaptive_quad(survival, 0.0, edges[-1], edges[1:-1]), METHOD_EXACT_INTEGRAL)
 

@@ -1,4 +1,4 @@
-"""System parameters, target-rate constants and the rate-threshold map.
+"""System parameters, target-rate constants and the rate-threshold maps.
 
 All powers are linear and normalized to unit noise variance at both
 receivers.  dB conversion happens at the CLI boundary only.
@@ -8,6 +8,13 @@ and > 0, and convert these and c_x to Python floats after their checks.
 One rule then picks the arithmetic of every map: a Python float takes
 `math`, anything else NumPy.  NumPy is bound lazily (`_lazy`), so an
 evaluation at one design point leaves it unloaded.
+
+Both rate-threshold maps have one body, `_psi_pair`, which forms
+psi_r(x) and psi_r(x) / (1 - x^2) from one square root.  The public maps
+`psi_r` and `psi_ratio_limit` add a range check and return one element of
+it; the quadrature integrands (the exact first hop in `outage`, the rate
+integrands in `ergodic`) call it directly at each node, on values already
+known to lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -146,53 +153,47 @@ def _scalar_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
-def psi_r(target: RateTarget, x):
-    """Rate-threshold map sqrt(1 + gamma (1 - x^2)) - 1 on [0, 1].
+def _psi_pair(gamma: float, c_x):
+    """(psi_r(c_x), psi_ratio_limit(c_x)) at gamma from one square root.
 
-    Computed as gamma (1-x)(1+x) / (1 + sqrt(1 + gamma (1 - x^2))), which
-    stays accurate as x -> 1 where the naive form cancels.  A Python float
-    takes the formula in `math`, anything else the same one in NumPy.
+    psi_r(x) = sqrt(1 + gamma (1 - x^2)) - 1 is formed as g / root with
+    g = gamma (1 - x)(1 + x) and root = 1 + sqrt(1 + g), which stays
+    accurate as x -> 1 where the naive form cancels; psi_r(x) / (1 - x^2),
+    continuously extended to gamma / 2 at x = 1, is gamma / root.  This is
+    the only body of both maps: a Python float c_x takes `math`, anything
+    else NumPy, with no range check.  The rate integrands call it at every
+    rate node and the exact first hop at every RSI-gain node.
     """
+    g = gamma * ((1.0 - c_x) * (1.0 + c_x))
+    root = 1.0 + (math.sqrt(1.0 + g) if type(c_x) is float else np.sqrt(1.0 + g))
+    return g / root, gamma / root
+
+
+def _pair_element(gamma: float, x, k: int, name: str):
+    """Element k of `_psi_pair` at x, for the public maps: x must lie in
+    [0, 1] (ValueError names it `name`); a Python float stays one, anything
+    else becomes a float array, and a 0-d result a Python float."""
     if type(x) is float:
         if x < 0.0 or x > 1.0:
-            raise ValueError("psi_r argument must lie in [0, 1]")
-        g = target.gamma * ((1.0 - x) * (1.0 + x))
-        return g / (1.0 + math.sqrt(1.0 + g))
+            raise ValueError(f"{name} must lie in [0, 1]")
+        return _psi_pair(gamma, x)[k]
     x = np.asarray(x, dtype=float)
     if np.any((x < 0) | (x > 1)):
-        raise ValueError("psi_r argument must lie in [0, 1]")
-    one_minus_x2 = (1.0 - x) * (1.0 + x)
-    g = target.gamma * one_minus_x2
-    return _scalar_or_array(g / (1.0 + np.sqrt(1.0 + g)))
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return _scalar_or_array(_psi_pair(gamma, x)[k])
+
+
+def psi_r(target: RateTarget, x):
+    """Rate-threshold map sqrt(1 + gamma (1 - x^2)) - 1 on [0, 1], the first
+    element of `_psi_pair`; a Python float in `math`, anything else NumPy."""
+    return _pair_element(target.gamma, x, 0, "psi_r argument")
 
 
 def psi_ratio_limit(target: RateTarget, c_x):
     """psi_r(c_x) / (1 - c_x^2), continuously extended to gamma/2 at c_x = 1,
-    as gamma / (1 + sqrt(1 + gamma (1 - c_x^2))) with the same g as `psi_r`;
-    a Python float in `math`, anything else in NumPy."""
-    if type(c_x) is float:
-        if c_x < 0.0 or c_x > 1.0:
-            raise ValueError("c_x must lie in [0, 1]")
-        g = target.gamma * ((1.0 - c_x) * (1.0 + c_x))
-        return target.gamma / (1.0 + math.sqrt(1.0 + g))
-    c_x = np.asarray(c_x, dtype=float)
-    if np.any((c_x < 0) | (c_x > 1)):
-        raise ValueError("c_x must lie in [0, 1]")
-    g = target.gamma * ((1.0 - c_x) * (1.0 + c_x))
-    return _scalar_or_array(target.gamma / (1.0 + np.sqrt(1.0 + g)))
-
-
-def _psi_pair(gamma: float, c_x: float) -> tuple[float, float]:
-    """(psi_r(c_x), psi_ratio_limit(c_x)) at gamma from one square root, for
-    a float c_x already known to lie in [0, 1]: the float form of both maps,
-    with their g and association, so each value is theirs bit for bit
-    (`tests/test_model.py`).  The ergodic bound's integrand calls it at every
-    rate node.  The maps keep their own bodies: through it, a float call of
-    either went from 0.18 to 0.26-0.43 us, and an array call over a 101^2
-    grid from 53 to 80 us, since it also forms the value not asked for."""
-    g = gamma * ((1.0 - c_x) * (1.0 + c_x))
-    root = 1.0 + math.sqrt(1.0 + g)
-    return g / root, gamma / root
+    the second element of `_psi_pair`; a Python float in `math`, anything
+    else NumPy."""
+    return _pair_element(target.gamma, c_x, 1, "c_x")
 
 
 def alpha(sys: SystemParams, p_r):

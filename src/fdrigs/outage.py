@@ -20,12 +20,16 @@ load 0 it is Q(m, u), and the high-RSI limit `asymptotic_k` and the
 half-duplex baselines take their Q factors from it (`_zero_load_survivals`).
 Its Poisson weights carry e^-u and its interferer factor is (1/t)^m_i, so
 floats and arrays share one underflow rule: the survival is 0 where either
-underflows, also at u = inf.
+underflows, also where the threshold overflows a double.
 
 The exact first hop and the MRC baseline below are both a Gamma mixture
 E_X[Q(m, h(X))], with one quadrature, `_gamma_mixture`, over the part of the
 axis where the integrand lives; the first hop adds knots where its mass can
-sit far below the RSI scale.  Every quadrature in the library, here and in
+sit far below the RSI scale.  The first hop is bound once per (design,
+rate): `_sr_survival_exact` takes gamma and psi_r(c_x), from the caller's
+one `model._psi_pair`, fixes its cut, knots and scale, and at each RSI-gain
+node forms the threshold from one more `_psi_pair`, with no `RateTarget` and
+no range check.  Every quadrature in the library, here and in
 `ergodic`, goes through `adaptive_quad`: QUADPACK's 21-point Gauss-Kronrod
 rule and error estimate (QK21, Piessens et al., 1983), bisecting the
 subinterval with the largest error until the summed error meets the fixed
@@ -61,6 +65,7 @@ from .model import (
     RateTarget,
     SignalParams,
     SystemParams,
+    _psi_pair,
     _scalar_or_array,
     psi_r,
     psi_ratio_limit,
@@ -77,7 +82,6 @@ __all__ = [
     "p_hdr_mhdf",
     "p_hdr_mrc",
     "throughput",
-    "sr_decoding_exponent",
     "e2e_lb_value",
     "e2e_rayleigh_ub_value",
     "adaptive_quad",
@@ -292,32 +296,26 @@ def _gamma_mixture(m_x: int, th_x: float, m_q: int, arg: Callable[[float], float
     return sum(adaptive_quad(integrand, a, b) for a, b in zip(edges, edges[1:]))
 
 
-def sr_decoding_exponent(sys: SystemParams, sig: SignalParams, target: RateTarget, g_rr: float) -> float:
-    """Threshold exponent of the first hop conditioned on the RSI gain.
+def _sr_survival_exact(sys: SystemParams, sig: SignalParams, gamma: float, psi: float) -> float:
+    """E_{g_rr}{ Q(m_sr, w(g_rr)) } at the rate whose gamma is `gamma`, with
+    psi = psi_r(c_x): a `_gamma_mixture` over the part of the g-axis where
+    its integrand lives.  The first-hop outage event is {g_sr < theta_sr w(g)},
 
-    Equals (P_r g + 1) / (P_s theta_sr) * psi_r(P_r g c_x / (P_r g + 1));
-    the first-hop outage event is {g_sr < theta_sr * exponent}.  The
-    quadrature's float gains are mapped in `math`.
-    """
-    loading = sig.p_r * g_rr
-    x = loading * sig.c_x / (loading + 1.0)
-    return (loading + 1.0) / (sys.p_s * sys.sr.theta) * psi_r(target, x)
-
-
-def _sr_survival_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> float:
-    """E_{g_rr}{ Q(m_sr, w(g_rr)) }, a `_gamma_mixture` over the part of the
-    g-axis where its integrand lives.
+        w(g) = (p_r g + 1) / (p_s theta_sr) * psi_r(p_r g c_x / (p_r g + 1)).
 
     psi_r falls as its argument rises, so w(g) >= s (p_r g + 1) with
-    s = psi_r(c_x) / (p_s theta_sr): past g_q = ((m_sr + 60) / s - 1) / p_r,
+    s = psi / (p_s theta_sr): past g_q = ((m_sr + 60) / s - 1) / p_r,
     Q is below 1e-23, so the domain is [0, min(theta_rr (m_rr + 60), g_q)],
     and the survival is 0 if g_q <= 0.  Knots at 1/p_r (where the loading
     saturates), at theta_rr, where the bound on w reaches m_sr, and on a x16
     ladder from 16/p_r up to theta_rr let QK21 see mass at g << theta_rr,
     which a domain mapped at one scale can miss while reporting convergence.
+    All of this is fixed once per call; each node forms w(g) from one
+    `_psi_pair`, with no range check.
     """
-    m_sr, m_rr, th_rr, p_r = sys.sr.m, sys.rr.m, sys.rr.theta, sig.p_r
-    s = psi_r(target, sig.c_x) / (sys.p_s * sys.sr.theta)
+    m_sr, m_rr, th_rr, p_r, c_x = sys.sr.m, sys.rr.m, sys.rr.theta, sig.p_r, sig.c_x
+    scale = sys.p_s * sys.sr.theta
+    s = psi / scale
     if s >= m_sr + _TAIL_SPAN:
         return 0.0
     hi = th_rr * (m_rr + _TAIL_SPAN)
@@ -330,7 +328,12 @@ def _sr_survival_exact(sys: SystemParams, sig: SignalParams, target: RateTarget)
         knots.add(rung)
         rung *= 16.0
     edges = [0.0, *sorted(k for k in knots if 0.0 < k < hi), hi]
-    return _gamma_mixture(m_rr, th_rr, m_sr, lambda g: sr_decoding_exponent(sys, sig, target, g), edges)
+
+    def exponent(g: float) -> float:
+        loading = p_r * g
+        return (loading + 1.0) / scale * _psi_pair(gamma, loading * c_x / (loading + 1.0))[0]
+
+    return _gamma_mixture(m_rr, th_rr, m_sr, exponent, edges)
 
 
 # Coefficients of P_m(z) = sum_{k<=m} C(m, k) (m_i)_k z^k for interferer
@@ -379,22 +382,24 @@ def _hop_survival(m_sig: int, load, interferer: LinkStat, scale):
     survival is 0, with no sum or power to overflow on the way.  That holds
     at u = inf too, where the weights would read 0 * inf = nan (which min()
     would turn into 1): a float returns 0 where e^-u is 0 before the sum,
-    and an array caps u at `_U_CAP`, past which e^-u is already 0.
+    and an array caps v at `_U_CAP` * scale before the divide, so u stays
+    finite where v / scale would overflow, and e^-u past the cap is already 0.
     """
     m_i = interferer.m
     x = interferer.theta * load
     rows = _HOP_POLY[m_i][: m_sig - 1]
-    floats = type(x) is float
+    floats = type(x) is float and type(scale) is float
+    v_cap = _U_CAP * scale
 
     def survival(v):
-        u = v / scale
-        scalar = floats and type(u) is float
+        scalar = floats and type(v) is float
         if scalar:
+            u = v / scale
             term = math.exp(-u)  # e^-u u^m / m!
             if not term:
                 return 0.0
         else:
-            u = np.minimum(u, _U_CAP)
+            u = np.minimum(v, v_cap) / scale
             term = np.exp(-u)
         t = 1.0 + x * u
         z = x / t
@@ -427,10 +432,12 @@ def _rd_hop(sys: SystemParams, p_r):
 
 
 def p_e2e_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
-    """Exact end-to-end outage: 1 - (1 - P_sr)(1 - P_rd)."""
+    """Exact end-to-end outage: 1 - (1 - P_sr)(1 - P_rd), with both hop
+    thresholds from one `_psi_pair`."""
     sys.check_signal(sig)
-    second = _rd_hop(sys, sig.p_r)(psi_ratio_limit(target, sig.c_x))
-    return EvalResult(1.0 - _sr_survival_exact(sys, sig, target) * second, METHOD_EXACT_INTEGRAL)
+    psi, ratio = _psi_pair(target.gamma, sig.c_x)
+    first = _sr_survival_exact(sys, sig, target.gamma, psi)
+    return EvalResult(1.0 - first * _rd_hop(sys, sig.p_r)(ratio), METHOD_EXACT_INTEGRAL)
 
 
 def e2e_lb_value(sys: SystemParams, target: RateTarget, p_r, c_x):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,29 @@ def test_db_conversion_at_boundary(capsys):
     assert rows[0][0] == "pi_rr:db-input"
     assert float(rows[1][0]) == pytest.approx(0.0)
     assert float(rows[2][0]) == pytest.approx(10.0)
+
+
+def test_later_source_sets_a_link_power_in_either_form(tmp_path, capsys):
+    # a link power set in one form drops the other form an earlier source
+    # set: the file's linear pi_sr = 100 (20 dB) gives way to a later
+    # --set pi_sr_db=0, and within --set the later item wins in either order
+    scenario = tmp_path / "linear.cfg"
+    scenario.write_text("pi_sr = 100\n", encoding="utf-8")
+
+    def outage_at_proper(*args):
+        code, out, err = run(["sweep", *args, "--set", "sweep_points=2", "--set", "methods=lb"], capsys)
+        assert code == 0, err
+        rows = parse_csv(out)
+        assert rows[1][0] == "0"
+        return float(rows[1][1])
+
+    at_0db, at_20db = outage_at_proper("--set", "pi_sr_db=0"), outage_at_proper()
+    assert at_0db == pytest.approx(0.9675, abs=1e-4)
+    assert at_20db == pytest.approx(0.1263, abs=1e-4)
+    assert outage_at_proper("--config", str(scenario)) == at_20db
+    assert outage_at_proper("--config", str(scenario), "--set", "pi_sr_db=0") == at_0db
+    assert outage_at_proper("--set", "pi_sr=100", "--set", "pi_sr_db=0") == at_0db
+    assert outage_at_proper("--set", "pi_sr_db=0", "--set", "pi_sr=100") == at_20db
 
 
 def test_db_scale_rejected_for_dimensionless(capsys):
@@ -259,9 +283,11 @@ def test_non_finite_optimizer_candidate_is_numerical_error(monkeypatch, capsys):
     assert code == cli.EXIT_NUMERICAL
     assert "non-finite" in err
     assert out == ""
-    # a grid cell whose threshold v / scale overflows a double (and warns) has
-    # survival 0, as a float threshold has: outage 1 in every cell
-    with pytest.warns(RuntimeWarning):
+    # a grid cell whose threshold v / scale would overflow a double has
+    # survival 0, as a float threshold has: outage 1 in every cell, with no
+    # warning, since the threshold is capped before the divide
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run(["optimize", "--set", "m_sr=2", "--set", "m_rd=3",
                               "--set", "optimizer=grid", "--set", "r=511.9",
                               "--set", "pi_rd_db=0"], capsys)

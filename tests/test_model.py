@@ -249,20 +249,29 @@ def test_rate_target_continuous_where_eta_switches_form():
     assert 0.0 <= at.gamma - below.gamma <= 4.0 * math.ulp(below.gamma)
 
 
-def test_psi_pair_and_rate_constants_are_the_maps_float_form_bit_for_bit():
-    # the ergodic integrand takes gamma from _rate_constants and both maps
-    # from _psi_pair; the maps and RateTarget keep their own entry points, so
-    # the values must agree to the bit, at both ends of [0, 1] and near 1
+def test_psi_pair_floats_match_arrays_bit_for_bit_and_the_naive_form():
+    # _psi_pair is the one body of psi_r and psi_ratio_limit: its float
+    # (math) and array (NumPy) forms agree to the bit, and both values agree
+    # to 1e-12 with the naive sqrt(1 + gamma (1 - x^2)) - 1 and its quotient
+    # by 1 - x^2 (gamma / 2 at x = 1), taken in 40-digit mpmath so that the
+    # naive form does not cancel; gamma is RateTarget's, from _rate_constants
     rng = np.random.default_rng(19)
     rates = [math.nextafter(1.0, 0.0), 1.0, 7.0, 300.0, *(10.0 ** rng.uniform(-3.0, 2.5, size=60))]
     cs = [0.0, 0.5, 1.0 - 1e-15, 1.0, *rng.uniform(0.0, 1.0, size=20), *(1.0 - 10.0 ** rng.uniform(-12.0, -1.0, size=20))]
+    cs = [float(c) for c in cs]
     for r in rates:
         t = RateTarget(float(r))
         assert _rate_constants(float(r)) == (t.eta, t.gamma)
-        for c in cs:
-            c = float(c)
+        psis, ratios = _psi_pair(t.gamma, np.array(cs))
+        for c, psi_a, ratio_a in zip(cs, psis, ratios):
             psi, ratio = _psi_pair(t.gamma, c)
-            assert (psi.hex(), ratio.hex()) == (psi_r(t, c).hex(), psi_ratio_limit(t, c).hex()), (r, c)
+            assert (psi.hex(), ratio.hex()) == (float(psi_a).hex(), float(ratio_a).hex()), (r, c)
+            with mp.workdps(40):
+                one_minus_x2 = 1 - mp.mpf(c) ** 2
+                naive = mp.sqrt(1 + mp.mpf(t.gamma) * one_minus_x2) - 1
+                ratio_ref = mp.mpf(t.gamma) / 2 if c == 1.0 else naive / one_minus_x2
+            assert abs(psi - float(naive)) <= 1e-12 * float(naive), (r, c, psi)
+            assert abs(ratio - float(ratio_ref)) <= 1e-12 * float(ratio_ref), (r, c, ratio)
 
 
 def test_psi_r_stable_under_strong_gamma():

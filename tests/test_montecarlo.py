@@ -9,7 +9,7 @@ from typing import Sequence, Tuple
 import numpy as np
 import pytest
 
-from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, psi_ratio_limit
+from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, psi_r, psi_ratio_limit
 from fdrigs.montecarlo import (
     _BATCH,
     McConfig,
@@ -110,7 +110,7 @@ def test_link_outages_factorize():
     cfg = McConfig(400_000, seed=11)
     sr = estimate_hop_outage(sys_p, SIG, TARGET, cfg, rate_sr)
     rd = estimate_hop_outage(sys_p, SIG, TARGET, cfg, rate_rd)
-    p_sr = 1.0 - _sr_survival_exact(sys_p, SIG, TARGET)
+    p_sr = 1.0 - _sr_survival_exact(sys_p, SIG, TARGET.gamma, psi_r(TARGET, SIG.c_x))
     p_rd = 1.0 - _rd_hop(sys_p, SIG.p_r)(psi_ratio_limit(TARGET, SIG.c_x))
     assert abs(sr.mean - p_sr) <= 3.5 * sr.stderr
     assert abs(rd.mean - p_rd) <= 3.5 * rd.stderr

@@ -29,7 +29,6 @@ from fdrigs.outage import (
     p_e2e_rayleigh_ub,
     p_hdr_mhdf,
     p_hdr_mrc,
-    sr_decoding_exponent,
     throughput,
 )
 from audit_domain import d_draws
@@ -61,9 +60,14 @@ TARGET = RateTarget(1.0)
 
 
 # Each hop's outage, from the primitive the end-to-end metrics take it from.
+def sr_exact_survival(sys_p, sig, target):
+    """The exact first-hop survival at `target`, as `p_e2e_exact` takes it."""
+    return _sr_survival_exact(sys_p, sig, target.gamma, psi_r(target, sig.c_x))
+
+
 def sr_exact_outage(sys_p, sig, target):
     """The exact first-hop outage (the first factor of `p_e2e_exact`)."""
-    return 1.0 - _sr_survival_exact(sys_p, sig, target)
+    return 1.0 - sr_exact_survival(sys_p, sig, target)
 
 
 def sr_lb_outage(sys_p, sig, target):
@@ -261,14 +265,20 @@ def test_frozen_anchors():
 
 def test_rayleigh_specialization_agrees():
     # at m_sr = m_rr = 1 the first-hop survival is E[exp(-w(g))] over an
-    # exponential RSI gain g: the integral of exp(-w(x) - x / pi_rr) / pi_rr
+    # exponential RSI gain g: the integral of exp(-w(x) - x / pi_rr) / pi_rr,
+    # with w in its naive square-root form
     sys_p = base_system(1)
-    pi_rr = sys_p.rr.pi
+    pi_rr, gamma = sys_p.rr.pi, TARGET.gamma
+
+    def w(g, sig):
+        x = sig.p_r * g * sig.c_x / (sig.p_r * g + 1.0)
+        return (sig.p_r * g + 1.0) / (sys_p.p_s * sys_p.sr.pi) * (math.sqrt(1.0 + gamma * (1.0 - x * x)) - 1.0)
+
     for c_x in (0.0, 0.4, 0.95):
         sig = SignalParams(0.8, c_x)
         general = sr_exact_outage(sys_p, sig, TARGET)
         survival, _ = integrate.quad(
-            lambda x: math.exp(-sr_decoding_exponent(sys_p, sig, TARGET, x) - x / pi_rr) / pi_rr,
+            lambda x: math.exp(-w(x, sig) - x / pi_rr) / pi_rr,
             0.0,
             np.inf,
             limit=300,
@@ -480,8 +490,56 @@ def test_sr_survival_exact_matches_mpmath_where_mass_hides(case):
     with mp.workdps(30):
         ref = float(mp_sr_survival_exact(sys_p.sr.m, sys_p.sr.theta, sys_p.rr.m, sys_p.rr.theta,
                                          sys_p.p_s, sig.p_r, sig.c_x, target.r))
-    value = _sr_survival_exact(sys_p, sig, target)
+    value = sr_exact_survival(sys_p, sig, target)
     assert abs(value - ref) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * ref), (value, ref)
+
+
+def first_hop_at(m_sr, th_sr, m_rr, th_rr, sig):
+    """The exact first-hop survival at TARGET with Gamma scales th_sr and
+    th_rr, p_s = 1."""
+    one = LinkStat(1, 1.0)
+    sys_p = SystemParams(LinkStat(m_sr, m_sr * th_sr), one, LinkStat(m_rr, m_rr * th_rr), one, p_s=1.0, p_max=1.0)
+    return sr_exact_survival(sys_p, sig, TARGET)
+
+
+def jump_in_tolerances(f, t0, d=1e-9):
+    """f's jump at t0 in units of max(QUAD_ABS_TOL, QUAD_REL_TOL f): each side
+    is extrapolated linearly to t0 from f at t0 (1 -+ d) and t0 (1 -+ 2d), so
+    the smooth trend, tens of tolerances over 2d, drops out."""
+    f_at = {k: f(t0 * (1.0 + k * d)) for k in (-2, -1, 1, 2)}
+    jump = (2.0 * f_at[1] - f_at[2]) - (2.0 * f_at[-1] - f_at[-2])
+    return jump / max(QUAD_ABS_TOL, QUAD_REL_TOL * f_at[1])
+
+
+FIRST_HOP_SHAPES = list(itertools.product(range(1, 5), repeat=2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sr_survival_exact_continuous_where_a_ladder_knot_enters(k):
+    # the knot 16^k / p_r joins the g-axis once theta_rr passes it, i.e. at
+    # p_r theta_rr = 16^k; theta_sr = 16^k puts the integrand's mass there
+    p_r = 0.5
+    for (m_sr, m_rr), c_x in itertools.product(FIRST_HOP_SHAPES, (0.0, 0.5, 0.99, 1.0)):
+        sig = SignalParams(p_r, c_x)
+        jump = jump_in_tolerances(lambda th: first_hop_at(m_sr, 16.0**k, m_rr, th, sig), 16.0**k / p_r)
+        assert abs(jump) <= 1.0, (k, m_sr, m_rr, c_x, jump)
+
+
+def test_sr_survival_exact_continuous_where_its_knee_and_cut_switch():
+    # with s = psi_r(c_x) / theta_sr (p_s = 1), theta_sr moves s across three
+    # switches: the knee (m_sr / s - 1) / p_r enters the g-axis at 0 (s = m_sr)
+    # and leaves it at hi = theta_rr (m_rr + 60) (s = m_sr / (1 + p_r hi)),
+    # and from s = m_sr + 60 on the survival is 0 with no quadrature
+    p_r, th_rr = 0.5, 3.0
+    for (m_sr, m_rr), c_x in itertools.product(FIRST_HOP_SHAPES, (0.0, 0.5, 0.99)):
+        sig = SignalParams(p_r, c_x)
+        psi = psi_r(TARGET, c_x)
+        for s in (m_sr, m_sr / (1.0 + p_r * th_rr * (m_rr + 60.0)), m_sr + 60.0):
+            jump = jump_in_tolerances(lambda th: first_hop_at(m_sr, th, m_rr, th_rr, sig), psi / s)
+            assert abs(jump) <= 1.0, (m_sr, m_rr, c_x, s, jump)
+        # past the cut the survival is 0 exactly; just short of it, below 1e-23
+        assert first_hop_at(m_sr, psi / (m_sr + 60.0) * (1.0 - 1e-9), m_rr, th_rr, sig) == 0.0
+        assert 0.0 <= first_hop_at(m_sr, psi / (m_sr + 60.0) * (1.0 + 1e-9), m_rr, th_rr, sig) < 1e-23
 
 
 def test_exact_equals_lower_bound_at_proper_signaling_over_audit_domain():
