@@ -240,17 +240,8 @@ def build_config(scenario: Optional[str], overrides: List[str]) -> RunConfig:
         db_to_linear(start, "sweep_start")
         db_to_linear(stop, "sweep_stop")
 
-    # a repeated entry is dropped, the first-seen order kept
-    metrics = list(dict.fromkeys(m.strip() for m in raw["metrics"].split(",") if m.strip()))
-    methods = list(dict.fromkeys(m.strip() for m in raw["methods"].split(",") if m.strip()))
-    if not metrics:
-        raise ConfigError("at least one metric is required")
-    for m in metrics:
-        if m not in _METRICS:
-            raise ConfigError(f"unknown metric {m!r} (choose from {_METRICS})")
-    for m in methods:
-        if m not in optimize.METHOD_TAGS:
-            raise ConfigError(f"unknown method {m!r} (choose from {tuple(optimize.METHOD_TAGS)})")
+    metrics = _names(raw, "metrics", _METRICS)
+    methods = _names(raw, "methods", tuple(optimize.METHOD_TAGS))
     optimizer = raw["optimizer"]
     if optimizer not in ("1d-cx", "1d-pr", "2d-cd", "grid"):
         raise ConfigError(f"optimizer must be 1d-cx | 1d-pr | 2d-cd | grid, got {optimizer!r}")
@@ -278,6 +269,19 @@ def build_config(scenario: Optional[str], overrides: List[str]) -> RunConfig:
         optimizer=optimizer,
         grid_n=grid_n,
     )
+
+
+def _names(raw: Dict[str, str], key: str, known: Tuple[str, ...]) -> List[str]:
+    """The comma-separated entries of `key`, each one of `known`; a repeated
+    entry is dropped, the first-seen order kept, and an empty list is a
+    config error that names the key."""
+    names = list(dict.fromkeys(m.strip() for m in raw[key].split(",") if m.strip()))
+    if not names:
+        raise ConfigError(f"at least one {key[:-1]} is required, but {key} is empty")
+    for m in names:
+        if m not in known:
+            raise ConfigError(f"unknown {key[:-1]} {m!r} (choose from {known})")
+    return names
 
 
 def _sweep_point(

@@ -11,25 +11,17 @@ Laplace-type bound.
   than 1e-15.
 
 Each integral runs on `outage.adaptive_quad`, the library's one QK21
-quadrature, over a finite domain.  Both rate integrands take the hop
-thresholds of a rate node in the same two steps: gamma from r
-(`model._rate_constants`, the helper of `RateTarget`), then psi_r(c_x) and
-psi_r(c_x) / (1 - c_x^2) from one square root (`model._psi_pair`, the one
-body of `psi_r` and `psi_ratio_limit`), with no `RateTarget` built.  The
-bound's integrand (`_bound_survival`) is built once per design: a float
-function of r that holds both hops pre-bound (`outage._sr_hop`,
-`outage._rd_hop`) and evaluates the two hop polynomials at the node's
-thresholds; it equals the per-target hop survivals bit for bit.  The exact
-rate's integrand multiplies the exact first hop
-(`outage._sr_survival_exact`, a quadrature over the RSI gain, fed the node's
-gamma and psi_r(c_x)) by the same pre-bound second hop.  Both integrals
-share one partition of [0, r_cap]: the cap brackets the bound survival's
-tail from above and below (`_rate_cap`), so the nodes sit where the survival
-lives, also when its mass is at r << 1.  The bound's integral starts from
-the knot r_cap / 2, where its survival is still above 1e-12, and the exact
-rate starts from the bound's final panels, since its survival is never above
-the bound's and has the same tail; it bisects further only where its own
-error asks for it.
+quadrature, over a finite domain.  The two rate integrals integrate the
+end-to-end survivals whose complements are the outage metrics, as
+`outage` binds them once per design (`outage._bound_survival`,
+`outage._exact_survival`), so this module holds only its rate cap and its
+quadratures.  Both integrals share one partition of [0, r_cap]: the cap
+brackets the bound survival's tail from above and below (`_rate_cap`), so
+the nodes sit where the survival lives, also when its mass is at r << 1.
+The bound's integral starts from the knot r_cap / 2, where its survival is
+still above 1e-12, and the exact rate starts from the bound's final panels,
+since its survival is never above the bound's and has the same tail; it
+bisects further only where its own error asks for it.
 """
 
 from __future__ import annotations
@@ -37,15 +29,14 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .model import SignalParams, SystemParams, _psi_pair, _rate_constants, alpha
+from .model import SignalParams, SystemParams, alpha
 from .outage import (
     METHOD_EXACT_INTEGRAL,
     METHOD_LOWER_BOUND,
     METHOD_UPPER_BOUND,
     EvalResult,
-    _rd_hop,
-    _sr_hop,
-    _sr_survival_exact,
+    _bound_survival,
+    _exact_survival,
     adaptive_quad,
 )
 
@@ -63,25 +54,9 @@ _CAP_SURVIVAL = 1e-12
 _LB_TAIL = 1e-15
 
 
-def _bound_survival(sys: SystemParams, sig: SignalParams) -> Callable[[float], float]:
-    """The survival 1 - P_lb(r) of the outage lower bound as a float function
-    of the rate r, with both hops bound once for the design (`_sr_hop`,
-    `_rd_hop`).  At each node it forms gamma from r (`_rate_constants`, which
-    raises as `RateTarget` does), both hop thresholds from one `_psi_pair`,
-    and the two hop polynomials; the value is that of the same hops applied
-    to `psi_r` and `psi_ratio_limit` at `RateTarget(r)`, bit for bit."""
-    first, second, c_x = _sr_hop(sys, sig.p_r), _rd_hop(sys, sig.p_r), sig.c_x
-
-    def survival(r: float) -> float:
-        psi, ratio = _psi_pair(_rate_constants(r)[1], c_x)
-        return first(psi) * second(ratio)
-
-    return survival
-
-
 def _rate_cap(survival: Callable[[float], float]) -> float:
     """The smallest 20 * 2^k (k any integer) at which the bound survival
-    (`_bound_survival`) is at most 1e-12.
+    (`outage._bound_survival`) is at most 1e-12.
 
     From r = 20 it doubles while the survival is above 1e-12, or else halves
     while the survival at half the cap is still at most 1e-12, so the cap
@@ -117,7 +92,7 @@ def r_e2e_ub(sys: SystemParams, sig: SignalParams) -> EvalResult:
     integrand is at most 1e-12 (`_rate_cap`).
     """
     sys.check_signal(sig)
-    return EvalResult(_bound_integral(_bound_survival(sys, sig)), METHOD_UPPER_BOUND)
+    return EvalResult(_bound_integral(_bound_survival(sys, sig.p_r, sig.c_x)), METHOD_UPPER_BOUND)
 
 
 def r_e2e_exact(sys: SystemParams, sig: SignalParams) -> EvalResult:
@@ -126,21 +101,13 @@ def r_e2e_exact(sys: SystemParams, sig: SignalParams) -> EvalResult:
     The survival is never above the upper bound's and has the same tail, so
     the quadrature starts from the final panels of the bound's integral over
     [0, r_cap] and bisects further only where its own error asks for it.
-    Each node takes the same steps as the bound's integrand: gamma from
-    `_rate_constants`, both hop thresholds from one `_psi_pair`, then the
-    exact first hop at (gamma, psi_r(c_x)) times the bound's pre-bound
-    second hop.
+    The integrand is `outage._exact_survival`, whose value at the target
+    rate is 1 - p_e2e_exact.
     """
     sys.check_signal(sig)
     edges: list[float] = []
-    _bound_integral(_bound_survival(sys, sig), edges)
-    second, c_x = _rd_hop(sys, sig.p_r), sig.c_x
-
-    def survival(r: float) -> float:
-        gamma = _rate_constants(r)[1]
-        psi, ratio = _psi_pair(gamma, c_x)
-        return _sr_survival_exact(sys, sig, gamma, psi) * second(ratio)
-
+    _bound_integral(_bound_survival(sys, sig.p_r, sig.c_x), edges)
+    survival = _exact_survival(sys, sig)
     return EvalResult(adaptive_quad(survival, 0.0, edges[-1], edges[1:-1]), METHOD_EXACT_INTEGRAL)
 
 

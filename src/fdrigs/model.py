@@ -10,11 +10,12 @@ One rule then picks the arithmetic of every map: a Python float takes
 evaluation at one design point leaves it unloaded.
 
 Both rate-threshold maps have one body, `_psi_pair`, which forms
-psi_r(x) and psi_r(x) / (1 - x^2) from one square root.  The public maps
-`psi_r` and `psi_ratio_limit` add a range check and return one element of
-it; the quadrature integrands (the exact first hop in `outage`, the rate
-integrands in `ergodic`) call it directly at each node, on values already
-known to lie in [0, 1].
+psi_r(x) and psi_r(x) / (1 - x^2) from one square root; it is the only place
+the library forms that root.  Its callers that take an argument from outside
+(`psi_r`, `psi_ratio_limit` and `outage.e2e_lb_value`) pass it through one
+range check first (`_unit_interval`); the quadrature integrands (the exact
+first hop and the end-to-end survivals in `outage`) and the optimizer
+derivative call it directly, on values already known to lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class RateTarget:
 
 def _rate_constants(r) -> tuple[float, float]:
     """(eta, gamma) of the rate r, as `RateTarget` documents them; raises
-    ValueError unless r > 0 and OverflowError from r = 512 on.  The ergodic
-    integrands call it at every rate node, with no `RateTarget` built."""
+    ValueError unless r > 0 and OverflowError from r = 512 on.  The
+    end-to-end survivals call it at every rate, with no `RateTarget` built."""
     if not r > 0:
         raise ValueError(f"target rate r must be > 0, got {r}")
     if not r < _R_OVERFLOW:
@@ -161,39 +162,36 @@ def _psi_pair(gamma: float, c_x):
     accurate as x -> 1 where the naive form cancels; psi_r(x) / (1 - x^2),
     continuously extended to gamma / 2 at x = 1, is gamma / root.  This is
     the only body of both maps: a Python float c_x takes `math`, anything
-    else NumPy, with no range check.  The rate integrands call it at every
-    rate node and the exact first hop at every RSI-gain node.
+    else NumPy, with no range check.  The end-to-end survivals call it at
+    every rate and the exact first hop at every RSI-gain node.
     """
     g = gamma * ((1.0 - c_x) * (1.0 + c_x))
     root = 1.0 + (math.sqrt(1.0 + g) if type(c_x) is float else np.sqrt(1.0 + g))
     return g / root, gamma / root
 
 
-def _pair_element(gamma: float, x, k: int, name: str):
-    """Element k of `_psi_pair` at x, for the public maps: x must lie in
-    [0, 1] (ValueError names it `name`); a Python float stays one, anything
-    else becomes a float array, and a 0-d result a Python float."""
-    if type(x) is float:
-        if x < 0.0 or x > 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
-        return _psi_pair(gamma, x)[k]
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0) | (x > 1)):
+def _unit_interval(x, name: str):
+    """x, checked to lie in [0, 1] (ValueError names it `name`): a Python
+    float stays one, anything else becomes a float array, and a 0-d array a
+    Python float, so `_psi_pair` takes `math` on it."""
+    if type(x) is not float:
+        x = _scalar_or_array(np.asarray(x, dtype=float))
+    if (x < 0.0 or x > 1.0) if type(x) is float else np.any((x < 0.0) | (x > 1.0)):
         raise ValueError(f"{name} must lie in [0, 1]")
-    return _scalar_or_array(_psi_pair(gamma, x)[k])
+    return x
 
 
 def psi_r(target: RateTarget, x):
     """Rate-threshold map sqrt(1 + gamma (1 - x^2)) - 1 on [0, 1], the first
     element of `_psi_pair`; a Python float in `math`, anything else NumPy."""
-    return _pair_element(target.gamma, x, 0, "psi_r argument")
+    return _psi_pair(target.gamma, _unit_interval(x, "psi_r argument"))[0]
 
 
 def psi_ratio_limit(target: RateTarget, c_x):
     """psi_r(c_x) / (1 - c_x^2), continuously extended to gamma/2 at c_x = 1,
     the second element of `_psi_pair`; a Python float in `math`, anything
     else NumPy."""
-    return _pair_element(target.gamma, c_x, 1, "c_x")
+    return _psi_pair(target.gamma, _unit_interval(c_x, "c_x"))[1]
 
 
 def alpha(sys: SystemParams, p_r):

@@ -20,10 +20,12 @@ of the objective it minimized, set by the optimizer that chose it.
 
 The searches run on Python floats, as the 1D searches convert their fixed
 coordinate after its check.  The derivatives take a float branch that
-checks ranges by comparison and takes square roots in `math`, but keep
-`np.exp` in the survival factor, so a float call returns exactly its array
-element.  The best candidate is picked in plain Python, the first of equal
-minima as with `np.argmin`; a non-finite candidate raises ArithmeticError.
+checks ranges by comparison, and take the rate-threshold pair from
+`model._psi_pair`, which takes its square root in `math` on a float, but
+keep `np.exp` in the survival factor, so a float call returns exactly its
+array element.  The best candidate is picked in plain Python, the first of
+equal minima as with `np.argmin`; a non-finite candidate raises
+ArithmeticError.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ._lazy import np
 from .ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
-from .model import RateTarget, SignalParams, SystemParams
+from .model import RateTarget, SignalParams, SystemParams, _psi_pair
 from .outage import (
     METHOD_CLOSED_FORM,
     METHOD_EXACT_INTEGRAL,
@@ -92,22 +94,20 @@ def ub_derivative_cx(sys: SystemParams, target: RateTarget, p_r, c_x):
 
     A positive value means increasing impropriety still helps at this point.
     The leading factor c_x forces a zero at c_x = 0.  A Python float c_x
-    takes its range check as a plain comparison and its square root in
-    `math`; both square roots are correctly rounded.  The survival factor
-    takes `np.exp` on floats too, so a scalar matches its array element
-    exactly.
+    takes its range check as a plain comparison.  With psi = psi_r(c_x) and
+    ratio = psi_r(c_x) / (1 - c_x^2) from one `_psi_pair` (`math` on a
+    float), the second-hop exponent's derivative is
+    ratio^2 c_x / (p_r pi_rd (1 + psi)).  The survival factor takes `np.exp`
+    on floats too, so a scalar matches its array element exactly.
     """
-    if type(c_x) is float:
-        inside, sqrt = 0.0 < c_x < 1.0, math.sqrt
-    else:
-        inside, sqrt = np.all((0.0 < c_x) & (c_x < 1.0)), np.sqrt
+    inside = 0.0 < c_x < 1.0 if type(c_x) is float else np.all((0.0 < c_x) & (c_x < 1.0))
     if not inside:
         raise ValueError(f"c_x must lie in (0, 1), got {c_x}")
     gam = target.gamma
     u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)
     s_y = 1.0 + v / w
-    s = sqrt(1.0 + gam * (1.0 - c_x * c_x))
-    du = gam * gam * c_x / (p_r * sys.rd.pi * s * ((1.0 + s) * (1.0 + s)))
+    psi, ratio = _psi_pair(gam, c_x)
+    du = ratio * ratio * c_x / (p_r * sys.rd.pi * (1.0 + psi))
     a = y / c_x  # the RSI loading factor
     dv = -w * gam * a * a * c_x / s_y
     return survival * (-du - dv - d * du / (d * u + 1.0))

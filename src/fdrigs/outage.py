@@ -4,6 +4,14 @@ high-RSI asymptote and the half-duplex baselines.  The hops have no public
 metric of their own; each end-to-end metric takes them from the private
 primitives below.
 
+The exact outage and the lower bound are each the complement of one
+end-to-end survival, a function of the rate r bound once per design
+(`_exact_survival`, `_bound_survival`): at each r it forms gamma
+(`model._rate_constants`, RateTarget's own), both hop thresholds from one
+`model._psi_pair`, and the product of the two hops.  `p_e2e_exact` and
+`e2e_lb_value` evaluate it at the target rate, and the ergodic integrals
+(`ergodic`) integrate the same functions over r.
+
 Both hops reduce to one expectation, a Gamma-faded signal against a
 Gamma-faded interferer (`_hop_survival`): the interferer is the residual
 self-interference on the first hop of the lower bound (`_sr_hop`) and the
@@ -13,9 +21,9 @@ polynomials in one ratio, with integer rising-factorial coefficients (DLMF
 evaluation calls no Gamma function or binomial.  `_hop_survival` binds
 everything but the threshold once and returns the survival as a function of
 it.  That function works elementwise on arrays, so `e2e_lb_value` evaluates
-the lower bound over a whole design grid at once, and the ergodic upper
-bound binds both hops once per design and pays only for the polynomials at
-each rate node.  It is the library's only closed-form Gamma survival: at
+the lower bound over a whole design grid at once, and the bound survival
+binds both hops once per design and pays only for the polynomials at each
+rate node.  It is the library's only closed-form Gamma survival: at
 load 0 it is Q(m, u), and the high-RSI limit `asymptotic_k` and the
 half-duplex baselines take their Q factors from it (`_zero_load_survivals`).
 Its Poisson weights carry e^-u and its interferer factor is (1/t)^m_i, so
@@ -26,10 +34,11 @@ The exact first hop and the MRC baseline below are both a Gamma mixture
 E_X[Q(m, h(X))], with one quadrature, `_gamma_mixture`, over the part of the
 axis where the integrand lives; the first hop adds knots where its mass can
 sit far below the RSI scale.  The first hop is bound once per (design,
-rate): `_sr_survival_exact` takes gamma and psi_r(c_x), from the caller's
-one `model._psi_pair`, fixes its cut, knots and scale, and at each RSI-gain
-node forms the threshold from one more `_psi_pair`, with no `RateTarget` and
-no range check.  Every quadrature in the library, here and in
+rate): `_sr_survival_exact` takes gamma and psi_r(c_x), from the exact
+survival's one `model._psi_pair`, fixes its cut, knots and scale, and at
+each RSI-gain node forms the threshold from one more `_psi_pair`, with no
+`RateTarget` and no range check; like every survival here, it is clamped
+at 1.  Every quadrature in the library, here and in
 `ergodic`, goes through `adaptive_quad`: QUADPACK's 21-point Gauss-Kronrod
 rule and error estimate (QK21, Piessens et al., 1983), bisecting the
 subinterval with the largest error until the summed error meets the fixed
@@ -66,7 +75,9 @@ from .model import (
     SignalParams,
     SystemParams,
     _psi_pair,
+    _rate_constants,
     _scalar_or_array,
+    _unit_interval,
     psi_r,
     psi_ratio_limit,
 )
@@ -311,7 +322,9 @@ def _sr_survival_exact(sys: SystemParams, sig: SignalParams, gamma: float, psi: 
     ladder from 16/p_r up to theta_rr let QK21 see mass at g << theta_rr,
     which a domain mapped at one scale can miss while reporting convergence.
     All of this is fixed once per call; each node forms w(g) from one
-    `_psi_pair`, with no range check.
+    `_psi_pair`, with no range check.  Rounding in the quadrature can lift
+    the sum a few ulp above 1 where the first hop is sure to decode, so it
+    is clamped at 1, as `_hop_survival` is.
     """
     m_sr, m_rr, th_rr, p_r, c_x = sys.sr.m, sys.rr.m, sys.rr.theta, sig.p_r, sig.c_x
     scale = sys.p_s * sys.sr.theta
@@ -333,7 +346,7 @@ def _sr_survival_exact(sys: SystemParams, sig: SignalParams, gamma: float, psi: 
         loading = p_r * g
         return (loading + 1.0) / scale * _psi_pair(gamma, loading * c_x / (loading + 1.0))[0]
 
-    return _gamma_mixture(m_rr, th_rr, m_sr, exponent, edges)
+    return min(1.0, _gamma_mixture(m_rr, th_rr, m_sr, exponent, edges))
 
 
 # Coefficients of P_m(z) = sum_{k<=m} C(m, k) (m_i)_k z^k for interferer
@@ -431,20 +444,50 @@ def _rd_hop(sys: SystemParams, p_r):
     return _hop_survival(sys.rd.m, sys.p_s, sys.sd, p_r * sys.rd.theta)
 
 
+def _bound_survival(sys: SystemParams, p_r, c_x) -> Callable:
+    """The survival 1 - P_lb(r) of the end-to-end outage lower bound as a
+    function of the rate r, with both hops bound once for the design
+    (`_sr_hop`, `_rd_hop`); p_r and c_x are floats or arrays, c_x already in
+    [0, 1].  At each r it forms gamma (`_rate_constants`, RateTarget's own,
+    which raises as RateTarget does), both hop thresholds from one
+    `_psi_pair`, and the two hop polynomials."""
+    first, second = _sr_hop(sys, p_r), _rd_hop(sys, p_r)
+
+    def survival(r):
+        psi, ratio = _psi_pair(_rate_constants(r)[1], c_x)
+        return first(psi) * second(ratio)
+
+    return survival
+
+
+def _exact_survival(sys: SystemParams, sig: SignalParams) -> Callable[[float], float]:
+    """The exact end-to-end survival (1 - P_sr(r)) (1 - P_rd(r)) as a float
+    function of the rate r, with the second hop bound once for the design:
+    at each r, gamma from `_rate_constants`, both hop thresholds from one
+    `_psi_pair`, then the exact first hop at (gamma, psi_r(c_x)) times the
+    second hop."""
+    second, c_x = _rd_hop(sys, sig.p_r), sig.c_x
+
+    def survival(r: float) -> float:
+        gamma = _rate_constants(r)[1]
+        psi, ratio = _psi_pair(gamma, c_x)
+        return _sr_survival_exact(sys, sig, gamma, psi) * second(ratio)
+
+    return survival
+
+
 def p_e2e_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:
-    """Exact end-to-end outage: 1 - (1 - P_sr)(1 - P_rd), with both hop
-    thresholds from one `_psi_pair`."""
+    """Exact end-to-end outage: 1 - (1 - P_sr)(1 - P_rd), the exact
+    survival (`_exact_survival`) at target.r."""
     sys.check_signal(sig)
-    psi, ratio = _psi_pair(target.gamma, sig.c_x)
-    first = _sr_survival_exact(sys, sig, target.gamma, psi)
-    return EvalResult(1.0 - first * _rd_hop(sys, sig.p_r)(ratio), METHOD_EXACT_INTEGRAL)
+    return EvalResult(1.0 - _exact_survival(sys, sig)(target.r), METHOD_EXACT_INTEGRAL)
 
 
 def e2e_lb_value(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Closed-form end-to-end outage lower bound, vectorized over (p_r, c_x):
-    1 - (first-hop bound survival)(second-hop survival)."""
-    first = _sr_hop(sys, p_r)(psi_r(target, c_x))
-    return 1.0 - first * _rd_hop(sys, p_r)(psi_ratio_limit(target, c_x))
+    1 - (first-hop bound survival)(second-hop survival), the bound survival
+    (`_bound_survival`) at target.r."""
+    return 1.0 - _bound_survival(sys, p_r, _unit_interval(c_x, "c_x"))(target.r)
 
 
 def p_e2e_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:

@@ -91,6 +91,35 @@ def test_monte_carlo_method_and_keys_are_config_errors(tmp_path, capsys):
         assert err == f"config error: unknown field(s): {key}\n"
 
 
+@pytest.mark.parametrize("key", ["metrics", "methods"])
+def test_empty_metric_or_method_list_is_config_error(key, capsys):
+    # an empty method list would run a sweep with no metric column
+    code, out, err = run(base_args("--set", f"{key}=", "--set", "sweep_points=2"), capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"config error: at least one {key[:-1]} is required, but {key} is empty\n"
+
+
+def test_exact_throughput_is_filled_where_the_first_hop_is_sure(tmp_path):
+    # at c_x = 1 the first-hop quadrature sums a few ulp above 1; its survival
+    # is clamped at 1, so the exact outage is a probability and every
+    # throughput cell is filled, with no sidecar
+    out_file = tmp_path / "s.csv"
+    sets = ["m_sr=4", "m_rd=4", "m_rr=3", "m_sd=2", "pi_sr_db=30", "pi_rd_db=30",
+            "pi_rr_db=30", "pi_sd_db=0", "r=0.01", "metrics=outage,throughput",
+            "methods=exact,lb", "sweep_points=3"]
+    argv = ["sweep", *[arg for s in sets for arg in ("--set", s)], "--out", str(out_file)]
+    assert cli.main(argv) == 0
+    assert not Path(str(out_file) + ".diagnostics.txt").exists()
+    header, *rows = parse_csv(out_file.read_text())
+    assert len(rows) == 3
+    for row in rows:
+        record = dict(zip(header, row))
+        assert all(record[key] != "" for key in header)
+        for key in header:
+            if key.startswith("outage:"):
+                assert 0.0 <= float(record[key]) <= 1.0, (key, record)
+
+
 def test_sweep_derives_throughput_from_outage(monkeypatch, capsys):
     # with both metrics, each exact outage is evaluated once per point and
     # the throughput cell is r (1 - outage) of that same evaluation

@@ -9,9 +9,9 @@ import mpmath as mp
 import pytest
 from scipy import integrate
 
-from fdrigs.ergodic import _bound_survival, _rate_cap, r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
+from fdrigs.ergodic import _rate_cap, r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams, alpha, psi_r, psi_ratio_limit
-from fdrigs.outage import QUAD_ABS_TOL, QUAD_REL_TOL, _rd_hop, _sr_hop, p_e2e_exact
+from fdrigs.outage import QUAD_ABS_TOL, QUAD_REL_TOL, _bound_survival, _rd_hop, _sr_hop, p_e2e_exact
 from audit_domain import d_draws
 from mp_oracles import mp_hop_survival
 
@@ -280,7 +280,7 @@ def test_rate_cap_brackets_the_bound_survival():
     # survival is the cap's own: 1 - p_e2e_lb cancels to ~1e-4 relative there
     designs = AUDIT + [(small_rate_system(), SignalParams(p_r, 0.0)) for p_r in (0.3, 0.65, 1.0)]
     for sys_p, sig in designs:
-        survival = _bound_survival(sys_p, sig)
+        survival = _bound_survival(sys_p, sig.p_r, sig.c_x)
         cap = _rate_cap(survival)
         assert math.log2(cap / 20.0).is_integer(), cap
         assert survival(cap) <= 1e-12 < survival(0.5 * cap), (sys_p, sig, cap)
@@ -328,12 +328,12 @@ def test_ergodic_integrals_continuous_where_the_rate_cap_switches(lo, hi):
     # 1e-12: the cap (10 -> 20, the turn at r = 20, then 20 -> 40) doubles
     # there, and the knot at r_cap / 2 moves with it
     def cap_of(t):
-        return _rate_cap(_bound_survival(scaled_hops(t), SIG))
+        return _rate_cap(_bound_survival(scaled_hops(t), SIG.p_r, SIG.c_x))
 
     cap = cap_of(lo)
     while hi / lo - 1.0 > 1e-13:
         mid = math.sqrt(lo * hi)
-        if _bound_survival(scaled_hops(mid), SIG)(cap) > 1e-12:
+        if _bound_survival(scaled_hops(mid), SIG.p_r, SIG.c_x)(cap) > 1e-12:
             hi = mid
         else:
             lo = mid
@@ -354,11 +354,12 @@ CODED_ONCE_RATES = (1e-3, 0.5, math.nextafter(1.0, 0.0), 1.0, 7.0, 300.0)
 
 
 def test_bound_integrand_is_the_hop_survivals_bit_for_bit_over_audit_domain():
-    # the pre-bound integrand forms gamma, the psi pair and both hops with the
-    # same helpers as RateTarget and the per-target hop survivals, so it
-    # cannot drift from them by a single bit; it raises as RateTarget does
+    # the bound survival, which r_e2e_ub integrates and e2e_lb_value takes at
+    # the target rate, forms gamma, the psi pair and both hops with the same
+    # helpers as RateTarget and the per-target hop survivals, so it cannot
+    # drift from them by a single bit; it raises as RateTarget does
     for sys_p, sig, _ in d_draws(1500):
-        survival = _bound_survival(sys_p, sig)
+        survival = _bound_survival(sys_p, sig.p_r, sig.c_x)
         for r in CODED_ONCE_RATES:
             target = RateTarget(r)
             first = _sr_hop(sys_p, sig.p_r)(psi_r(target, sig.c_x))

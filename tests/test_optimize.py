@@ -1,6 +1,9 @@
 """Optimizers: analytic derivatives against finite differences, bisection
 against exhaustive search, and deterministic tie-breaking."""
 
+import itertools
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -55,6 +58,30 @@ def test_cx_derivative_matches_finite_difference(p_r, c_x):
     d = ub_derivative_cx(sys_p, TARGET, p_r, c_x)
     approx = fd(f, c_x)
     assert abs(d - approx) <= abs(approx) * 1e-5 + 1e-10
+
+
+def test_cx_derivative_matches_mpmath_as_cx_tends_to_one():
+    # the second-hop term takes psi_r(c_x) and psi_r(c_x) / (1 - c_x^2) from
+    # one _psi_pair, which does not cancel as c_x -> 1; the reference
+    # differentiates the survival bound with the naive psi_r at 50 digits
+    for pis, r, p_r in itertools.product(((100.0, 100.0, 10.0, 2.0), (1e3, 10.0, 0.5, 30.0)),
+                                         (0.3, 3.0), (0.2, 1.0)):
+        sys_p = SystemParams(*(LinkStat(1, pi) for pi in pis), p_s=1.0, p_max=1.0)
+        with mp.workdps(50):
+            gamma, beta = mp.mpf(2) ** (2 * mp.mpf(r)) - 1, p_r * mp.mpf(sys_p.rr.pi)
+            w, a = (beta + 1) / mp.mpf(sys_p.sr.pi), beta / (beta + 1)
+
+            def psi(x):
+                return mp.sqrt(1 + gamma * (1 - x * x)) - 1
+
+            def survival(c):
+                u = psi(c) / ((1 - c * c) * p_r * mp.mpf(sys_p.rd.pi))
+                return mp.exp(-(u + w * psi(a * c))) / (mp.mpf(sys_p.sd.pi) * u + 1)
+
+            for c_x in (0.5, 0.9, 1.0 - 1e-4, 1.0 - 1e-7, 1.0 - 1e-9):
+                ref = float(mp.diff(survival, mp.mpf(c_x)))
+                value = ub_derivative_cx(sys_p, RateTarget(r), p_r, c_x)
+                assert abs(value - ref) <= 1e-13 * abs(ref), (pis, r, p_r, c_x, value, ref)
 
 
 @pytest.mark.parametrize("p_r", [0.2, 0.6, 1.0])

@@ -4,6 +4,7 @@ bound orderings, frozen anchors, and the high-RSI asymptote."""
 import itertools
 import math
 
+import hypothesis
 import mpmath as mp
 import numpy as np
 import pytest
@@ -381,7 +382,8 @@ def test_rayleigh_ub_float_branch():
 
 def test_scalar_and_array_branches_agree():
     # a float takes the `math` branch, an array the NumPy one; a NumPy scalar
-    # takes the NumPy one too and returns its array element bit for bit
+    # returns its array element bit for bit (the maps check it as a 0-d array
+    # and take it as a float, the hop survival takes the NumPy branch)
     c_x = np.array([0.0, 0.5, 1.0 - 1e-12, 1.0])
     rng = np.random.default_rng(7)
     for r in (0.1, 1.0, 5.0):
@@ -601,6 +603,37 @@ def test_combined_survival_continuous_where_its_domain_closes(m_x, m_y):
         edge = th_y * (m_y + 60.0) + th_x * (m_x + 60.0)
         below, above = (_combined_survival(sys_p, edge * f) for f in (1.0 - 1e-9, 1.0 + 1e-9))
         assert abs(below - above) <= QUAD_ABS_TOL, (th_x, th_y, below, above)
+
+
+def test_exact_outage_is_not_negative_where_the_first_hop_is_sure():
+    # at c_x = 1 and r = 0.01 the first-hop quadrature sums to 1 + 2.9e-15,
+    # which read as an exact outage of -2.9e-15 before the survival was
+    # clamped at 1, and its throughput cell then failed
+    links = [LinkStat(m, pi) for m, pi in zip((4, 4, 3, 2), (1e3, 1e3, 1e3, 1.0))]
+    sys_p = SystemParams(*links, p_s=1.0, p_max=1.0)
+    sig, target = SignalParams(1.0, 1.0), RateTarget(0.01)
+    assert sr_exact_survival(sys_p, sig, target) == 1.0
+    # the first hop is sure, so the outage is the second hop's
+    exact = p_e2e_exact(sys_p, sig, target).value
+    assert 0.0 <= exact == rd_outage(sys_p, sig, target) <= 1.0
+    assert throughput(target, exact) == pytest.approx(0.01, rel=1e-12)
+
+
+@given(
+    shapes=st.tuples(*[st.integers(min_value=1, max_value=4)] * 4),
+    log_pis=st.tuples(*[st.floats(min_value=-1.0, max_value=6.0)] * 4),
+    c_x=st.floats(min_value=0.0, max_value=1.0),
+    log_r=st.floats(min_value=-3.0, max_value=1.0),
+)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_exact_outage_is_a_probability_in_a_targeted_search(shapes, log_pis, c_x, log_r):
+    # the search is steered towards the smallest outage, where a first hop
+    # whose quadrature rounds above 1 would show as a negative value
+    links = [LinkStat(m, 10.0**e) for m, e in zip(shapes, log_pis)]
+    sys_p = SystemParams(*links, p_s=1.0, p_max=1.0)
+    exact = p_e2e_exact(sys_p, SignalParams(1.0, c_x), RateTarget(10.0**log_r)).value
+    hypothesis.target(-exact)
+    assert 0.0 <= exact <= 1.0, (sys_p, c_x, log_r, exact)
 
 
 def test_metrics_are_probabilities_and_ordered_over_audit_domain():
