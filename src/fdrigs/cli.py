@@ -38,8 +38,9 @@ parameters, and `sweep` and `throughput` read those points.
 Configuration errors (exit 2) are found before any evaluation: a ``grid_n``
 below 101, a non-finite number, a dB value whose linear power overflows a
 float, a value or sweep point that the parameter types refuse, such as a
-rate <= 0 on the ``sweep_var = r`` axis of ``sweep`` and ``throughput`` or
-a rate >= 512, whose gamma overflows, and a Rayleigh-only optimizer
+rate <= 0 on the ``sweep_var = r`` axis of ``sweep`` and ``throughput``, a
+rate >= 512, whose gamma overflows, or a p_r above p_max, also on a
+``sweep_var = p_r`` axis, and a Rayleigh-only optimizer
 (``2d-cd``, ``1d-cx``, ``1d-pr``) asked to run on other shapes.  An
 ``--out`` path or diagnostics sidecar that cannot be written is one too,
 found when the output is written.
@@ -287,7 +288,8 @@ def _names(raw: Dict[str, str], key: str, known: Tuple[str, ...]) -> List[str]:
 def _sweep_point(
     sys_p: SystemParams, sig: SignalParams, target: RateTarget, var: str, value: float
 ) -> Tuple[SystemParams, SignalParams, RateTarget]:
-    """The parameters with the sweep variable var set to its linear value."""
+    """The parameters with the sweep variable var set to its linear value;
+    a point whose p_r exceeds its p_max raises ValueError."""
     if var in ("pi_sr", "pi_rd", "pi_rr", "pi_sd"):
         link = var[3:]
         sys_p = replace(sys_p, **{link: replace(getattr(sys_p, link), pi=value)})
@@ -302,6 +304,7 @@ def _sweep_point(
         sig = replace(sig, c_x=value)
     elif var == "r":
         target = RateTarget(value)
+    sys_p.check_signal(sig)
     return sys_p, sig, target
 
 

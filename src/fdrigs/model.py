@@ -12,10 +12,17 @@ evaluation at one design point leaves it unloaded.
 Both rate-threshold maps have one body, `_psi_pair`, which forms
 psi_r(x) and psi_r(x) / (1 - x^2) from one square root; it is the only place
 the library forms that root.  Its callers that take an argument from outside
-(`psi_r`, `psi_ratio_limit` and `outage.e2e_lb_value`) pass it through one
-range check first (`_unit_interval`); the quadrature integrands (the exact
-first hop and the end-to-end survivals in `outage`) and the optimizer
-derivative call it directly, on values already known to lie in [0, 1].
+(`psi_r`, `psi_ratio_limit` and the bound values `outage.e2e_lb_value` and
+`outage.e2e_rayleigh_ub_value`) pass it through the unit-interval check
+first (`_unit_interval`); the quadrature integrands (the exact first hop and
+the end-to-end survivals in `outage`) and the Rayleigh bound's parts, which
+its optimizer derivatives read, call it directly, on values already known
+to lie in [0, 1].
+
+Every range check takes one form, `_require(ok, message)`: `ok` is the
+comparison itself, a bool on Python numbers and a boolean array otherwise,
+and NaN, which compares false, never passes.  The RSI loading factor
+`alpha` checks p_r > 0 that way, for the Rayleigh bound and its derivatives.
 """
 
 from __future__ import annotations
@@ -170,14 +177,22 @@ def _psi_pair(gamma: float, c_x):
     return g / root, gamma / root
 
 
+def _require(ok, message: str) -> None:
+    """The one form of every range check: raise ValueError(message) unless
+    `ok` holds.  `ok` is a comparison of the checked value, so a Python
+    number gives a bool, taken as it is, and an array a boolean array, which
+    must hold everywhere (`np.all`).  NaN compares false, so it never passes."""
+    if not (ok if type(ok) is bool else np.all(ok)):
+        raise ValueError(message)
+
+
 def _unit_interval(x, name: str):
     """x, checked to lie in [0, 1] (ValueError names it `name`): a Python
     float stays one, anything else becomes a float array, and a 0-d array a
     Python float, so `_psi_pair` takes `math` on it."""
     if type(x) is not float:
         x = _scalar_or_array(np.asarray(x, dtype=float))
-    if (x < 0.0 or x > 1.0) if type(x) is float else np.any((x < 0.0) | (x > 1.0)):
-        raise ValueError(f"{name} must lie in [0, 1]")
+    _require((0.0 <= x) & (x <= 1.0), f"{name} must lie in [0, 1]")
     return x
 
 
@@ -197,8 +212,7 @@ def psi_ratio_limit(target: RateTarget, c_x):
 def alpha(sys: SystemParams, p_r):
     """RSI loading factor P_r pi_rr / (P_r pi_rr + 1), strictly inside (0, 1),
     elementwise over an array p_r.  It takes no square root or exponential,
-    so floats and arrays share one body; only the range check differs."""
-    if (not p_r > 0) if type(p_r) is float else np.any(p_r <= 0):
-        raise ValueError("p_r must be > 0")
+    so floats and arrays share one body, range check included."""
+    _require(p_r > 0, "p_r must be > 0")
     beta = p_r * sys.rr.pi
     return beta / (beta + 1.0)

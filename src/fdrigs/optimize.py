@@ -19,12 +19,15 @@ always contain the global minimizer.  Every optimum carries the method tag
 of the objective it minimized, set by the optimizer that chose it.
 
 The searches run on Python floats, as the 1D searches convert their fixed
-coordinate after its check.  The derivatives take a float branch that
-checks ranges by comparison, and take the rate-threshold pair from
-`model._psi_pair`, which takes its square root in `math` on a float, but
-keep `np.exp` in the survival factor, so a float call returns exactly its
-array element.  The best candidate is picked in plain Python, the first of
-equal minima as with `np.argmin`; a non-finite candidate raises
+coordinate after its check.  Both derivatives read the bound's own parts
+(`outage._rayleigh_ub_parts`: alpha, and psi_r at c_x and at alpha c_x,
+each from one `model._psi_pair`, which takes its square root in `math` on a
+float) and check ranges by the one form `model._require`, a plain
+comparison on a float; they keep `np.exp` in the survival factor, so a
+float call returns exactly its array element.  The proper objective of
+`bisect_power` is the lower bound's closed form `outage.e2e_lb_value`,
+exact at c_x = 0.  The best candidate is picked in plain Python, the first
+of equal minima as with `np.argmin`; a non-finite candidate raises
 ArithmeticError.
 """
 
@@ -36,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ._lazy import np
 from .ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
-from .model import RateTarget, SignalParams, SystemParams, _psi_pair
+from .model import RateTarget, SignalParams, SystemParams, _require
 from .outage import (
     METHOD_CLOSED_FORM,
     METHOD_EXACT_INTEGRAL,
@@ -90,50 +93,38 @@ class OptResult:
 
 def ub_derivative_cx(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Analytic d/dc_x of the survival bound 1 - p_e2e_rayleigh_ub,
-    elementwise over arrays p_r and c_x.
+    elementwise over arrays p_r and c_x, from the bound's own parts
+    (`outage._rayleigh_ub_parts`).
 
     A positive value means increasing impropriety still helps at this point.
-    The leading factor c_x forces a zero at c_x = 0.  A Python float c_x
-    takes its range check as a plain comparison.  With psi = psi_r(c_x) and
-    ratio = psi_r(c_x) / (1 - c_x^2) from one `_psi_pair` (`math` on a
-    float), the second-hop exponent's derivative is
-    ratio^2 c_x / (p_r pi_rd (1 + psi)).  The survival factor takes `np.exp`
-    on floats too, so a scalar matches its array element exactly.
+    The leading factor c_x forces a zero at c_x = 0.  With psi = psi_r(c_x)
+    and ratio = psi_r(c_x) / (1 - c_x^2) from one `_psi_pair`, the
+    second-hop exponent's derivative is ratio^2 c_x / (p_r pi_rd (1 + psi)),
+    which does not cancel as c_x -> 1.
     """
-    inside = 0.0 < c_x < 1.0 if type(c_x) is float else np.all((0.0 < c_x) & (c_x < 1.0))
-    if not inside:
-        raise ValueError(f"c_x must lie in (0, 1), got {c_x}")
+    _require((0.0 < c_x) & (c_x < 1.0), "c_x must lie in (0, 1)")
     gam = target.gamma
-    u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)
-    s_y = 1.0 + v / w
-    psi, ratio = _psi_pair(gam, c_x)
+    psi, ratio, a, psi_y, u, w, d, survival = _rayleigh_ub_parts(sys, gam, p_r, c_x, np.exp)
     du = ratio * ratio * c_x / (p_r * sys.rd.pi * (1.0 + psi))
-    a = y / c_x  # the RSI loading factor
-    dv = -w * gam * a * a * c_x / s_y
+    dv = -w * gam * a * a * c_x / (1.0 + psi_y)
     return survival * (-du - dv - d * du / (d * u + 1.0))
 
 
 def ub_derivative_pr(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Analytic d/dp_r of the Rayleigh outage upper bound, elementwise over
-    arrays p_r and c_x.
+    arrays p_r and c_x, from the bound's own parts, which check p_r > 0.
 
     Balances the second-hop gain (more relay power) against the growing
     self-interference seen by the first hop, including the dependence of the
-    RSI loading factor on p_r.  A Python float p_r takes its range check
-    as a plain comparison.  The survival factor takes `np.exp` on floats
-    too, so a scalar matches its array element exactly.
+    RSI loading factor a = alpha(p_r) on p_r: da/dp_r = a / (p_r (p_r pi_rr + 1)).
     """
-    if (p_r <= 0) if type(p_r) is float else np.any(p_r <= 0):
-        raise ValueError(f"p_r must be > 0, got {p_r}")
+    _require((0.0 <= c_x) & (c_x <= 1.0), "c_x must lie in [0, 1]")
     gam = target.gamma
-    u, v, w, y, d, survival = _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)
-    s_y = 1.0 + v / w
-    beta = p_r * sys.rr.pi
+    _, _, a, psi_y, u, _, d, survival = _rayleigh_ub_parts(sys, gam, p_r, c_x, np.exp)
     du = -u / p_r
-    dpsi = -gam * y / s_y
-    dv = sys.rr.pi / (sys.p_s * sys.sr.pi) * (v / w + c_x * dpsi / (beta + 1.0))
-    dsurv = survival * (-du - dv - d * du / (d * u + 1.0))
-    return -dsurv
+    dpsi = -gam * a * c_x / (1.0 + psi_y)
+    dv = (sys.rr.pi * psi_y + a * c_x * dpsi / p_r) / (sys.p_s * sys.sr.pi)
+    return survival * (du + dv + d * du / (d * u + 1.0))
 
 
 def _bisect_root(
@@ -246,7 +237,7 @@ def bisect_power(
     lo, hi = _EDGE * sys.p_max, sys.p_max
     if objective == "auto" and c_x == 0.0:
         deriv = lambda p: _pgs_exact_dlog(sys, target, p)
-        value_fn = lambda p: p_e2e_lb(sys, SignalParams(p, 0.0), target).value
+        value_fn = lambda p: e2e_lb_value(sys, target, p, 0.0)
         method = METHOD_CLOSED_FORM
     else:
         deriv = lambda p: ub_derivative_pr(sys, target, p, c_x)

@@ -12,6 +12,12 @@ end-to-end survival, a function of the rate r bound once per design
 `e2e_lb_value` evaluate it at the target rate, and the ergodic integrals
 (`ergodic`) integrate the same functions over r.
 
+The Rayleigh (Jensen) upper bound has one body, `_rayleigh_ub_parts`, which
+its value and the two optimizer derivatives (`optimize`) read: it takes the
+RSI loading factor, with its p_r > 0 check, from `model.alpha`, and psi_r at
+c_x and at alpha c_x each from one `model._psi_pair`.  Both bound values
+check c_x once (`model._unit_interval`) and refuse p_r <= 0 and NaN.
+
 Both hops reduce to one expectation, a Gamma-faded signal against a
 Gamma-faded interferer (`_hop_survival`): the interferer is the residual
 self-interference on the first hop of the lower bound (`_sr_hop`) and the
@@ -76,9 +82,10 @@ from .model import (
     SystemParams,
     _psi_pair,
     _rate_constants,
+    _require,
     _scalar_or_array,
     _unit_interval,
-    psi_r,
+    alpha,
     psi_ratio_limit,
 )
 from .specfun import log_upper_incomplete_gamma_int
@@ -486,7 +493,8 @@ def p_e2e_exact(sys: SystemParams, sig: SignalParams, target: RateTarget) -> Eva
 def e2e_lb_value(sys: SystemParams, target: RateTarget, p_r, c_x):
     """Closed-form end-to-end outage lower bound, vectorized over (p_r, c_x):
     1 - (first-hop bound survival)(second-hop survival), the bound survival
-    (`_bound_survival`) at target.r."""
+    (`_bound_survival`) at target.r.  p_r must be > 0 and c_x lie in [0, 1]."""
+    _require(p_r > 0, "p_r must be > 0")
     return 1.0 - _bound_survival(sys, p_r, _unit_interval(c_x, "c_x"))(target.r)
 
 
@@ -496,38 +504,42 @@ def p_e2e_lb(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalRe
     return EvalResult(e2e_lb_value(sys, target, sig.p_r, sig.c_x), METHOD_LOWER_BOUND)
 
 
-def _rayleigh_ub_parts(sys: SystemParams, target: RateTarget, p_r, c_x, exp):
-    """Pieces of the Rayleigh survival bound exp(-(u + v)) / (d u + 1),
-    vectorized over (p_r, c_x), with the exponential `exp` the caller picks:
+def _rayleigh_ub_parts(sys: SystemParams, gamma: float, p_r, c_x, exp):
+    """The one body of the Rayleigh survival bound exp(-(u + v)) / (d u + 1)
+    and of its two derivatives (`optimize`), vectorized over (p_r, c_x) with
+    c_x already in [0, 1], and with the exponential `exp` the caller picks:
     `math.exp` on floats, `np.exp` on arrays.
 
-    u = psi_ratio_limit(c_x) / (p_r pi_rd) is the second-hop exponent and
-    v = w psi_r(y) the Jensen first-hop exponent, with
-    w = (p_r pi_rr + 1) / (p_s pi_sr), y = alpha(p_r) c_x and d = p_s pi_sd.
-    Returns (u, v, w, y, d, survival).
+    a = alpha(p_r) is the RSI loading factor, which checks p_r > 0.  One
+    `_psi_pair` at c_x gives psi = psi_r(c_x) and ratio = psi / (1 - c_x^2),
+    one at a c_x gives psi_y = psi_r(a c_x).  Then u = ratio / (p_r pi_rd) is
+    the second-hop exponent and v = w psi_y the Jensen first-hop exponent,
+    with w = (p_r pi_rr + 1) / (p_s pi_sr) and d = p_s pi_sd.
+    Returns (psi, ratio, a, psi_y, u, w, d, survival).
     """
-    u = psi_ratio_limit(target, c_x) / (p_r * sys.rd.pi)
-    beta = p_r * sys.rr.pi
-    w = (beta + 1.0) / (sys.p_s * sys.sr.pi)
-    y = beta / (beta + 1.0) * c_x
-    v = w * psi_r(target, y)
+    a = alpha(sys, p_r)
+    psi, ratio = _psi_pair(gamma, c_x)
+    psi_y = _psi_pair(gamma, a * c_x)[0]
+    u = ratio / (p_r * sys.rd.pi)
+    w = (p_r * sys.rr.pi + 1.0) / (sys.p_s * sys.sr.pi)
     d = sys.p_s * sys.sd.pi
-    survival = exp(-(u + v)) / (d * u + 1.0)
-    return u, v, w, y, d, survival
+    survival = exp(-(u + w * psi_y)) / (d * u + 1.0)
+    return psi, ratio, a, psi_y, u, w, d, survival
 
 
 def e2e_rayleigh_ub_value(sys: SystemParams, target: RateTarget, p_r, c_x):
-    """Rayleigh end-to-end outage upper bound, vectorized over (p_r, c_x).
+    """Rayleigh end-to-end outage upper bound, vectorized over (p_r, c_x);
+    p_r must be > 0 and c_x lie in [0, 1].
 
     Two Python floats take the same formula in `math`, anything else NumPy.
     """
     if not sys.all_rayleigh:
         raise ValueError("the Rayleigh upper bound requires all shapes equal to 1")
+    c_x = _unit_interval(c_x, "c_x")
     if type(p_r) is float and type(c_x) is float:
-        return 1.0 - _rayleigh_ub_parts(sys, target, p_r, c_x, math.exp)[-1]
+        return 1.0 - _rayleigh_ub_parts(sys, target.gamma, p_r, c_x, math.exp)[-1]
     p_r = np.asarray(p_r, dtype=float)
-    c_x = np.asarray(c_x, dtype=float)
-    return _scalar_or_array(1.0 - _rayleigh_ub_parts(sys, target, p_r, c_x, np.exp)[-1])
+    return _scalar_or_array(1.0 - _rayleigh_ub_parts(sys, target.gamma, p_r, c_x, np.exp)[-1])
 
 
 def p_e2e_rayleigh_ub(sys: SystemParams, sig: SignalParams, target: RateTarget) -> EvalResult:

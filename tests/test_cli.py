@@ -454,6 +454,18 @@ def test_out_of_range_sweep_point_is_config_error(capsys):
     assert "c_x=1.5" in err
 
 
+def test_relay_power_sweep_past_p_max_is_config_error(tmp_path, capsys):
+    # p_r = 1.25 exceeds p_max = 1, as --set p_r=2 does; it left empty cells,
+    # a sidecar and exit 0
+    out = tmp_path / "pr.csv"
+    code, stdout, err = run(base_args("--set", "sweep_var=p_r", "--set", "sweep_start=0.5",
+                                      "--set", "sweep_stop=2", "--set", "sweep_points=3",
+                                      "--out", str(out)), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "sweep point p_r=1.25: p_r=1.25 exceeds p_max=1.0" in err
+    assert not out.exists() and not (tmp_path / "pr.csv.diagnostics.txt").exists()
+
+
 def test_import_loads_no_scipy():
     # SciPy is needed only by validate's quadrature oracle, imported there
     probe = "import sys, fdrigs, fdrigs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -210,6 +210,16 @@ def test_alpha_float_and_array_branches():
         alpha(sys_p, -1.0)
 
 
+def test_range_checks_refuse_nan_as_float_and_array():
+    # NaN compares false, so every range check refuses it; psi_r(t, nan)
+    # returned nan, and alpha of a NaN array too
+    sys_p, t, nan = make_system(), RateTarget(1.0), float("nan")
+    for bad in (nan, np.array([0.5, nan])):
+        for call in (lambda: psi_r(t, bad), lambda: psi_ratio_limit(t, bad), lambda: alpha(sys_p, bad)):
+            with pytest.raises(ValueError):
+                call()
+
+
 def test_rate_target_overflow_is_one_typed_error():
     # gamma = 2^(2r) - 1 overflows a double from r = 512 on; every such rate
     # raises the same error, with no NumPy warning and no silent inf

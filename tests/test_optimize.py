@@ -84,6 +84,36 @@ def test_cx_derivative_matches_mpmath_as_cx_tends_to_one():
                 assert abs(value - ref) <= 1e-13 * abs(ref), (pis, r, p_r, c_x, value, ref)
 
 
+def test_pr_derivative_matches_mpmath_as_cx_tends_to_one():
+    # ub_derivative_pr reads the bound's own parts; the reference
+    # differentiates the survival bound with the naive psi_r at 50 digits.
+    # The limit is conditioning: dv's two terms cancel where the RSI is
+    # strong and c_x near 1 (1.5e-11 at pi_rr = 40 dB, c_x = 1 - 1e-9)
+    scenarios = ((100.0, 100.0, 10.0, 2.0), (1e3, 10.0, 0.5, 30.0), (10.0, 300.0, 1e4, 0.3))
+    for pis, r, p_r in itertools.product(scenarios, (0.3, 3.0), (1e-4, 0.2, 1.0)):
+        sys_p = SystemParams(*(LinkStat(1, pi) for pi in pis), p_s=1.0, p_max=1.0)
+        with mp.workdps(50):
+            gamma = mp.mpf(2) ** (2 * mp.mpf(r)) - 1
+
+            def psi(x):
+                return mp.sqrt(1 + gamma * (1 - x * x)) - 1
+
+            for c_x in (0.0, 0.5, 0.9, 1.0 - 1e-4, 1.0 - 1e-7, 1.0 - 1e-9):
+                c = mp.mpf(c_x)
+
+                def survival(p):
+                    beta = p * mp.mpf(sys_p.rr.pi)
+                    w, a = (beta + 1) / mp.mpf(sys_p.sr.pi), beta / (beta + 1)
+                    u = psi(c) / ((1 - c * c) * p * mp.mpf(sys_p.rd.pi))
+                    return mp.exp(-(u + w * psi(a * c))) / (mp.mpf(sys_p.sd.pi) * u + 1)
+
+                # the outage's derivative, from the survival, which keeps
+                # its digits where it is far below 1 (down to 1e-301 here)
+                ref = -float(mp.diff(survival, mp.mpf(p_r)))
+                value = ub_derivative_pr(sys_p, RateTarget(r), p_r, c_x)
+                assert abs(value - ref) <= 1e-10 * abs(ref), (pis, r, p_r, c_x, value, ref)
+
+
 @pytest.mark.parametrize("p_r", [0.2, 0.6, 1.0])
 @pytest.mark.parametrize("c_x", [0.0, 0.5, 0.95])
 def test_pr_derivative_matches_finite_difference(p_r, c_x):
@@ -116,6 +146,14 @@ def test_derivatives_accept_arrays():
         ub_derivative_cx(base_system(), TARGET, 1.0, np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         ub_derivative_pr(base_system(), TARGET, np.array([0.5, 0.0]), 0.5)
+    # NaN fails every range check; ub_derivative_pr(..., nan, 0.5) returned nan
+    for nan in (np.array([0.5, np.nan]), np.nan):
+        with pytest.raises(ValueError):
+            ub_derivative_cx(base_system(), TARGET, 1.0, nan)
+        with pytest.raises(ValueError):
+            ub_derivative_pr(base_system(), TARGET, nan, 0.5)
+        with pytest.raises(ValueError):
+            ub_derivative_pr(base_system(), TARGET, 1.0, nan)
 
 
 def test_derivative_float_branch_is_exact_and_scalar(monkeypatch):
@@ -144,8 +182,9 @@ def test_derivative_float_branch_is_exact_and_scalar(monkeypatch):
         for c_x in (0.0, 1.0, float("nan")):
             with pytest.raises(ValueError):
                 ub_derivative_cx(base_system(), TARGET, 1.0, c_x)
-        with pytest.raises(ValueError):
-            ub_derivative_pr(base_system(), TARGET, 0.0, 0.5)
+        for p_r in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                ub_derivative_pr(base_system(), TARGET, p_r, 0.5)
     for (array, _, _), scalar in zip(cases, scalars):
         assert np.array_equal(array, scalar)
 

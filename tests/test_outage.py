@@ -24,6 +24,7 @@ from fdrigs.outage import (
     _sr_hop,
     _sr_survival_exact,
     asymptotic_k,
+    e2e_lb_value,
     e2e_rayleigh_ub_value,
     p_e2e_exact,
     p_e2e_lb,
@@ -319,9 +320,9 @@ def test_sr_ub_jensen_direction():
     sys_p = base_system(1)
     for c_x in (0.1, 0.5, 0.9):
         sig = SignalParams(1.0, c_x)
-        # the Jensen first-hop exponent v of the Rayleigh upper bound
-        _, v, *_ = _rayleigh_ub_parts(sys_p, TARGET, sig.p_r, sig.c_x, math.exp)
-        assert -math.expm1(-v) >= sr_exact_outage(sys_p, sig, TARGET) - 1e-10
+        # the Jensen first-hop exponent w psi_y of the Rayleigh upper bound
+        *_, psi_y, _, w, _, _ = _rayleigh_ub_parts(sys_p, TARGET.gamma, sig.p_r, sig.c_x, math.exp)
+        assert -math.expm1(-w * psi_y) >= sr_exact_outage(sys_p, sig, TARGET) - 1e-10
 
 
 def test_asymptotic_k_high_rsi_limit():
@@ -634,6 +635,59 @@ def test_exact_outage_is_a_probability_in_a_targeted_search(shapes, log_pis, c_x
     exact = p_e2e_exact(sys_p, SignalParams(1.0, c_x), RateTarget(10.0**log_r)).value
     hypothesis.target(-exact)
     assert 0.0 <= exact <= 1.0, (sys_p, c_x, log_r, exact)
+
+
+def _bound_search_case(shapes, log_pis, p_r, c_x, log_r):
+    """(lb, exact, ub or None, tol) at one draw of the bound-order searches:
+    unit p_s and p_max, tol = max(QUAD_ABS_TOL, QUAD_REL_TOL exact)."""
+    links = [LinkStat(m, 10.0**e) for m, e in zip(shapes, log_pis)]
+    sys_p = SystemParams(*links, p_s=1.0, p_max=1.0)
+    sig, target = SignalParams(p_r, c_x), RateTarget(10.0**log_r)
+    exact = p_e2e_exact(sys_p, sig, target).value
+    ub = p_e2e_rayleigh_ub(sys_p, sig, target).value if sys_p.all_rayleigh else None
+    return p_e2e_lb(sys_p, sig, target).value, exact, ub, max(QUAD_ABS_TOL, QUAD_REL_TOL * exact)
+
+
+_LOG_PIS = st.tuples(*[st.floats(min_value=-1.0, max_value=6.0)] * 4)
+_P_R = st.floats(min_value=0.01, max_value=1.0)
+_C_X = st.floats(min_value=0.0, max_value=1.0)
+_LOG_R = st.floats(min_value=-3.0, max_value=1.0)
+
+
+@given(shapes=st.tuples(*[st.integers(min_value=1, max_value=4)] * 4), log_pis=_LOG_PIS,
+       p_r=_P_R, c_x=_C_X, log_r=_LOG_R)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_lower_bound_is_below_exact_in_a_targeted_search(shapes, log_pis, p_r, c_x, log_r):
+    # the search is steered towards the largest excess of the lower bound
+    # over the exact outage, in units of the quadrature tolerance
+    lb, exact, _, tol = _bound_search_case(shapes, log_pis, p_r, c_x, log_r)
+    hypothesis.target((lb - exact) / tol)
+    assert lb <= exact + tol, (shapes, log_pis, p_r, c_x, log_r, lb, exact)
+
+
+@given(log_pis=_LOG_PIS, p_r=_P_R, c_x=_C_X, log_r=_LOG_R)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_rayleigh_upper_bound_is_above_exact_in_a_targeted_search(log_pis, p_r, c_x, log_r):
+    # the search is steered towards the largest excess of the exact outage
+    # over the Rayleigh (Jensen) upper bound, in units of the tolerance
+    _, exact, ub, tol = _bound_search_case((1, 1, 1, 1), log_pis, p_r, c_x, log_r)
+    hypothesis.target((exact - ub) / tol)
+    assert exact <= ub + tol, (log_pis, p_r, c_x, log_r, exact, ub)
+
+
+def test_bound_values_refuse_nan_and_nonpositive_relay_power():
+    # e2e_lb_value(sys, t, 1, nan) read outage 0, and at p_r = -1 the lower
+    # bound read 0 and the upper bound -0.105; floats and arrays alike raise
+    sys_p, nan = base_system(1), float("nan")
+    for c_x in (nan, np.array([0.5, nan])):
+        with pytest.raises(ValueError, match="c_x"):
+            e2e_lb_value(sys_p, TARGET, 1.0, c_x)
+        with pytest.raises(ValueError, match="c_x"):
+            e2e_rayleigh_ub_value(sys_p, TARGET, 1.0, c_x)
+    for p_r in (-1.0, 0.0, nan, np.array([1.0, -1.0]), np.array([[0.5], [nan]])):
+        for value in (e2e_lb_value, e2e_rayleigh_ub_value):
+            with pytest.raises(ValueError, match="p_r must be > 0"):
+                value(sys_p, TARGET, p_r, 0.5)
 
 
 def test_metrics_are_probabilities_and_ordered_over_audit_domain():
