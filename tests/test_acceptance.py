@@ -5,7 +5,18 @@ with the criterion's own diagnostic log, so a red test points directly at
 the violated check.
 """
 
+import sys
+
+import pytest
+
 from fdrigs import acceptance
+
+
+@pytest.fixture(autouse=True)
+def without_scipy(monkeypatch):
+    # `fdrigs validate` runs without SciPy, a test extra only: an import of
+    # it inside any criterion fails here
+    monkeypatch.setitem(sys.modules, "scipy", None)
 
 
 def check(result):

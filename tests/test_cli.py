@@ -83,6 +83,8 @@ def test_monte_carlo_method_and_keys_are_config_errors(tmp_path, capsys):
     code, out, err = run(base_args("--set", "methods=mc"), capsys)
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert "unknown method 'mc'" in err
+    code, out, err = run(base_args("--set", "seed=0"), capsys)
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", "config error: unknown field(s): seed\n")
     for key in ("seed", "samples"):
         scenario = tmp_path / f"{key}.cfg"
         scenario.write_text(REPO_SCENARIO.read_text() + f"{key} = 1000000\n")
@@ -312,16 +314,17 @@ def test_non_finite_optimizer_candidate_is_numerical_error(monkeypatch, capsys):
     assert code == cli.EXIT_NUMERICAL
     assert "non-finite" in err
     assert out == ""
-    # a grid cell whose threshold v / scale would overflow a double has
-    # survival 0, as a float threshold has: outage 1 in every cell, with no
-    # warning, since the threshold is capped before the divide
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(["optimize", "--set", "m_sr=2", "--set", "m_rd=3",
-                              "--set", "optimizer=grid", "--set", "r=511.9",
-                              "--set", "pi_rd_db=0"], capsys)
-    assert code == cli.EXIT_OK
-    assert "objective  : 1 (lower-bound)" in out.splitlines()
+    # grid cells whose survival underflows read outage 1, with no warning:
+    # at r = 300 the hop's u passes 1e103, where its polynomial sum would
+    # overflow, and at r = 511.9 the threshold v / scale would overflow a
+    # double, so it is capped before the divide
+    for sets in (["m_rd=4", "m_rr=2", "r=300"], ["m_rd=3", "r=511.9", "pi_rd_db=0"]):
+        argv = ["optimize", "--set", "m_sr=2", "--set", "optimizer=grid"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv + [arg for s in sets for arg in ("--set", s)], capsys)
+        assert code == cli.EXIT_OK, sets
+        assert "objective  : 1 (lower-bound)" in out.splitlines(), sets
     # np.argmin picks the first nan of a grid: the grid refuses it rather
     # than print it
     monkeypatch.setitem(optimize._GRID_OUTAGE, "lb", lambda sys_p, target, p_r, c_x: p_r * c_x * float("nan"))
@@ -329,6 +332,22 @@ def test_non_finite_optimizer_candidate_is_numerical_error(monkeypatch, capsys):
     assert code == cli.EXIT_NUMERICAL
     assert "non-finite" in err
     assert out == ""
+
+
+def test_sweep_whose_survivals_underflow_reads_outage_one(tmp_path):
+    # at 800 dB the direct link's theta_i load u passes 1e77, where t**m_i
+    # overflowed a float while e^-u was still positive: every outage is 1,
+    # with no failed cell and no warning
+    out_file = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["sweep", "--set", "m_sd=4", "--set", "pi_sd_db=800", "--set", "sweep_points=2",
+                         "--set", "methods=exact,lb", "--out", str(out_file)])
+    assert code == cli.EXIT_OK
+    assert not Path(str(out_file) + ".diagnostics.txt").exists()
+    header, *rows = parse_csv(out_file.read_text())
+    cells = [cell for row in rows for key, cell in zip(header, row) if key.startswith("outage:")]
+    assert cells == ["1"] * 4
 
 
 def test_optimize_grid_variant(capsys):
@@ -341,13 +360,15 @@ def test_optimize_grid_variant(capsys):
 
 
 def test_grid_n_below_101_is_config_error(capsys):
-    code, out, err = run(
-        ["optimize", "--config", str(REPO_SCENARIO), "--set", "optimizer=grid",
-         "--set", "grid_n=50"],
-        capsys,
-    )
-    assert code == cli.EXIT_CONFIG
-    assert "grid_n" in err
+    # grid_n is checked whatever the optimizer, also the default one, which
+    # runs no grid
+    for optimizer in ([], ["--set", "optimizer=grid"]):
+        code, out, err = run(
+            ["optimize", "--config", str(REPO_SCENARIO), *optimizer, "--set", "grid_n=50"],
+            capsys,
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "grid_n" in err
 
 
 @pytest.mark.parametrize("optimizer", ["2d-cd", "1d-cx", "1d-pr"])
@@ -467,8 +488,9 @@ def test_relay_power_sweep_past_p_max_is_config_error(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    # SciPy is needed only by validate's quadrature oracle, imported there
-    probe = "import sys, fdrigs, fdrigs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # SciPy is a test extra only: no module of the package imports it
+    probe = ("import sys, fdrigs, fdrigs.cli, fdrigs.acceptance; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
@@ -486,20 +508,30 @@ def test_import_loads_no_monte_carlo():
 
 def test_float_sweep_leaves_numpy_unloaded(tmp_path):
     # every exact, lb and ub column evaluates on floats, on Rayleigh and off
-    # it, so NumPy's core is never loaded; optimize, in the same process,
-    # works on arrays and loads it through the lazy binding
+    # it, and so does every public metric on int parameters, which the
+    # parameter types store as floats: NumPy's core is never loaded.
+    # optimize, in the same process, works on arrays and loads it through
+    # the lazy binding
     probe = textwrap.dedent(f"""
         import sys
-        from fdrigs import cli
+        from fdrigs import (LinkStat, RateTarget, SignalParams, SystemParams, cli, p_e2e_exact,
+                            p_e2e_lb, p_e2e_rayleigh_ub, r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub)
 
         def core():
             return sorted(m for m in ("numpy._core", "numpy.core") if m in sys.modules)
 
-        sweep = ["sweep", "--config", {str(REPO_SCENARIO)!r}, "--set", "sweep_points=2",
+        sweep = ["sweep", "--config", {str(REPO_SCENARIO)!r}, "--set", "sweep_points=3",
                  "--set", "metrics=outage,throughput,ergodic", "--set", "methods=exact,lb,ub"]
-        for shapes in ([], ["--set", "m_sr=2", "--set", "m_rd=3", "--set", "m_rr=2"]):
-            assert cli.main(sweep + shapes + ["--out", "sweep.csv"]) == 0
-        print("core after sweep:", core())
+        for name, shapes in (("rayleigh", []), ("nakagami", ["--set", "m_sr=2", "--set", "m_rd=3",
+                                                           "--set", "m_rr=2"])):
+            assert cli.main(sweep + shapes + ["--out", name + ".csv"]) == 0
+        sys_p = SystemParams(*[LinkStat(1, pi) for pi in (100, 100, 10, 2)], p_s=1, p_max=1)
+        sig = SignalParams(1, 0)
+        for outage in (p_e2e_exact, p_e2e_lb, p_e2e_rayleigh_ub):
+            outage(sys_p, sig, RateTarget(1))
+        for rate in (r_e2e_exact, r_e2e_ub, r_e2e_rayleigh_lb):
+            rate(sys_p, sig)
+        print("core after floats:", core())
         assert cli.main(["optimize", "--config", {str(REPO_SCENARIO)!r}]) == 0
         print("core after optimize:", core())
     """)
@@ -507,12 +539,16 @@ def test_float_sweep_leaves_numpy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src)).stdout
     lines = [line for line in out.splitlines() if line.startswith("core after")]
-    assert lines[0] == "core after sweep: []"
+    assert lines[0] == "core after floats: []"
     assert lines[1] != "core after optimize: []"
-    assert (tmp_path / "sweep.csv").is_file()
+    # every Rayleigh column is filled, the ergodic ones included, so no
+    # sidecar is written; off Rayleigh the Rayleigh-only bounds fail per point
+    assert (tmp_path / "rayleigh.csv").is_file()
+    assert not (tmp_path / "rayleigh.csv.diagnostics.txt").exists()
+    assert (tmp_path / "nakagami.csv.diagnostics.txt").is_file()
 
 
-def test_throughput_columns(capsys):
+def test_throughput_columns(tmp_path, capsys):
     argv = ["throughput", "--config", str(REPO_SCENARIO),
             "--set", "sweep_var=r", "--set", "sweep_start=0.5",
             "--set", "sweep_stop=1.5", "--set", "sweep_points=2"]
@@ -529,6 +565,22 @@ def test_throughput_columns(capsys):
     for row in rows[1:]:
         r = float(row[0])
         assert all(0.0 <= float(v) <= r for v in row[1:] if v)
+    # off Rayleigh too the table is the same bytes on every run and for
+    # every seed, and no column carries a standard error; the grid optimum
+    # is found there
+    shapes = ["--set", "m_sr=2", "--set", "m_rd=2", "--set", "m_rr=3", "--set", "m_sd=2"]
+    tables = []
+    for n, seed in enumerate(["3", "3", "11"]):
+        out_file = tmp_path / f"thr-{n}.csv"
+        assert cli.main(["throughput", "--config", str(REPO_SCENARIO), *shapes,
+                         "--set", "sweep_var=r", "--set", "sweep_start=0.5", "--set", "sweep_stop=2",
+                         "--set", "sweep_points=2", "--seed", seed, "--out", str(out_file)]) == 0
+        tables.append(out_file.read_bytes())
+    assert tables == [tables[0]] * 3
+    assert not [h for h in parse_csv(tables[0].decode())[0] if h.endswith(":stderr")]
+    code, out, err = run(["optimize", "--config", str(REPO_SCENARIO), *shapes,
+                          "--set", "optimizer=grid"], capsys)
+    assert code == cli.EXIT_OK
 
 
 def test_validate_wiring(monkeypatch, capsys):
@@ -548,11 +600,17 @@ def test_validate_wiring(monkeypatch, capsys):
 
 
 def test_parser_reuse_is_stateless(tmp_path, monkeypatch, capsys):
-    # one parser serves every call of a process: each call must print and
-    # write what a fresh process prints and writes for the same argv, and
-    # no --set of an earlier call reaches a later one; the rejected call's
-    # 80 dB of self-interference would change the throughput table after it
+    # one parser serves every call of a process: each call, in each of two
+    # passes, must print and write what a fresh process prints and writes
+    # for the same argv, and no --set of an earlier call reaches a later
+    # one; the rejected call's 80 dB of self-interference would change the
+    # throughput tables after it.  The design jobs run every optimizer and
+    # the throughput table, on Rayleigh and off it
     scenario = ["--config", str(REPO_SCENARIO)]
+    other = [*scenario, "--set", "m_sr=2", "--set", "m_rd=2", "--set", "m_rr=3", "--set", "m_sd=2",
+             "--set", "pi_rr_db=5"]
+    rates = ["--set", "sweep_var=r", "--set", "sweep_start=0.5", "--set", "sweep_stop=2.5",
+             "--set", "sweep_points=3"]
     calls = [
         ["optimize", *scenario, "--set", "optimizer=2d-cd", "--set", "pi_sd_db=0",
          "--out", "opt.csv"],
@@ -562,28 +620,33 @@ def test_parser_reuse_is_stateless(tmp_path, monkeypatch, capsys):
          "--out", "thr.csv"],
         ["sweep", *scenario, "--set", "sweep_var=pi_rr", "--set", "sweep_scale=db",
          "--set", "sweep_start=0", "--set", "sweep_stop=20", "--set", "metrics=outage,throughput"],
+        ["optimize", *scenario, "--set", "optimizer=2d-cd", "--out", "cd.csv"],
+        ["optimize", *scenario, "--set", "optimizer=1d-cx", "--out", "cx.csv"],
+        ["optimize", *scenario, "--set", "optimizer=1d-pr", "--out", "pr.csv"],
+        ["optimize", *other, "--set", "optimizer=grid", "--out", "grid.csv"],
+        ["throughput", *scenario, *rates, "--seed", "5", "--out", "thr-ray.csv"],
+        ["throughput", *other, *rates, "--seed", "5", "--out", "thr-other.csv"],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
-    for sub in ("in", "fresh"):
+    (tmp_path / "fresh").mkdir()
+    fresh = [subprocess.run([sys.executable, "-m", "fdrigs.cli", *argv], capture_output=True,
+                            cwd=tmp_path / "fresh", env=env) for argv in calls]
+    assert [proc.returncode for proc in fresh] == [0, 2] + [0] * 8
+    for sub in ("in-1", "in-2"):
         (tmp_path / sub).mkdir()
-    monkeypatch.chdir(tmp_path / "in")
-    codes = []
-    for argv in calls:
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        fresh = subprocess.run([sys.executable, "-m", "fdrigs.cli", *argv], capture_output=True,
-                               cwd=tmp_path / "fresh", env=env)
-        assert code == fresh.returncode
-        assert captured.out.encode() == fresh.stdout
-        assert captured.err.encode() == fresh.stderr
-        codes.append(code)
-    assert codes == [0, 2, 0, 0]
-    for name in ("opt.csv", "thr.csv"):
-        assert (tmp_path / "in" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        monkeypatch.chdir(tmp_path / sub)
+        for argv, want in zip(calls, fresh):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert code == want.returncode, (sub, argv)
+            assert captured.out.encode() == want.stdout, (sub, argv)
+            assert captured.err.encode() == want.stderr, (sub, argv)
+        for name in [argv[argv.index("--out") + 1] for argv in calls if "--out" in argv]:
+            assert (tmp_path / sub / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
     assert cli._build_parser() is cli._build_parser()
     assert cli._build_parser().parse_args(["sweep"]).set == []

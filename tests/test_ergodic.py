@@ -5,8 +5,11 @@ import math
 import random
 import warnings
 
+import hypothesis
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from fdrigs.ergodic import _rate_cap, r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
@@ -114,6 +117,20 @@ def test_ub_exact_when_proper():
         assert r_e2e_ub(sys_p, sig).value == pytest.approx(
             r_e2e_exact(sys_p, sig).value, abs=1e-6
         )
+
+
+def test_ub_dominates_exact_along_cx_in_the_default_scenario():
+    # the exact rate integrates a survival never above the bound's, on the
+    # bound's own panels, and at c_x = 0 the two survivals are equal: the
+    # scenario file's 20/20/10/3 dB links, unit powers
+    links = [LinkStat(1, 10.0 ** (db / 10.0)) for db in (20, 20, 10, 3)]
+    sys_p = SystemParams(*links, p_s=1.0, p_max=1.0)
+    for c_x in (0.0, 0.25, 0.5, 0.75, 1.0):
+        sig = SignalParams(1.0, c_x)
+        exact, ub = r_e2e_exact(sys_p, sig).value, r_e2e_ub(sys_p, sig).value
+        assert exact <= ub + 1e-10 * ub, (c_x, exact, ub)
+        if c_x == 0.0:
+            assert abs(exact - ub) <= 1e-10 * ub, (exact, ub)
 
 
 @pytest.mark.parametrize(
@@ -386,3 +403,22 @@ def test_ergodic_integrals_continuous_as_cx_tends_to_one(shapes):
             value = integral(sys_p, SignalParams(1.0, c_x)).value
             jump = value - at_one - slope * (1.0 - c_x)
             assert abs(jump) <= 4.0 * tol, (integral, c_x, value, at_one)
+
+
+@given(
+    shapes=st.tuples(*[st.integers(min_value=1, max_value=4)] * 4),
+    log_pis=st.tuples(*[st.floats(min_value=-1.0, max_value=6.0)] * 4),
+    p_r=st.floats(min_value=0.01, max_value=1.0),
+    c_x=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_exact_rate_is_below_its_upper_bound_in_a_targeted_search(shapes, log_pis, p_r, c_x):
+    # the search is steered towards the largest excess of the exact rate
+    # over the upper bound, in units of the quadrature tolerance
+    links = [LinkStat(m, 10.0**e) for m, e in zip(shapes, log_pis)]
+    sys_p = SystemParams(*links, p_s=1.0, p_max=1.0)
+    sig = SignalParams(p_r, c_x)
+    exact, ub = r_e2e_exact(sys_p, sig).value, r_e2e_ub(sys_p, sig).value
+    tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * ub)
+    hypothesis.target((exact - ub) / tol)
+    assert exact <= ub + tol, (shapes, log_pis, p_r, c_x, exact, ub)

@@ -488,13 +488,24 @@ def test_sr_survival_exact_matches_mpmath_where_mass_hides(case):
     # Each survival lives at g_rr << theta_rr, where a domain mapped at
     # scale theta_rr put none of QK21's nodes: draw 722 gave 3.9e-33 for
     # 2.45e-5, draw 858 (c_x = 0) 3.0e-26 for 5.47e-6, draw 552 (c_x = 1)
-    # 1.8e-22 for 9.27e-9, and draw 717 (c_x = 1) missed by 6.9e-10.
-    sys_p, sig, target = found_case() if case == "found" else D_PINNED[case]
-    with mp.workdps(30):
-        ref = float(mp_sr_survival_exact(sys_p.sr.m, sys_p.sr.theta, sys_p.rr.m, sys_p.rr.theta,
-                                         sys_p.p_s, sig.p_r, sig.c_x, target.r))
-    value = sr_exact_survival(sys_p, sig, target)
-    assert abs(value - ref) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * ref), (value, ref)
+    # 1.8e-22 for 9.27e-9, and draw 717 (c_x = 1) missed by 6.9e-10.  The
+    # found case also runs at p_r = 1, 1.1 and 1.2, and since it is at
+    # c_x = 0, where the lower bound is exact, its exact outage must equal
+    # the closed form there
+    if case == "found":
+        sys_p, sig, target = found_case()
+        cases = [(sys_p, SignalParams(p_r, 0.0), target) for p_r in (sig.p_r, 1.0, 1.1, 1.2)]
+    else:
+        cases = [D_PINNED[case]]
+    for sys_p, sig, target in cases:
+        with mp.workdps(30):
+            ref = float(mp_sr_survival_exact(sys_p.sr.m, sys_p.sr.theta, sys_p.rr.m, sys_p.rr.theta,
+                                             sys_p.p_s, sig.p_r, sig.c_x, target.r))
+        value = sr_exact_survival(sys_p, sig, target)
+        assert abs(value - ref) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * ref), (sig, value, ref)
+        if case == "found":
+            exact, lb = p_e2e_exact(sys_p, sig, target).value, p_e2e_lb(sys_p, sig, target).value
+            assert abs(exact - lb) <= 1e-10, (sig, exact, lb)
 
 
 def first_hop_at(m_sr, th_sr, m_rr, th_rr, sig):
