@@ -260,12 +260,12 @@ def criterion_9_solver_agreement() -> CriterionResult:
         sys = _random_rayleigh(rng)
         target = RateTarget(rng.uniform(0.3, 2.0))
         cd = optimize.coordinate_descent(sys, target)
-        g2 = optimize.grid_search(sys, target, "outage-ub", grid_n)
+        g2 = optimize.grid_search(sys, target, grid_n)
         worst = max(worst, abs(cd.objective - g2.objective))
         monotone = monotone and all(np.diff(cd.trace) <= 1e-12)
         p_r = rng.uniform(0.05, 1.0) * sys.p_max
         bc = optimize.bisect_circularity(sys, target, p_r)
-        g1 = optimize.grid_search(sys, target, "outage-ub", grid_n, p_r_fixed=p_r)
+        g1 = optimize.grid_search(sys, target, grid_n, p_r_fixed=p_r)
         worst = max(worst, abs(bc.objective - g1.objective))
         c_x = rng.uniform(0.0, 1.0)
         bp = optimize.bisect_power(sys, target, c_x, objective="ub")

@@ -9,15 +9,15 @@ powers are linear inside the library; dB values (``*_db`` keys or
 ``10 ** (db / 10)``.
 
 A sweep looks each outage and ergodic (metric, method) column up in
-``optimize.METRICS``, the table `grid_search` also reads.  A throughput
-column is r (1 - outage) of the outage of its method at the same point,
-evaluated once for both cells, whether it succeeds or fails.  The header is
-laid out before any evaluation: each column is tagged ``metric:tag`` with
-the tag ``optimize.METHOD_TAGS`` fixes for its method.  A point that fails
-leaves its cells empty and a line in the diagnostics sidecar.
+`METRICS`, the library's one table from a metric name to its function.  A
+throughput column is r (1 - outage) of the outage of its method at the same
+point, evaluated once for both cells, whether it succeeds or fails.  The
+header is laid out before any evaluation: each column is tagged
+``metric:tag`` with the tag `METHOD_TAGS` fixes for its method.  A point
+that fails leaves its cells empty and a line in the diagnostics sidecar.
 `throughput` takes both optima of a rate from `optimize.design_optima` and
-the half-duplex baselines from `outage.p_hdr_mhdf` (``closed-form-exact``)
-and `outage.p_hdr_mrc` (``exact-integral``).  Every output is
+the half-duplex baselines from `outage.p_hdr_mhdf` and `outage.p_hdr_mrc`,
+and tags each column with the method its results carry.  Every output is
 deterministic: Monte Carlo runs only inside ``validate``, as an oracle.
 `throughput` still accepts an integer ``--seed``, which it ignores.
 Sweep points run one after another: a worker pool gained only a few percent
@@ -32,7 +32,8 @@ on floats only, so it never loads NumPy.  The optimizers, the throughput
 table and ``validate`` work on arrays and load NumPy at their first array
 call; ``validate`` imports the acceptance suite when it runs.
 
-`optimize` writes the method tag its optimizer attaches to the optimum.
+`optimize` writes the method tag its optimizer attaches to the optimum; its
+grid minimizes the bound the links call for (`optimize.grid_search`).
 `build_config` resolves each sweep point once, into its axis value and
 parameters, and `sweep` and `throughput` read those points.
 Configuration errors (exit 2) are found before any evaluation: a ``grid_n``
@@ -54,14 +55,19 @@ import functools
 import math
 import sys as _sys
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import optimize
+from .ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from .model import LinkStat, RateTarget, SignalParams, SystemParams
 from .outage import (
-    METHOD_CLOSED_FORM,
     METHOD_EXACT_INTEGRAL,
+    METHOD_LOWER_BOUND,
+    METHOD_UPPER_BOUND,
     EvalResult,
+    p_e2e_exact,
+    p_e2e_lb,
+    p_e2e_rayleigh_ub,
     p_hdr_mhdf,
     p_hdr_mrc,
     throughput,
@@ -110,6 +116,27 @@ _DEFAULTS: Dict[str, str] = {
     "methods": "exact,lb,ub",
     "optimizer": "2d-cd",
     "grid_n": "101",
+}
+
+Evaluator = Callable[[SystemParams, SignalParams, RateTarget], EvalResult]
+
+# The evaluators look their functions up at call time, so a wrapper patched
+# onto this module's names sees every call.  Throughput is not an entry: it
+# is r (1 - outage) of the outage entry of the same method.
+METRICS: Dict[Tuple[str, str], Evaluator] = {
+    ("outage", "exact"): lambda sys, sig, target: p_e2e_exact(sys, sig, target),
+    ("outage", "lb"): lambda sys, sig, target: p_e2e_lb(sys, sig, target),
+    ("outage", "ub"): lambda sys, sig, target: p_e2e_rayleigh_ub(sys, sig, target),
+    ("ergodic", "exact"): lambda sys, sig, target: r_e2e_exact(sys, sig),
+    ("ergodic", "lb"): lambda sys, sig, target: r_e2e_rayleigh_lb(sys, sig),
+    ("ergodic", "ub"): lambda sys, sig, target: r_e2e_ub(sys, sig),
+}
+
+# The tag every evaluation of a method carries, whatever its metric.
+METHOD_TAGS: Dict[str, str] = {
+    "exact": METHOD_EXACT_INTEGRAL,
+    "lb": METHOD_LOWER_BOUND,
+    "ub": METHOD_UPPER_BOUND,
 }
 
 _POWER_LIKE = {"pi_sr", "pi_rd", "pi_rr", "pi_sd", "p_s", "p_max", "p_r"}
@@ -242,7 +269,7 @@ def build_config(scenario: Optional[str], overrides: List[str]) -> RunConfig:
         db_to_linear(stop, "sweep_stop")
 
     metrics = _names(raw, "metrics", _METRICS)
-    methods = _names(raw, "methods", tuple(optimize.METHOD_TAGS))
+    methods = _names(raw, "methods", tuple(METHOD_TAGS))
     optimizer = raw["optimizer"]
     if optimizer not in ("1d-cx", "1d-pr", "2d-cd", "grid"):
         raise ConfigError(f"optimizer must be 1d-cx | 1d-pr | 2d-cd | grid, got {optimizer!r}")
@@ -337,7 +364,7 @@ def _write_csv(path: Optional[str], header: List[str], rows: List[List[object]])
 def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
     pairs = [(metric, method) for metric in cfg.metrics for method in cfg.methods]
     header = [cfg.sweep_var + (":db-input" if cfg.raw["sweep_scale"] == "db" else "")]
-    header += [f"{metric}:{optimize.METHOD_TAGS[method]}" for metric, method in pairs]
+    header += [f"{metric}:{METHOD_TAGS[method]}" for metric, method in pairs]
     diagnostics: List[str] = []
     rows = []
     for value, sys_p, sig, target in cfg.sweep_points:
@@ -349,7 +376,7 @@ def cmd_sweep(cfg: RunConfig, out_path: Optional[str]) -> int:
             key = ("ergodic" if metric == "ergodic" else "outage", method)
             if key not in memo:
                 try:
-                    memo[key] = optimize.METRICS[key](sys_p, sig, target)
+                    memo[key] = METRICS[key](sys_p, sig, target)
                 except (ArithmeticError, ValueError) as exc:
                     memo[key] = exc
             res = memo[key]
@@ -383,8 +410,7 @@ def cmd_optimize(cfg: RunConfig, out_path: Optional[str]) -> int:
     elif cfg.optimizer == "2d-cd":
         result = optimize.coordinate_descent(cfg.sys, cfg.target)
     else:
-        objective = "outage-ub" if cfg.sys.all_rayleigh else "outage-lb"
-        result = optimize.grid_search(cfg.sys, cfg.target, objective, cfg.grid_n)
+        result = optimize.grid_search(cfg.sys, cfg.target, cfg.grid_n)
 
     print(f"optimizer  : {cfg.optimizer}")
     print(f"p_r*       : {result.p_r_star:.10g}")
@@ -407,23 +433,19 @@ def cmd_throughput(cfg: RunConfig, out_path: Optional[str]) -> int:
         raise ConfigError("the throughput command needs sweep_var = r")
     targets = [target for *_, target in cfg.sweep_points]
     optima = [optimize.design_optima(cfg.sys, target, cfg.grid_n) for target in targets]
-    pgs_tag, igs_tag = (res.method for res in optima[0])
+    baselines = [(p_hdr_mhdf(cfg.sys, target), p_hdr_mrc(cfg.sys, target)) for target in targets]
+    (pgs, igs), (mhdf, mrc) = optima[0], baselines[0]
     header = [
         "r",
-        f"throughput:pgs-optimized:{pgs_tag}",
-        f"throughput:igs-optimized:{igs_tag}",
-        f"throughput:hdr-mhdf:{METHOD_CLOSED_FORM}",
-        f"throughput:hdr-mrc:{METHOD_EXACT_INTEGRAL}",
+        f"throughput:pgs-optimized:{pgs.method}",
+        f"throughput:igs-optimized:{igs.method}",
+        f"throughput:hdr-mhdf:{mhdf.method}",
+        f"throughput:hdr-mrc:{mrc.method}",
     ]
-    rows = []
-    for target, (pgs, igs) in zip(targets, optima):
-        rows.append([
-            target.r,
-            throughput(target, pgs.objective),
-            throughput(target, igs.objective),
-            throughput(target, p_hdr_mhdf(cfg.sys, target).value),
-            throughput(target, p_hdr_mrc(cfg.sys, target).value),
-        ])
+    rows = [
+        [target.r, *(throughput(target, p) for p in (pgs.objective, igs.objective, mhdf.value, mrc.value))]
+        for target, (pgs, igs), (mhdf, mrc) in zip(targets, optima, baselines)
+    ]
     _write_csv(out_path, header, rows)
     return EXIT_OK
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .model import SignalParams, SystemParams, alpha
+from .model import SignalParams, SystemParams, _require, alpha
 from .outage import (
     METHOD_EXACT_INTEGRAL,
     METHOD_LOWER_BOUND,
@@ -128,8 +128,7 @@ def r_e2e_rayleigh_lb(sys: SystemParams, sig: SignalParams) -> EvalResult:
     below eps and reads 0.  Knots at x, 1 - a c_x and 1 / omega, the scales
     of its factors, split the cut where they fall inside it.
     """
-    if not sys.all_rayleigh:
-        raise ValueError("r_e2e_rayleigh_lb requires all shapes equal to 1")
+    _require(sys.all_rayleigh, "r_e2e_rayleigh_lb requires all shapes equal to 1")
     sys.check_signal(sig)
     if sig.c_x == 1.0:
         return EvalResult(0.0, METHOD_LOWER_BOUND)

@@ -1,16 +1,16 @@
 """Relay signal design: derivative bisection over each of (p_r, c_x),
-coordinate descent for the joint problem, and a grid-search oracle that
-works for every metric and any fading shape.
+coordinate descent for the joint problem, and a grid-search oracle for any
+fading shape.
 
-`METRICS` maps each outage and ergodic (metric, method) pair to its
-evaluator; it is the one table behind both `grid_search` and the CLI sweep.
-Throughput is derived from the outage of the same method, so it is neither
-an entry nor a `grid_search` objective: at a fixed rate it peaks where the
-outage is least.  `METHOD_TAGS` gives the one tag every evaluation of a
-method carries.  `grid_search` minimizes outage and maximizes the ergodic
-rate, and evaluates the closed-form outage bounds over its whole grid as
-one array.  `design_optima` gives the proper and improper optima of the
-throughput table.
+The design rests on the closed-form outage bounds alone, as the paper's
+"based only on the channel statistics" design does.  `grid_search`
+minimizes, as one array over its whole grid, the bound that the links call
+for: the Rayleigh upper bound `outage.e2e_rayleigh_ub_value` on all-Rayleigh
+links, and the lower bound `outage.e2e_lb_value` on other shapes, each
+tagged with its method.  At a fixed rate the throughput r (1 - outage)
+peaks where the outage is least, so it needs no objective of its own.
+`design_optima` gives the proper and improper optima of the throughput
+table.
 
 The 1D searches exploit that the Rayleigh outage upper bound is monotone or
 unimodal in each variable separately, so a single interior stationary point
@@ -22,9 +22,9 @@ The searches run on Python floats, as the 1D searches convert their fixed
 coordinate after its check.  Both derivatives read the bound's own parts
 (`outage._rayleigh_ub_parts`: alpha, and psi_r at c_x and at alpha c_x,
 each from one `model._psi_pair`, which takes its square root in `math` on a
-float) and check ranges by the one form `model._require`, a plain
-comparison on a float; they keep `np.exp` in the survival factor, so a
-float call returns exactly its array element.  The proper objective of
+float); they keep `np.exp` in the survival factor, so a float call
+returns exactly its array element.  Every range check here takes the one
+form `model._require`, a plain comparison on a float.  The proper objective of
 `bisect_power` is the lower bound's closed form `outage.e2e_lb_value`,
 exact at c_x = 0.  The best candidate is picked in plain Python, the first
 of equal minima as with `np.argmin`; a non-finite candidate raises
@@ -35,28 +35,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ._lazy import np
-from .ergodic import r_e2e_exact, r_e2e_rayleigh_lb, r_e2e_ub
 from .model import RateTarget, SignalParams, SystemParams, _require
 from .outage import (
     METHOD_CLOSED_FORM,
-    METHOD_EXACT_INTEGRAL,
     METHOD_LOWER_BOUND,
     METHOD_UPPER_BOUND,
-    EvalResult,
     _rayleigh_ub_parts,
     e2e_lb_value,
     e2e_rayleigh_ub_value,
     p_e2e_exact,
-    p_e2e_lb,
-    p_e2e_rayleigh_ub,
 )
 
 __all__ = [
-    "METRICS",
-    "METHOD_TAGS",
     "OptResult",
     "ub_derivative_cx",
     "ub_derivative_pr",
@@ -187,10 +180,8 @@ def _bracket_and_pick(
 
 def bisect_circularity(sys: SystemParams, target: RateTarget, p_r: float) -> OptResult:
     """Minimize the Rayleigh outage upper bound over c_x at fixed p_r."""
-    if not sys.all_rayleigh:
-        raise ValueError("bisect_circularity requires all shapes equal to 1")
-    if not 0 < p_r <= sys.p_max:
-        raise ValueError(f"p_r must lie in (0, p_max], got {p_r}")
+    _require(sys.all_rayleigh, "bisect_circularity requires all shapes equal to 1")
+    _require(0 < p_r <= sys.p_max, f"p_r must lie in (0, p_max], got {p_r}")
     p_r = float(p_r)
     return _bracket_and_pick(
         # The objective falls as the survival rises: bisect on -survival'.
@@ -227,12 +218,9 @@ def bisect_power(
     Pass objective="ub" to force the bound at c_x = 0 as well, which is what
     coordinate descent needs for a consistent descent function.
     """
-    if not sys.all_rayleigh:
-        raise ValueError("bisect_power requires all shapes equal to 1")
-    if not 0.0 <= c_x <= 1.0:
-        raise ValueError(f"c_x must lie in [0, 1], got {c_x}")
-    if objective not in ("auto", "ub"):
-        raise ValueError(f"objective must be 'auto' or 'ub', got {objective!r}")
+    _require(sys.all_rayleigh, "bisect_power requires all shapes equal to 1")
+    _require(0.0 <= c_x <= 1.0, f"c_x must lie in [0, 1], got {c_x}")
+    _require(objective in ("auto", "ub"), f"objective must be 'auto' or 'ub', got {objective!r}")
     c_x = float(c_x)
     lo, hi = _EDGE * sys.p_max, sys.p_max
     if objective == "auto" and c_x == 0.0:
@@ -276,75 +264,33 @@ def coordinate_descent(sys: SystemParams, target: RateTarget) -> OptResult:
     )
 
 
-Evaluator = Callable[[SystemParams, SignalParams, RateTarget], EvalResult]
-
-
-# The evaluators look their functions up at call time, so a wrapper patched
-# onto this module's names sees every call.  Throughput is not an entry: it
-# is r (1 - outage) of the outage entry of the same method.
-METRICS: Dict[Tuple[str, str], Evaluator] = {
-    ("outage", "exact"): lambda sys, sig, target: p_e2e_exact(sys, sig, target),
-    ("outage", "lb"): lambda sys, sig, target: p_e2e_lb(sys, sig, target),
-    ("outage", "ub"): lambda sys, sig, target: p_e2e_rayleigh_ub(sys, sig, target),
-    ("ergodic", "exact"): lambda sys, sig, target: r_e2e_exact(sys, sig),
-    ("ergodic", "lb"): lambda sys, sig, target: r_e2e_rayleigh_lb(sys, sig),
-    ("ergodic", "ub"): lambda sys, sig, target: r_e2e_ub(sys, sig),
-}
-
-# The tag every evaluation of a method carries, whatever its metric.
-METHOD_TAGS: Dict[str, str] = {
-    "exact": METHOD_EXACT_INTEGRAL,
-    "lb": METHOD_LOWER_BOUND,
-    "ub": METHOD_UPPER_BOUND,
-}
-
-# Outage methods with a closed form over a whole (p_r, c_x) grid;
-# grid_search evaluates these as one array.
-_GRID_OUTAGE = {"lb": e2e_lb_value, "ub": e2e_rayleigh_ub_value}
-
-
 def _grid_values(
-    sys: SystemParams,
-    target: RateTarget,
-    objective: str,
-    grid_n: int,
-    p_r_fixed: Optional[float],
+    sys: SystemParams, target: RateTarget, grid_n: int, p_r_fixed: Optional[float]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """The objective on the grid: (p_grid, c_grid, values[p, c], method tag)."""
-    metric, _, method = objective.partition("-")
-    method = method or "exact"
-    evaluator = METRICS.get((metric, method))
-    if evaluator is None:
-        raise ValueError(f"unknown objective {objective!r}")
-    if grid_n < 101:
-        raise ValueError(f"grid_n must be >= 101, got {grid_n}")
+    """The outage bound the links call for on the grid, as one closed-form
+    array: (p_grid, c_grid, values[p, c], method tag).  That is the Rayleigh
+    upper bound on all-Rayleigh links and the lower bound on other shapes."""
+    _require(grid_n >= 101, f"grid_n must be >= 101, got {grid_n}")
     if p_r_fixed is not None:
-        if not 0 < p_r_fixed <= sys.p_max:
-            raise ValueError(f"p_r_fixed must lie in (0, p_max], got {p_r_fixed}")
+        _require(0 < p_r_fixed <= sys.p_max, f"p_r_fixed must lie in (0, p_max], got {p_r_fixed}")
         p_grid = np.array([p_r_fixed])
     else:
-        # p_max * n / n can round above p_max, where the per-point signal check refuses it
+        # p_max * n / n can round above p_max, where the signal check refuses
+        # the optimum
         p_grid = np.minimum(sys.p_max * np.arange(1, grid_n + 1) / grid_n, sys.p_max)
     c_grid = np.linspace(0.0, 1.0, grid_n)
-
-    if metric == "outage" and method in _GRID_OUTAGE:
-        values = _GRID_OUTAGE[method](sys, target, p_grid[:, None], c_grid[None, :])
+    if sys.all_rayleigh:
+        bound, tag = e2e_rayleigh_ub_value, METHOD_UPPER_BOUND
     else:
-        values = np.empty((len(p_grid), grid_n))
-        for i, p in enumerate(p_grid):
-            for j, c in enumerate(c_grid):
-                values[i, j] = evaluator(sys, SignalParams(p, c), target).value
-    return p_grid, c_grid, values, METHOD_TAGS[method]
+        bound, tag = e2e_lb_value, METHOD_LOWER_BOUND
+    return p_grid, c_grid, bound(sys, target, p_grid[:, None], c_grid[None, :]), tag
 
 
-def _grid_pick(
-    p_grid: np.ndarray, c_grid: np.ndarray, values: np.ndarray, tag: str, minimize: bool
-) -> OptResult:
-    """The best grid cell, first in row-major order among ties.  A non-finite
-    objective there raises ArithmeticError: `np.argmin` and `np.argmax`
-    return the first nan, so checking the chosen cell suffices."""
-    flat = np.argmin(values) if minimize else np.argmax(values)
-    i, j = np.unravel_index(flat, values.shape)
+def _grid_pick(p_grid: np.ndarray, c_grid: np.ndarray, values: np.ndarray, tag: str) -> OptResult:
+    """The least grid cell, first in row-major order among ties.  A non-finite
+    objective there raises ArithmeticError: `np.argmin` returns the first
+    nan, so checking the chosen cell suffices."""
+    i, j = np.unravel_index(np.argmin(values), values.shape)
     if not math.isfinite(values[i, j]):
         raise ArithmeticError(f"non-finite objective {values[i, j]} at p_r={p_grid[i]}, c_x={c_grid[j]}")
     return OptResult(
@@ -360,24 +306,19 @@ def _grid_pick(
 def grid_search(
     sys: SystemParams,
     target: RateTarget,
-    objective: str = "outage-ub",
     grid_n: int = 101,
     p_r_fixed: Optional[float] = None,
 ) -> OptResult:
-    """Exhaustive search on a grid_n x grid_n grid over (0, p_max] x [0, 1].
+    """Exhaustive search on a grid_n x grid_n grid over (0, p_max] x [0, 1]
+    for the least outage bound, on any fading shape.
 
-    Works for every metric and any fading shape its evaluator accepts.  The
-    objective names a METRICS key as "metric-method" ("outage-lb",
-    "ergodic-ub"); a bare metric name means its exact method.  Outage is
-    minimized and the ergodic rate maximized; at a fixed rate r the
-    throughput r (1 - outage) peaks where the outage is least, so it needs
-    no objective of its own.  Ties break deterministically toward the
-    smallest p_r, then the smallest c_x.  Fixing p_r collapses the search
-    to a 1D sweep over c_x.  The outage bounds are evaluated as one
-    closed-form array, every other objective point by point.
+    The objective is the bound the links call for (`_grid_values`): the
+    Rayleigh upper bound on all-Rayleigh links, the lower bound on other
+    shapes, evaluated as one closed-form array.  Ties break
+    deterministically toward the smallest p_r, then the smallest c_x.
+    Fixing p_r collapses the search to a 1D sweep over c_x.
     """
-    p_grid, c_grid, values, tag = _grid_values(sys, target, objective, grid_n, p_r_fixed)
-    return _grid_pick(p_grid, c_grid, values, tag, objective.startswith("outage"))
+    return _grid_pick(*_grid_values(sys, target, grid_n, p_r_fixed))
 
 
 def design_optima(
@@ -397,6 +338,5 @@ def design_optima(
         cd = coordinate_descent(sys, target)
         exact = p_e2e_exact(sys, SignalParams(cd.p_r_star, cd.c_x_star), target)
         return proper, replace(cd, objective=exact.value, method=exact.method)
-    p_grid, c_grid, values, tag = _grid_values(sys, target, "outage-lb", grid_n, None)
-    proper = _grid_pick(p_grid, c_grid[:1], values[:, :1], tag, True)
-    return proper, _grid_pick(p_grid, c_grid, values, tag, True)
+    p_grid, c_grid, values, tag = _grid_values(sys, target, grid_n, None)
+    return _grid_pick(p_grid, c_grid[:1], values[:, :1], tag), _grid_pick(p_grid, c_grid, values, tag)

@@ -533,8 +533,7 @@ def e2e_rayleigh_ub_value(sys: SystemParams, target: RateTarget, p_r, c_x):
 
     Two Python floats take the same formula in `math`, anything else NumPy.
     """
-    if not sys.all_rayleigh:
-        raise ValueError("the Rayleigh upper bound requires all shapes equal to 1")
+    _require(sys.all_rayleigh, "the Rayleigh upper bound requires all shapes equal to 1")
     c_x = _unit_interval(c_x, "c_x")
     if type(p_r) is float and type(c_x) is float:
         return 1.0 - _rayleigh_ub_parts(sys, target.gamma, p_r, c_x, math.exp)[-1]
@@ -616,6 +615,5 @@ def p_hdr_mrc(sys: SystemParams, target: RateTarget) -> EvalResult:
 
 def throughput(target: RateTarget, p_out: float) -> float:
     """Fixed-rate throughput r (1 - P_out)."""
-    if not 0.0 <= p_out <= 1.0:
-        raise ValueError(f"p_out must lie in [0, 1], got {p_out}")
+    _require(0.0 <= p_out <= 1.0, f"p_out must lie in [0, 1], got {p_out}")
     return target.r * (1.0 - p_out)

@@ -125,12 +125,10 @@ def test_exact_throughput_is_filled_where_the_first_hop_is_sure(tmp_path):
 def test_sweep_derives_throughput_from_outage(monkeypatch, capsys):
     # with both metrics, each exact outage is evaluated once per point and
     # the throughput cell is r (1 - outage) of that same evaluation
-    from fdrigs import optimize
-
     calls = []
-    exact = optimize.p_e2e_exact
+    exact = cli.p_e2e_exact
     monkeypatch.setattr(
-        optimize, "p_e2e_exact", lambda *args: calls.append(args) or exact(*args)
+        cli, "p_e2e_exact", lambda *args: calls.append(args) or exact(*args)
     )
     code, out, err = run(
         base_args("--set", "sweep_points=3", "--set", "metrics=outage,throughput",
@@ -211,15 +209,13 @@ def test_model_constraint_is_config_error(capsys):
 def test_failed_outage_is_evaluated_once_per_point(monkeypatch, tmp_path):
     # an outage that raises serves its outage and its throughput cell from
     # one call, and both cells still get their sidecar line
-    from fdrigs import optimize
-
     calls = []
 
     def failing(sys_p, sig, target):
         calls.append(sig)
         raise ArithmeticError("stub failure")
 
-    monkeypatch.setitem(optimize.METRICS, ("outage", "exact"), failing)
+    monkeypatch.setitem(cli.METRICS, ("outage", "exact"), failing)
     out_file = tmp_path / "s.csv"
     code = cli.main(base_args("--set", "sweep_points=3", "--set", "metrics=outage,throughput",
                               "--set", "methods=exact", "--out", str(out_file)))
@@ -327,7 +323,7 @@ def test_non_finite_optimizer_candidate_is_numerical_error(monkeypatch, capsys):
         assert "objective  : 1 (lower-bound)" in out.splitlines(), sets
     # np.argmin picks the first nan of a grid: the grid refuses it rather
     # than print it
-    monkeypatch.setitem(optimize._GRID_OUTAGE, "lb", lambda sys_p, target, p_r, c_x: p_r * c_x * float("nan"))
+    monkeypatch.setattr(optimize, "e2e_lb_value", lambda sys_p, target, p_r, c_x: p_r * c_x * float("nan"))
     code, out, err = run(["optimize", "--set", "m_sr=2", "--set", "optimizer=grid"], capsys)
     assert code == cli.EXIT_NUMERICAL
     assert "non-finite" in err
@@ -400,17 +396,16 @@ def test_only_throughput_takes_a_seed_and_ignores_it(command, seed, capsys):
 
 def test_every_evaluation_carries_its_method_tag():
     # the sweep header is laid out from METHOD_TAGS before any evaluation
-    from fdrigs import optimize
     from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
 
     sys_p = SystemParams(LinkStat(1, 100.0), LinkStat(1, 100.0), LinkStat(1, 10.0),
                          LinkStat(1, 2.0), p_s=1.0, p_max=1.0)
     sig, target = SignalParams(1.0, 0.9), RateTarget(1.0)
-    assert set(optimize.METRICS) == {(metric, method) for metric in ("outage", "ergodic")
-                                     for method in optimize.METHOD_TAGS}
-    assert len(optimize.METRICS) == 6
-    for (metric, method), fn in optimize.METRICS.items():
-        assert fn(sys_p, sig, target).method == optimize.METHOD_TAGS[method], (metric, method)
+    assert set(cli.METRICS) == {(metric, method) for metric in ("outage", "ergodic")
+                                for method in cli.METHOD_TAGS}
+    assert len(cli.METRICS) == 6
+    for (metric, method), fn in cli.METRICS.items():
+        assert fn(sys_p, sig, target).method == cli.METHOD_TAGS[method], (metric, method)
 
 
 def test_throughput_requires_rate_sweep(capsys):

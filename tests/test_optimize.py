@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fdrigs import optimize
-from fdrigs.ergodic import r_e2e_ub
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
 from fdrigs.optimize import (
     _bracket_and_pick,
@@ -21,7 +20,7 @@ from fdrigs.optimize import (
     ub_derivative_cx,
     ub_derivative_pr,
 )
-from fdrigs.outage import e2e_rayleigh_ub_value, p_e2e_exact, p_e2e_lb
+from fdrigs.outage import e2e_rayleigh_ub_value, p_e2e_exact, p_e2e_lb, p_e2e_rayleigh_ub
 
 
 def base_system(pi_rr=10.0, p_max=1.0):
@@ -44,7 +43,7 @@ def fd(fn, x, h=1e-6):
 
 def test_search_config_validation():
     with pytest.raises(ValueError):
-        grid_search(base_system(), TARGET, "outage-ub", grid_n=10)
+        grid_search(base_system(), TARGET, grid_n=10)
 
 
 @pytest.mark.parametrize("p_r", [0.3, 1.0])
@@ -251,7 +250,7 @@ def test_coordinate_descent_monotone_and_consistent():
     diffs = np.diff(res.trace)
     assert np.all(diffs <= 1e-12)
     # agrees with a fine grid on the same objective
-    ref = grid_search(sys_p, TARGET, "outage-ub", grid_n=1001)
+    ref = grid_search(sys_p, TARGET, grid_n=1001)
     assert res.objective <= ref.objective + 1e-6
     assert res.converged
     assert res.method == ref.method == "upper-bound"
@@ -266,55 +265,60 @@ def test_non_rayleigh_rejected_by_bisection():
         bisect_circularity(sys_p, TARGET, 1.0)
     with pytest.raises(ValueError):
         coordinate_descent(sys_p, TARGET)
-    # so does the grid's vectorized Rayleigh bound
-    with pytest.raises(ValueError):
-        grid_search(sys_p, TARGET, "outage-ub")
-    # exhaustive search still works on any shape, on the bounds that hold there
-    res = grid_search(sys_p, TARGET, "outage-lb")
+    # exhaustive search still works on any shape, on the bound that holds there
+    res = grid_search(sys_p, TARGET)
     assert 0.0 <= res.objective <= 1.0
     assert res.method == "lower-bound"
 
 
 def test_grid_search_tie_breaking():
     # at r = 40 every grid value of both bounds is exactly 1.0: the search
-    # must return the smallest p_r, then the smallest c_x
-    sys_p = base_system()
-    for objective in ("outage-ub", "outage-lb"):
-        res = grid_search(sys_p, RateTarget(40.0), objective)
+    # must return the smallest p_r, then the smallest c_x, on the Rayleigh
+    # upper bound and on the lower bound off Rayleigh
+    other = SystemParams(
+        sr=LinkStat(2, 100.0), rd=LinkStat(2, 100.0), rr=LinkStat(3, 10.0),
+        sd=LinkStat(2, 2.0), p_s=1.0, p_max=1.0,
+    )
+    for sys_p, tag in ((base_system(), "upper-bound"), (other, "lower-bound")):
+        res = grid_search(sys_p, RateTarget(40.0))
         assert res.objective == 1.0
+        assert res.method == tag
         assert res.p_r_star == pytest.approx(sys_p.p_max / 101)
         assert res.c_x_star == 0.0
 
 
 def test_grid_search_stability_with_resolution():
     sys_p = base_system()
-    coarse = grid_search(sys_p, TARGET, "outage-ub")
-    fine = grid_search(sys_p, TARGET, "outage-ub", grid_n=1001)
+    coarse = grid_search(sys_p, TARGET)
+    fine = grid_search(sys_p, TARGET, grid_n=1001)
     assert fine.objective <= coarse.objective + 1e-12
     assert abs(fine.objective - coarse.objective) < 1e-3
 
 
 def test_grid_search_fixed_power_slice():
     sys_p = base_system()
-    res = grid_search(sys_p, TARGET, "outage-ub", p_r_fixed=0.5)
+    res = grid_search(sys_p, TARGET, p_r_fixed=0.5)
     assert res.p_r_star == 0.5
     with pytest.raises(ValueError):
-        grid_search(sys_p, TARGET, "outage-ub", p_r_fixed=2.0)
+        grid_search(sys_p, TARGET, p_r_fixed=2.0)
 
 
-def test_grid_search_maximize_metric():
-    sys_p = base_system()
-    res = grid_search(sys_p, TARGET, "ergodic-ub", p_r_fixed=1.0)
-    # the ergodic rate is maximized: the first of the largest cells wins
-    c_grid = np.linspace(0.0, 1.0, 101)
-    values = [r_e2e_ub(sys_p, SignalParams(1.0, c)).value for c in c_grid]
-    assert res.objective == max(values)
-    assert res.c_x_star == c_grid[values.index(max(values))]
-    # at a fixed rate the throughput peaks where the outage is least, so it
-    # is no objective of its own
-    for objective in ("throughput", "throughput-lb", "throughput-ub"):
-        with pytest.raises(ValueError, match="unknown objective"):
-            grid_search(sys_p, TARGET, objective)
+@pytest.mark.parametrize("r", [1.0, 40.0])
+def test_rayleigh_grid_array_matches_scalar_bound(r):
+    # on Rayleigh links the grid is the upper bound as one array: every cell
+    # must match the scalar bound at its point, and the pick must be the
+    # first least cell of that point-by-point grid
+    sys_p = base_system(p_max=2.0)
+    target = RateTarget(r)
+    p_grid, c_grid, values, tag = _grid_values(sys_p, target, 101, None)
+    assert tag == "upper-bound"
+    ref = np.array(
+        [[p_e2e_rayleigh_ub(sys_p, SignalParams(p, c), target).value for c in c_grid] for p in p_grid]
+    )
+    assert np.max(np.abs(values - ref)) <= 1e-14
+    i, j = np.unravel_index(np.argmin(ref), ref.shape)
+    res = grid_search(sys_p, target)
+    assert (res.p_r_star, res.c_x_star, res.objective) == (p_grid[i], c_grid[j], ref[i, j])
 
 
 @pytest.mark.parametrize("shapes", [(2, 2, 3, 2), (4, 4, 4, 4), (1, 3, 2, 4)])
@@ -328,7 +332,7 @@ def test_lb_grid_array_matches_scalar_bound(shapes, r):
         p_s=1.0, p_max=2.0,
     )
     target = RateTarget(r)
-    p_grid, c_grid, values, tag = _grid_values(sys_p, target, "outage-lb", 101, None)
+    p_grid, c_grid, values, tag = _grid_values(sys_p, target, 101, None)
     assert tag == "lower-bound"
     assert values.shape == (101, 101) and c_grid[-1] == 1.0
     ref = np.array(
@@ -351,7 +355,7 @@ def test_design_optima_tags_and_proper_column():
     assert pgs.c_x_star == 0.0
     column = [p_e2e_lb(sys_p, SignalParams(k / 101, 0.0), TARGET).value for k in range(1, 102)]
     assert pgs.objective == pytest.approx(min(column), abs=1e-14)
-    assert igs == grid_search(sys_p, TARGET, "outage-lb")
+    assert igs == grid_search(sys_p, TARGET)
     assert igs.objective <= pgs.objective
     pgs, igs = design_optima(base_system(), TARGET)
     assert (pgs.method, igs.method) == ("closed-form-exact", "exact-integral")
@@ -368,8 +372,8 @@ def test_grid_top_row_is_p_max():
         sd=LinkStat(1, 2.0), p_s=1.0, p_max=2.7,
     )
     assert 2.7 * 101 / 101 > 2.7
-    p_grid, *_ = _grid_values(sys_p, TARGET, "outage-lb", 101, None)
+    p_grid, *_ = _grid_values(sys_p, TARGET, 101, None)
     assert p_grid[-1] == 2.7 and np.all(p_grid <= 2.7)
-    res = grid_search(sys_p, TARGET, "outage-lb")
+    res = grid_search(sys_p, TARGET)
     assert 0.0 < res.p_r_star <= 2.7
     p_e2e_lb(sys_p, SignalParams(res.p_r_star, res.c_x_star), TARGET)
