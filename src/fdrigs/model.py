@@ -11,7 +11,9 @@ evaluation at one design point leaves it unloaded.
 
 Both rate-threshold maps have one body, `_psi_pair`, which forms
 psi_r(x) and psi_r(x) / (1 - x^2) from one square root; it is the only place
-the library forms that root.  Its callers that take an argument from outside
+the library forms that root.  It takes 1 - x from its caller, beside x, so
+a caller whose argument is a product can form the complement without
+cancellation.  Its callers that take an argument from outside
 (`psi_r`, `psi_ratio_limit` and the bound values `outage.e2e_lb_value` and
 `outage.e2e_rayleigh_ub_value`) pass it through the unit-interval check
 first (`_unit_interval`); the quadrature integrands (the exact first hop and
@@ -161,19 +163,23 @@ def _scalar_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _psi_pair(gamma: float, c_x):
-    """(psi_r(c_x), psi_ratio_limit(c_x)) at gamma from one square root.
+def _psi_pair(gamma: float, x, x_bar):
+    """(psi_r(x), psi_ratio_limit(x)) at gamma from one square root, given
+    x_bar = 1 - x.
 
     psi_r(x) = sqrt(1 + gamma (1 - x^2)) - 1 is formed as g / root with
-    g = gamma (1 - x)(1 + x) and root = 1 + sqrt(1 + g), which stays
+    g = gamma x_bar (1 + x) and root = 1 + sqrt(1 + g), which stays
     accurate as x -> 1 where the naive form cancels; psi_r(x) / (1 - x^2),
-    continuously extended to gamma / 2 at x = 1, is gamma / root.  This is
-    the only body of both maps: a Python float c_x takes `math`, anything
-    else NumPy, with no range check.  The end-to-end survivals call it at
-    every rate and the exact first hop at every RSI-gain node.
+    continuously extended to gamma / 2 at x = 1, is gamma / root.  The
+    caller forms x_bar: as 1.0 - x where x is its argument itself, and
+    without the difference where x is a product, such as alpha c_x, whose
+    complement 1 - x cancels as c_x -> 1.  This is the only body of both
+    maps: a Python float x takes `math`, anything else NumPy, with no range
+    check.  The end-to-end survivals call it at every rate and the exact
+    first hop at every RSI-gain node.
     """
-    g = gamma * ((1.0 - c_x) * (1.0 + c_x))
-    root = 1.0 + (math.sqrt(1.0 + g) if type(c_x) is float else np.sqrt(1.0 + g))
+    g = gamma * (x_bar * (1.0 + x))
+    root = 1.0 + (math.sqrt(1.0 + g) if type(x) is float else np.sqrt(1.0 + g))
     return g / root, gamma / root
 
 
@@ -199,14 +205,16 @@ def _unit_interval(x, name: str):
 def psi_r(target: RateTarget, x):
     """Rate-threshold map sqrt(1 + gamma (1 - x^2)) - 1 on [0, 1], the first
     element of `_psi_pair`; a Python float in `math`, anything else NumPy."""
-    return _psi_pair(target.gamma, _unit_interval(x, "psi_r argument"))[0]
+    x = _unit_interval(x, "psi_r argument")
+    return _psi_pair(target.gamma, x, 1.0 - x)[0]
 
 
 def psi_ratio_limit(target: RateTarget, c_x):
     """psi_r(c_x) / (1 - c_x^2), continuously extended to gamma/2 at c_x = 1,
     the second element of `_psi_pair`; a Python float in `math`, anything
     else NumPy."""
-    return _psi_pair(target.gamma, _unit_interval(c_x, "c_x"))[1]
+    c_x = _unit_interval(c_x, "c_x")
+    return _psi_pair(target.gamma, c_x, 1.0 - c_x)[1]
 
 
 def alpha(sys: SystemParams, p_r):

@@ -42,8 +42,9 @@ axis where the integrand lives; the first hop adds knots where its mass can
 sit far below the RSI scale.  The first hop is bound once per (design,
 rate): `_sr_survival_exact` takes gamma and psi_r(c_x), from the exact
 survival's one `model._psi_pair`, fixes its cut, knots and scale, and at
-each RSI-gain node forms the threshold from one more `_psi_pair`, with no
-`RateTarget` and no range check; like every survival here, it is clamped
+each RSI-gain node forms the threshold from one more `_psi_pair`, whose
+complement 1 - x it forms without the difference that cancels as c_x -> 1,
+with no `RateTarget` and no range check; like every survival here, it is clamped
 at 1.  Every quadrature in the library, here and in
 `ergodic`, goes through `adaptive_quad`: QUADPACK's 21-point Gauss-Kronrod
 rule and error estimate (QK21, Piessens et al., 1983), bisecting the
@@ -349,9 +350,14 @@ def _sr_survival_exact(sys: SystemParams, sig: SignalParams, gamma: float, psi: 
         rung *= 16.0
     edges = [0.0, *sorted(k for k in knots if 0.0 < k < hi), hi]
 
+    c_bar = 1.0 - c_x
+
     def exponent(g: float) -> float:
+        # 1 - x = (1 + L (1 - c_x)) / (L + 1) at x = L c_x / (L + 1), L = p_r g,
+        # which does not cancel as c_x -> 1
         loading = p_r * g
-        return (loading + 1.0) / scale * _psi_pair(gamma, loading * c_x / (loading + 1.0))[0]
+        x = loading * c_x / (loading + 1.0)
+        return (loading + 1.0) / scale * _psi_pair(gamma, x, (1.0 + loading * c_bar) / (loading + 1.0))[0]
 
     return min(1.0, _gamma_mixture(m_rr, th_rr, m_sr, exponent, edges))
 
@@ -458,10 +464,10 @@ def _bound_survival(sys: SystemParams, p_r, c_x) -> Callable:
     [0, 1].  At each r it forms gamma (`_rate_constants`, RateTarget's own,
     which raises as RateTarget does), both hop thresholds from one
     `_psi_pair`, and the two hop polynomials."""
-    first, second = _sr_hop(sys, p_r), _rd_hop(sys, p_r)
+    first, second, c_bar = _sr_hop(sys, p_r), _rd_hop(sys, p_r), 1.0 - c_x
 
     def survival(r):
-        psi, ratio = _psi_pair(_rate_constants(r)[1], c_x)
+        psi, ratio = _psi_pair(_rate_constants(r)[1], c_x, c_bar)
         return first(psi) * second(ratio)
 
     return survival
@@ -474,10 +480,11 @@ def _exact_survival(sys: SystemParams, sig: SignalParams) -> Callable[[float], f
     `_psi_pair`, then the exact first hop at (gamma, psi_r(c_x)) times the
     second hop."""
     second, c_x = _rd_hop(sys, sig.p_r), sig.c_x
+    c_bar = 1.0 - c_x
 
     def survival(r: float) -> float:
         gamma = _rate_constants(r)[1]
-        psi, ratio = _psi_pair(gamma, c_x)
+        psi, ratio = _psi_pair(gamma, c_x, c_bar)
         return _sr_survival_exact(sys, sig, gamma, psi) * second(ratio)
 
     return survival
@@ -510,18 +517,21 @@ def _rayleigh_ub_parts(sys: SystemParams, gamma: float, p_r, c_x, exp):
     c_x already in [0, 1], and with the exponential `exp` the caller picks:
     `math.exp` on floats, `np.exp` on arrays.
 
-    a = alpha(p_r) is the RSI loading factor, which checks p_r > 0.  One
-    `_psi_pair` at c_x gives psi = psi_r(c_x) and ratio = psi / (1 - c_x^2),
-    one at a c_x gives psi_y = psi_r(a c_x).  Then u = ratio / (p_r pi_rd) is
+    a = alpha(p_r) = beta / (beta + 1), beta = p_r pi_rr, is the RSI loading
+    factor, which checks p_r > 0.  One `_psi_pair` at c_x gives
+    psi = psi_r(c_x) and ratio = psi / (1 - c_x^2), one at a c_x gives
+    psi_y = psi_r(a c_x), with 1 - a c_x formed as
+    (1 + beta (1 - c_x)) / (beta + 1), which does not cancel as c_x -> 1
+    at high RSI, where a -> 1.  Then u = ratio / (p_r pi_rd) is
     the second-hop exponent and v = w psi_y the Jensen first-hop exponent,
     with w = (p_r pi_rr + 1) / (p_s pi_sr) and d = p_s pi_sd.
     Returns (psi, ratio, a, psi_y, u, w, d, survival).
     """
-    a = alpha(sys, p_r)
-    psi, ratio = _psi_pair(gamma, c_x)
-    psi_y = _psi_pair(gamma, a * c_x)[0]
+    a, beta, c_bar = alpha(sys, p_r), p_r * sys.rr.pi, 1.0 - c_x
+    psi, ratio = _psi_pair(gamma, c_x, c_bar)
+    psi_y = _psi_pair(gamma, a * c_x, (1.0 + beta * c_bar) / (beta + 1.0))[0]
     u = ratio / (p_r * sys.rd.pi)
-    w = (p_r * sys.rr.pi + 1.0) / (sys.p_s * sys.sr.pi)
+    w = (beta + 1.0) / (sys.p_s * sys.sr.pi)
     d = sys.p_s * sys.sd.pi
     survival = exp(-(u + w * psi_y)) / (d * u + 1.0)
     return psi, ratio, a, psi_y, u, w, d, survival

@@ -272,9 +272,9 @@ def test_psi_pair_floats_match_arrays_bit_for_bit_and_the_naive_form():
     for r in rates:
         t = RateTarget(float(r))
         assert _rate_constants(float(r)) == (t.eta, t.gamma)
-        psis, ratios = _psi_pair(t.gamma, np.array(cs))
+        psis, ratios = _psi_pair(t.gamma, np.array(cs), 1.0 - np.array(cs))
         for c, psi_a, ratio_a in zip(cs, psis, ratios):
-            psi, ratio = _psi_pair(t.gamma, c)
+            psi, ratio = _psi_pair(t.gamma, c, 1.0 - c)
             assert (psi.hex(), ratio.hex()) == (float(psi_a).hex(), float(ratio_a).hex()), (r, c)
             with mp.workdps(40):
                 one_minus_x2 = 1 - mp.mpf(c) ** 2

@@ -381,6 +381,29 @@ def test_rayleigh_ub_float_branch():
                 assert e2e_rayleigh_ub_value(sys_p, target, pv, cv) == grid[i, j]
 
 
+def test_rayleigh_ub_keeps_its_digits_at_high_rsi_as_cx_tends_to_one():
+    # at pi_rr = 80 dB, alpha is 1 - 1e-8, so 1 - alpha c_x cancels when
+    # formed as a difference (2.3e-9 relative off here); its complement
+    # (1 + beta (1 - c_x)) / (beta + 1) does not.  The reference is the
+    # naive formula at 50 digits
+    sys_p = SystemParams(*(LinkStat(1, 10.0 ** (db / 10.0)) for db in (40, 40, 80, 0)),
+                         p_s=1.0, p_max=1.0)
+    p_r, c_x, r = 1.0, 1.0 - 1e-9, 0.3
+    with mp.workdps(50):
+        gamma, c = mp.mpf(2) ** (2 * mp.mpf(r)) - 1, mp.mpf(c_x)
+        beta = p_r * mp.mpf(sys_p.rr.pi)
+        w, a = (beta + 1) / mp.mpf(sys_p.sr.pi), beta / (beta + 1)
+
+        def psi(x):
+            return mp.sqrt(1 + gamma * (1 - x * x)) - 1
+
+        u = psi(c) / ((1 - c * c) * p_r * mp.mpf(sys_p.rd.pi))
+        ref = float(1 - mp.exp(-(u + w * psi(a * c))) / (mp.mpf(sys_p.sd.pi) * u + 1))
+    for p, cx in ((p_r, c_x), (np.array([p_r]), np.array([c_x]))):
+        value = float(np.squeeze(e2e_rayleigh_ub_value(sys_p, RateTarget(r), p, cx)))
+        assert abs(value - ref) <= 1e-12 * ref, (value, ref)
+
+
 def test_scalar_and_array_branches_agree():
     # a float takes the `math` branch, an array the NumPy one; a NumPy scalar
     # returns its array element bit for bit (the maps check it as a 0-d array
