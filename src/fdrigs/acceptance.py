@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 
 from . import ergodic, montecarlo, optimize, outage, specfun
 from ._lazy import np
-from .model import LinkStat, RateTarget, SignalParams, SystemParams
+from .model import LinkStat, RateTarget, SignalParams, SystemParams, _require
 from .montecarlo import McConfig
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -268,7 +268,7 @@ def criterion_9_solver_agreement() -> CriterionResult:
         g1 = optimize.grid_search(sys, target, grid_n, p_r_fixed=p_r)
         worst = max(worst, abs(bc.objective - g1.objective))
         c_x = rng.uniform(0.0, 1.0)
-        bp = optimize.bisect_power(sys, target, c_x, objective="ub")
+        bp = optimize.bisect_power(sys, target, c_x)
         p_grid = sys.p_max * np.arange(1, grid_n + 1) / grid_n
         vals = outage.e2e_rayleigh_ub_value(sys, target, p_grid, np.full_like(p_grid, c_x))
         worst = max(worst, abs(bp.objective - float(np.min(vals))))
@@ -400,8 +400,7 @@ def convexity_witness(
     """Second derivative in g_rr of the first-hop exponent
     sqrt(A g^2 + B g + C) - (D g + F); <= 0 everywhere.  The linear part
     drops out, so only A, B and C are formed."""
-    if g_rr < 0:
-        raise ValueError("g_rr must be nonnegative")
+    _require(g_rr >= 0, "g_rr must be nonnegative")
     ps2 = (sys.p_s * sys.sr.pi) ** 2
     g1 = 1.0 + target.gamma
     a = sig.p_r**2 * (1.0 + target.gamma * (1.0 - sig.c_x**2)) / ps2

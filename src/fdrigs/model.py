@@ -23,8 +23,13 @@ to lie in [0, 1].
 
 Every range check takes one form, `_require(ok, message)`: `ok` is the
 comparison itself, a bool on Python numbers and a boolean array otherwise,
-and NaN, which compares false, never passes.  The RSI loading factor
-`alpha` checks p_r > 0 that way, for the Rayleigh bound and its derivatives.
+and NaN, which compares false, never passes.  The parameter types check
+their fields that way, and the RSI loading factor `alpha` checks p_r > 0,
+for the Rayleigh bound and its derivatives.  Two checks that run at every
+quadrature node keep an `if` of their own, written so that NaN fails it
+too, because `_require` formats its message before the call: the rate
+check of `_rate_constants` and the argument checks of
+`specfun.log_upper_incomplete_gamma_int`.
 """
 
 from __future__ import annotations
@@ -52,6 +57,16 @@ _R_OVERFLOW = 512.0
 _LN2 = math.log(2.0)
 
 
+def _require(ok, message: str) -> None:
+    """The one form of every range check: raise ValueError(message) unless
+    `ok` holds.  `ok` is a comparison of the checked value, so a Python
+    number gives a bool, taken as it is, and an array a boolean array, which
+    must hold everywhere (`np.all`).  NaN compares false, so it never passes.
+    The caller formats `message` on every call, pass or fail."""
+    if not (ok if type(ok) is bool else np.all(ok)):
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class LinkStat:
     """One fading link: integer shape m and mean power pi.
@@ -66,11 +81,9 @@ class LinkStat:
     theta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.m not in _SUPPORTED_SHAPES:
-            raise ValueError(f"shape m must be one of {_SUPPORTED_SHAPES}, got {self.m}")
+        _require(self.m in _SUPPORTED_SHAPES, f"shape m must be one of {_SUPPORTED_SHAPES}, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
-        if not 0.0 < self.pi < math.inf:
-            raise ValueError(f"mean power pi must be finite and > 0, got {self.pi}")
+        _require(0.0 < self.pi < math.inf, f"mean power pi must be finite and > 0, got {self.pi}")
         object.__setattr__(self, "pi", float(self.pi))
         object.__setattr__(self, "theta", self.pi / self.m)
 
@@ -87,12 +100,9 @@ class SystemParams:
     p_max: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_s < math.inf:
-            raise ValueError(f"p_s must be finite and > 0, got {self.p_s}")
-        if not 0.0 < self.p_max < math.inf:
-            raise ValueError(f"p_max must be finite and > 0, got {self.p_max}")
-        if self.p_s > self.p_max:
-            raise ValueError(f"p_s={self.p_s} exceeds p_max={self.p_max}")
+        _require(0.0 < self.p_s < math.inf, f"p_s must be finite and > 0, got {self.p_s}")
+        _require(0.0 < self.p_max < math.inf, f"p_max must be finite and > 0, got {self.p_max}")
+        _require(self.p_s <= self.p_max, f"p_s={self.p_s} exceeds p_max={self.p_max}")
         object.__setattr__(self, "p_s", float(self.p_s))
         object.__setattr__(self, "p_max", float(self.p_max))
 
@@ -101,8 +111,7 @@ class SystemParams:
         return all(link.m == 1 for link in (self.sr, self.rd, self.rr, self.sd))
 
     def check_signal(self, sig: "SignalParams") -> None:
-        if sig.p_r > self.p_max:
-            raise ValueError(f"p_r={sig.p_r} exceeds p_max={self.p_max}")
+        _require(sig.p_r <= self.p_max, f"p_r={sig.p_r} exceeds p_max={self.p_max}")
 
 
 @dataclass(frozen=True)
@@ -113,10 +122,8 @@ class SignalParams:
     c_x: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_r < math.inf:
-            raise ValueError(f"p_r must be finite and > 0, got {self.p_r}")
-        if not 0.0 <= self.c_x <= 1.0:
-            raise ValueError(f"c_x must lie in [0, 1], got {self.c_x}")
+        _require(0.0 < self.p_r < math.inf, f"p_r must be finite and > 0, got {self.p_r}")
+        _require(0.0 <= self.c_x <= 1.0, f"c_x must lie in [0, 1], got {self.c_x}")
         object.__setattr__(self, "p_r", float(self.p_r))
         object.__setattr__(self, "c_x", float(self.c_x))
 
@@ -145,7 +152,9 @@ class RateTarget:
 def _rate_constants(r) -> tuple[float, float]:
     """(eta, gamma) of the rate r, as `RateTarget` documents them; raises
     ValueError unless r > 0 and OverflowError from r = 512 on.  The
-    end-to-end survivals call it at every rate, with no `RateTarget` built."""
+    end-to-end survivals call it at every rate, with no `RateTarget` built,
+    so its checks are `if`s that format a message only on failure, not
+    `_require`."""
     if not r > 0:
         raise ValueError(f"target rate r must be > 0, got {r}")
     if not r < _R_OVERFLOW:
@@ -181,15 +190,6 @@ def _psi_pair(gamma: float, x, x_bar):
     g = gamma * (x_bar * (1.0 + x))
     root = 1.0 + (math.sqrt(1.0 + g) if type(x) is float else np.sqrt(1.0 + g))
     return g / root, gamma / root
-
-
-def _require(ok, message: str) -> None:
-    """The one form of every range check: raise ValueError(message) unless
-    `ok` holds.  `ok` is a comparison of the checked value, so a Python
-    number gives a bool, taken as it is, and an array a boolean array, which
-    must hold everywhere (`np.all`).  NaN compares false, so it never passes."""
-    if not (ok if type(ok) is bool else np.all(ok)):
-        raise ValueError(message)
 
 
 def _unit_interval(x, name: str):

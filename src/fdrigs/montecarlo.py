@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import np
-from .model import RateTarget, SignalParams, SystemParams
+from .model import RateTarget, SignalParams, SystemParams, _require
 
 __all__ = [
     "McConfig",
@@ -41,10 +41,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_samples < 10_000:
-            raise ValueError(f"n_samples must be >= 10000, got {self.n_samples}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit integer, got {self.seed}")
+        _require(self.n_samples >= 10_000, f"n_samples must be >= 10000, got {self.n_samples}")
+        _require(0 <= self.seed < 2**64, f"seed must be a 64-bit integer, got {self.seed}")
 
 
 @dataclass(frozen=True)

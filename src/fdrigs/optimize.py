@@ -208,30 +208,44 @@ def _pgs_exact_dlog(sys: SystemParams, target: RateTarget, p_r: float) -> float:
     )
 
 
-def bisect_power(
-    sys: SystemParams, target: RateTarget, c_x: float, objective: str = "auto"
-) -> OptResult:
+def bisect_power(sys: SystemParams, target: RateTarget, c_x: float) -> OptResult:
     """Minimize the end-to-end outage over p_r at fixed c_x.
 
     At c_x = 0 the objective is the exact proper-signaling outage (closed
-    form); for c_x > 0 the Rayleigh upper bound is the tractable surrogate.
-    Pass objective="ub" to force the bound at c_x = 0 as well, which is what
-    coordinate descent needs for a consistent descent function.
+    form); for c_x > 0 the Rayleigh upper bound is the tractable surrogate
+    (`_bisect_power_ub`).
     """
     _require(sys.all_rayleigh, "bisect_power requires all shapes equal to 1")
     _require(0.0 <= c_x <= 1.0, f"c_x must lie in [0, 1], got {c_x}")
-    _require(objective in ("auto", "ub"), f"objective must be 'auto' or 'ub', got {objective!r}")
     c_x = float(c_x)
+    if c_x > 0.0:
+        return _bisect_power_ub(sys, target, c_x)
     lo, hi = _EDGE * sys.p_max, sys.p_max
-    if objective == "auto" and c_x == 0.0:
-        deriv = lambda p: _pgs_exact_dlog(sys, target, p)
-        value_fn = lambda p: e2e_lb_value(sys, target, p, 0.0)
-        method = METHOD_CLOSED_FORM
-    else:
-        deriv = lambda p: ub_derivative_pr(sys, target, p, c_x)
-        value_fn = lambda p: e2e_rayleigh_ub_value(sys, target, p, c_x)
-        method = METHOD_UPPER_BOUND
-    return _bracket_and_pick(deriv, value_fn, lo, hi, (lo, hi), lambda p: (p, c_x), method)
+    return _bracket_and_pick(
+        lambda p: _pgs_exact_dlog(sys, target, p),
+        lambda p: e2e_lb_value(sys, target, p, 0.0),
+        lo,
+        hi,
+        (lo, hi),
+        lambda p: (p, 0.0),
+        METHOD_CLOSED_FORM,
+    )
+
+
+def _bisect_power_ub(sys: SystemParams, target: RateTarget, c_x: float) -> OptResult:
+    """Minimize the Rayleigh outage upper bound over p_r at a float c_x in
+    [0, 1], c_x = 0 included: the bound is the descent function of
+    coordinate descent, which calls this directly."""
+    lo, hi = _EDGE * sys.p_max, sys.p_max
+    return _bracket_and_pick(
+        lambda p: ub_derivative_pr(sys, target, p, c_x),
+        lambda p: e2e_rayleigh_ub_value(sys, target, p, c_x),
+        lo,
+        hi,
+        (lo, hi),
+        lambda p: (p, c_x),
+        METHOD_UPPER_BOUND,
+    )
 
 
 def coordinate_descent(sys: SystemParams, target: RateTarget) -> OptResult:
@@ -243,7 +257,7 @@ def coordinate_descent(sys: SystemParams, target: RateTarget) -> OptResult:
     p_r, c_x = sys.p_max, 0.0
     trace = [e2e_rayleigh_ub_value(sys, target, p_r, c_x)]
     for _ in range(_MAX_ITERS):
-        p_r = bisect_power(sys, target, c_x, objective="ub").p_r_star
+        p_r = _bisect_power_ub(sys, target, c_x).p_r_star
         step = bisect_circularity(sys, target, p_r)
         c_x = step.c_x_star
         if step.objective > trace[-1] + 1e-12:

@@ -137,8 +137,7 @@ class EvalResult:
     method: str
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
+        _require(self.method in _METHODS, f"unknown method tag {self.method!r}")
 
 
 # QUADPACK's QK21 rule on [-1, 1]: the positive Kronrod abscissae (those at
@@ -578,11 +577,14 @@ def asymptotic_k(sys: SystemParams, target: RateTarget) -> float:
     return 1.0 - first * _rd_hop(sys, sys.p_max)(psi_ratio_limit(target, 1.0))
 
 
-def _combined_survival(sys: SystemParams, gamma: float) -> float:
+def _combined_survival(sys: SystemParams, gamma: float, base: float) -> float:
     """P(X + Y >= gamma) for the half-duplex second stage, X = p_max g_rd ~
     Gamma(m_x, th_x) and Y = p_s g_sd ~ Gamma(m_y, th_y):
 
-        Q(m_x, gamma / th_x) + int_0^gamma f_X(x) Q(m_y, (gamma - x) / th_y) dx.
+        Q(m_x, gamma / th_x) + int_0^gamma f_X(x) Q(m_y, (gamma - x) / th_y) dx,
+
+    given base = Q(m_x, gamma / th_x), the second element of
+    `_zero_load_survivals`.
 
     The integral is the probability that Y lifts a short X over gamma, so it
     is nonnegative, and the sum is never below the survival of X alone.  It
@@ -592,7 +594,6 @@ def _combined_survival(sys: SystemParams, gamma: float) -> float:
     two tails left out hold less than 1e-20.
     """
     m_x, th_x, m_y, th_y = sys.rd.m, sys.p_max * sys.rd.theta, sys.sd.m, sys.p_s * sys.sd.theta
-    _, base = _zero_load_survivals(sys, gamma)
     lo = max(0.0, gamma - th_y * (m_y + _TAIL_SPAN))
     hi = min(gamma, th_x * (m_x + _TAIL_SPAN))
     if lo >= hi:
@@ -619,8 +620,8 @@ def p_hdr_mrc(sys: SystemParams, target: RateTarget) -> EvalResult:
     of the direct copy: as `p_hdr_mhdf`, with the second-hop survival
     replaced by P(p_max g_rd + p_s g_sd >= gamma), one quadrature.  It is
     never above the MHDF outage."""
-    first, _ = _zero_load_survivals(sys, target.gamma)
-    return EvalResult(1.0 - first * _combined_survival(sys, target.gamma), METHOD_EXACT_INTEGRAL)
+    first, second = _zero_load_survivals(sys, target.gamma)
+    return EvalResult(1.0 - first * _combined_survival(sys, target.gamma, second), METHOD_EXACT_INTEGRAL)
 
 
 def throughput(target: RateTarget, p_out: float) -> float:

@@ -5,7 +5,8 @@ For a positive integer a, Gamma(a, x) = (a-1)! e^{-x} sum_{m<a} x^m / m!
 domain, scaled by its largest term, so it stays finite where e^{-x}
 underflows.  Pure `math`: the first-hop quadrature calls it once per
 integrand evaluation, where NumPy's per-call overhead on a few scalars
-would dominate.
+would dominate.  For the same reason its argument checks are `if`s that
+format a message only on failure, not `model._require`; NaN fails them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ def log_upper_incomplete_gamma_int(a: int, x: float) -> float:
     a = int(a)
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return math.lgamma(a)

@@ -1,5 +1,6 @@
 """Parameter containers and the threshold function Psi_r."""
 
+import ast
 import dataclasses
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdrigs
+from fdrigs.acceptance import convexity_witness
 from fdrigs.model import (
     LinkStat,
     RateTarget,
@@ -27,6 +29,8 @@ from fdrigs.model import (
     psi_r,
     psi_ratio_limit,
 )
+from fdrigs.montecarlo import McConfig
+from fdrigs.specfun import log_upper_incomplete_gamma_int
 
 
 def make_system(**kw):
@@ -218,6 +222,50 @@ def test_range_checks_refuse_nan_as_float_and_array():
         for call in (lambda: psi_r(t, bad), lambda: psi_ratio_limit(t, bad), lambda: alpha(sys_p, bad)):
             with pytest.raises(ValueError):
                 call()
+    # McConfig(n_samples=nan) passed and then failed in the sampler with a
+    # TypeError; the witness and log Gamma(2, nan) returned nan
+    for call in (
+        lambda: McConfig(n_samples=nan),
+        lambda: convexity_witness(sys_p, SignalParams(1.0, 0.5), t, nan),
+        lambda: log_upper_incomplete_gamma_int(2, nan),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def _value_error_raisers(tree):
+    """(innermost enclosing function name, line) of every `raise ValueError`
+    in a parsed module; "<module>" outside any function."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if not (isinstance(exc, ast.Name) and exc.id == "ValueError"):
+            continue
+        owner = parent.get(node)
+        while owner is not None and not isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = parent.get(owner)
+        yield (owner.name if owner is not None else "<module>"), node.lineno
+
+
+def test_range_checks_refuse_through_require_off_the_per_node_path():
+    # Every range check refuses through `model._require`.  Two checks that
+    # run at every quadrature node keep an `if` of their own, because
+    # `_require` formats its message on every call: the rate check of
+    # `_rate_constants` and the argument checks of log Gamma(a, x).
+    allowed = {
+        ("model", "_require"),
+        ("model", "_rate_constants"),
+        ("specfun", "log_upper_incomplete_gamma_int"),
+    }
+    found = {}
+    for path in sorted(Path(fdrigs.__file__).parent.glob("*.py")):
+        for name, line in _value_error_raisers(ast.parse(path.read_text(), str(path))):
+            found.setdefault((path.stem, name), []).append(f"{path.name}:{line}")
+    assert ("model", "_require") in found
+    stray = {site: lines for site, lines in found.items() if site not in allowed}
+    assert not stray, f"raise ValueError outside model._require: {stray}"
 
 
 def test_rate_target_overflow_is_one_typed_error():

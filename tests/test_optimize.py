@@ -10,6 +10,7 @@ import pytest
 from fdrigs import optimize
 from fdrigs.model import LinkStat, RateTarget, SignalParams, SystemParams
 from fdrigs.optimize import (
+    _bisect_power_ub,
     _bracket_and_pick,
     _grid_values,
     bisect_circularity,
@@ -235,8 +236,9 @@ def test_bisect_power_exact_objective_when_proper():
 
 
 def test_bisect_power_forced_ub_objective():
+    # coordinate descent's power search keeps the bound at c_x = 0 as well
     sys_p = base_system(pi_rr=1.0, p_max=4.0)
-    res = bisect_power(sys_p, TARGET, 0.0, objective="ub")
+    res = _bisect_power_ub(sys_p, TARGET, 0.0)
     grid_p = np.linspace(1e-4, 4.0, 100_001)
     vals = e2e_rayleigh_ub_value(sys_p, TARGET, grid_p, 0.0)
     assert res.objective <= vals.min() + 1e-10

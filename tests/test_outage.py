@@ -23,6 +23,7 @@ from fdrigs.outage import (
     _rd_hop,
     _sr_hop,
     _sr_survival_exact,
+    _zero_load_survivals,
     asymptotic_k,
     e2e_lb_value,
     e2e_rayleigh_ub_value,
@@ -619,7 +620,7 @@ def test_hdr_mrc_over_twelve_decades_of_scale():
         for sys_p, target in cases:
             stage = (sys_p.rd.m, sys_p.p_max * sys_p.rd.theta, sys_p.sd.m, sys_p.p_s * sys_p.sd.theta,
                      target.gamma)
-            value = _combined_survival(sys_p, target.gamma)
+            value = _combined_survival(sys_p, target.gamma, _zero_load_survivals(sys_p, target.gamma)[1])
             ref = float(mp_combined_survival(*stage))
             # the domain leaves out two tails of less than 1e-20 each
             assert abs(value - ref) <= 1e-9 * ref + 2e-20, (stage, value, ref)
@@ -636,7 +637,10 @@ def test_combined_survival_continuous_where_its_domain_closes(m_x, m_y):
         sys_p = SystemParams(LinkStat(1, 1.0), LinkStat(m_x, m_x * th_x), LinkStat(1, 1.0),
                              LinkStat(m_y, m_y * th_y), p_s=1.0, p_max=1.0)
         edge = th_y * (m_y + 60.0) + th_x * (m_x + 60.0)
-        below, above = (_combined_survival(sys_p, edge * f) for f in (1.0 - 1e-9, 1.0 + 1e-9))
+        below, above = (
+            _combined_survival(sys_p, g, _zero_load_survivals(sys_p, g)[1])
+            for g in (edge * (1.0 - 1e-9), edge * (1.0 + 1e-9))
+        )
         assert abs(below - above) <= QUAD_ABS_TOL, (th_x, th_y, below, above)
 
 
