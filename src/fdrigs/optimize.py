@@ -221,15 +221,9 @@ def bisect_power(sys: SystemParams, target: RateTarget, c_x: float) -> OptResult
     if c_x > 0.0:
         return _bisect_power_ub(sys, target, c_x)
     lo, hi = _EDGE * sys.p_max, sys.p_max
-    return _bracket_and_pick(
-        lambda p: _pgs_exact_dlog(sys, target, p),
-        lambda p: e2e_lb_value(sys, target, p, 0.0),
-        lo,
-        hi,
-        (lo, hi),
-        lambda p: (p, 0.0),
-        METHOD_CLOSED_FORM,
-    )
+    deriv = lambda p: _pgs_exact_dlog(sys, target, p)
+    value_fn = lambda p: e2e_lb_value(sys, target, p, 0.0)
+    return _bracket_and_pick(deriv, value_fn, lo, hi, (lo, hi), lambda p: (p, 0.0), METHOD_CLOSED_FORM)
 
 
 def _bisect_power_ub(sys: SystemParams, target: RateTarget, c_x: float) -> OptResult:
@@ -237,15 +231,9 @@ def _bisect_power_ub(sys: SystemParams, target: RateTarget, c_x: float) -> OptRe
     [0, 1], c_x = 0 included: the bound is the descent function of
     coordinate descent, which calls this directly."""
     lo, hi = _EDGE * sys.p_max, sys.p_max
-    return _bracket_and_pick(
-        lambda p: ub_derivative_pr(sys, target, p, c_x),
-        lambda p: e2e_rayleigh_ub_value(sys, target, p, c_x),
-        lo,
-        hi,
-        (lo, hi),
-        lambda p: (p, c_x),
-        METHOD_UPPER_BOUND,
-    )
+    deriv = lambda p: ub_derivative_pr(sys, target, p, c_x)
+    value_fn = lambda p: e2e_rayleigh_ub_value(sys, target, p, c_x)
+    return _bracket_and_pick(deriv, value_fn, lo, hi, (lo, hi), lambda p: (p, c_x), METHOD_UPPER_BOUND)
 
 
 def coordinate_descent(sys: SystemParams, target: RateTarget) -> OptResult:
