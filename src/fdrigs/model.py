@@ -4,7 +4,8 @@ All powers are linear and normalized to unit noise variance at both
 receivers.  dB conversion happens at the CLI boundary only.
 
 The parameter types refuse a power pi, p_s, p_max or p_r that is not finite
-and > 0, and convert these and c_x to Python floats after their checks.
+and > 0, and convert these, c_x and the rate r to Python floats after their
+checks.
 One rule then picks the arithmetic of every map: a Python float takes
 `math`, anything else NumPy.  NumPy is bound lazily (`_lazy`), so an
 evaluation at one design point leaves it unloaded.
@@ -21,15 +22,15 @@ the end-to-end survivals in `outage`) and the Rayleigh bound's parts, which
 its optimizer derivatives read, call it directly, on values already known
 to lie in [0, 1].
 
-Every range check takes one form, `_require(ok, message)`: `ok` is the
-comparison itself, a bool on Python numbers and a boolean array otherwise,
-and NaN, which compares false, never passes.  The parameter types check
-their fields that way, and the RSI loading factor `alpha` checks p_r > 0,
-for the Rayleigh bound and its derivatives.  Two checks that run at every
-quadrature node keep an `if` of their own, written so that NaN fails it
-too, because `_require` formats its message before the call: the rate
-check of `_rate_constants` and the argument checks of
-`specfun.log_upper_incomplete_gamma_int`.
+Every range check takes one form, `_require(ok, message, *args)`: `ok` is
+the comparison itself, a bool on Python numbers and a boolean array
+otherwise, and NaN, which compares false, never passes.  The message is a
+%-format and its arguments, formatted only on refusal, so a passing check
+costs one call; the checks that run at every quadrature node (the rate
+check of `_rate_constants` and the argument check of
+`specfun.log_upper_incomplete_gamma_int`) take this form too.  The
+parameter types check their fields that way, and the RSI loading factor
+`alpha` checks p_r > 0, for the Rayleigh bound and its derivatives.
 """
 
 from __future__ import annotations
@@ -57,14 +58,14 @@ _R_OVERFLOW = 512.0
 _LN2 = math.log(2.0)
 
 
-def _require(ok, message: str) -> None:
-    """The one form of every range check: raise ValueError(message) unless
-    `ok` holds.  `ok` is a comparison of the checked value, so a Python
-    number gives a bool, taken as it is, and an array a boolean array, which
-    must hold everywhere (`np.all`).  NaN compares false, so it never passes.
-    The caller formats `message` on every call, pass or fail."""
+def _require(ok, message: str, *args) -> None:
+    """The one form of every range check: raise ValueError(message % args)
+    unless `ok` holds.  `ok` is a comparison of the checked value, so a
+    Python number gives a bool, taken as it is, and an array a boolean
+    array, which must hold everywhere (`np.all`).  NaN compares false, so it
+    never passes.  The message is formatted only on refusal."""
     if not (ok if type(ok) is bool else np.all(ok)):
-        raise ValueError(message)
+        raise ValueError(message % args)
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,9 @@ class LinkStat:
     theta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require(self.m in _SUPPORTED_SHAPES, f"shape m must be one of {_SUPPORTED_SHAPES}, got {self.m}")
+        _require(self.m in _SUPPORTED_SHAPES, "shape m must be one of %s, got %s", _SUPPORTED_SHAPES, self.m)
         object.__setattr__(self, "m", int(self.m))
-        _require(0.0 < self.pi < math.inf, f"mean power pi must be finite and > 0, got {self.pi}")
+        _require(0.0 < self.pi < math.inf, "mean power pi must be finite and > 0, got %s", self.pi)
         object.__setattr__(self, "pi", float(self.pi))
         object.__setattr__(self, "theta", self.pi / self.m)
 
@@ -100,9 +101,9 @@ class SystemParams:
     p_max: float
 
     def __post_init__(self) -> None:
-        _require(0.0 < self.p_s < math.inf, f"p_s must be finite and > 0, got {self.p_s}")
-        _require(0.0 < self.p_max < math.inf, f"p_max must be finite and > 0, got {self.p_max}")
-        _require(self.p_s <= self.p_max, f"p_s={self.p_s} exceeds p_max={self.p_max}")
+        _require(0.0 < self.p_s < math.inf, "p_s must be finite and > 0, got %s", self.p_s)
+        _require(0.0 < self.p_max < math.inf, "p_max must be finite and > 0, got %s", self.p_max)
+        _require(self.p_s <= self.p_max, "p_s=%s exceeds p_max=%s", self.p_s, self.p_max)
         object.__setattr__(self, "p_s", float(self.p_s))
         object.__setattr__(self, "p_max", float(self.p_max))
 
@@ -111,7 +112,7 @@ class SystemParams:
         return all(link.m == 1 for link in (self.sr, self.rd, self.rr, self.sd))
 
     def check_signal(self, sig: "SignalParams") -> None:
-        _require(sig.p_r <= self.p_max, f"p_r={sig.p_r} exceeds p_max={self.p_max}")
+        _require(sig.p_r <= self.p_max, "p_r=%s exceeds p_max=%s", sig.p_r, self.p_max)
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,8 @@ class SignalParams:
     c_x: float
 
     def __post_init__(self) -> None:
-        _require(0.0 < self.p_r < math.inf, f"p_r must be finite and > 0, got {self.p_r}")
-        _require(0.0 <= self.c_x <= 1.0, f"c_x must lie in [0, 1], got {self.c_x}")
+        _require(0.0 < self.p_r < math.inf, "p_r must be finite and > 0, got %s", self.p_r)
+        _require(0.0 <= self.c_x <= 1.0, "c_x must lie in [0, 1], got %s", self.c_x)
         object.__setattr__(self, "p_r", float(self.p_r))
         object.__setattr__(self, "c_x", float(self.c_x))
 
@@ -145,6 +146,7 @@ class RateTarget:
 
     def __post_init__(self) -> None:
         eta, gamma = _rate_constants(self.r)
+        object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "gamma", gamma)
 
@@ -152,11 +154,8 @@ class RateTarget:
 def _rate_constants(r) -> tuple[float, float]:
     """(eta, gamma) of the rate r, as `RateTarget` documents them; raises
     ValueError unless r > 0 and OverflowError from r = 512 on.  The
-    end-to-end survivals call it at every rate, with no `RateTarget` built,
-    so its checks are `if`s that format a message only on failure, not
-    `_require`."""
-    if not r > 0:
-        raise ValueError(f"target rate r must be > 0, got {r}")
+    end-to-end survivals call it at every rate, with no `RateTarget` built."""
+    _require(r > 0, "target rate r must be > 0, got %s", r)
     if not r < _R_OVERFLOW:
         raise OverflowError(
             f"target rate r={r!r} is too large: gamma = 2^(2r) - 1 "
@@ -198,7 +197,7 @@ def _unit_interval(x, name: str):
     Python float, so `_psi_pair` takes `math` on it."""
     if type(x) is not float:
         x = _scalar_or_array(np.asarray(x, dtype=float))
-    _require((0.0 <= x) & (x <= 1.0), f"{name} must lie in [0, 1]")
+    _require((0.0 <= x) & (x <= 1.0), "%s must lie in [0, 1]", name)
     return x
 
 

@@ -35,14 +35,19 @@ _BATCH = 250_000
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling budget and reproducibility control."""
+    """Sampling budget and reproducibility control: an integral sample count
+    and seed, stored as Python ints after their checks."""
 
     n_samples: int = 1_000_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require(self.n_samples >= 10_000, f"n_samples must be >= 10000, got {self.n_samples}")
-        _require(0 <= self.seed < 2**64, f"seed must be a 64-bit integer, got {self.seed}")
+        n, seed = self.n_samples, self.seed
+        _require(n >= 10_000, "n_samples must be >= 10000, got %s", n)
+        _require(n % 1 == 0, "n_samples must be an integer, got %s", n)
+        _require(0 <= seed < 2**64 and seed % 1 == 0, "seed must be a 64-bit integer, got %s", seed)
+        object.__setattr__(self, "n_samples", int(n))
+        object.__setattr__(self, "seed", int(seed))
 
 
 @dataclass(frozen=True)

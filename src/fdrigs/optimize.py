@@ -181,7 +181,7 @@ def _bracket_and_pick(
 def bisect_circularity(sys: SystemParams, target: RateTarget, p_r: float) -> OptResult:
     """Minimize the Rayleigh outage upper bound over c_x at fixed p_r."""
     _require(sys.all_rayleigh, "bisect_circularity requires all shapes equal to 1")
-    _require(0 < p_r <= sys.p_max, f"p_r must lie in (0, p_max], got {p_r}")
+    _require(0 < p_r <= sys.p_max, "p_r must lie in (0, p_max], got %s", p_r)
     p_r = float(p_r)
     return _bracket_and_pick(
         # The objective falls as the survival rises: bisect on -survival'.
@@ -216,7 +216,7 @@ def bisect_power(sys: SystemParams, target: RateTarget, c_x: float) -> OptResult
     (`_bisect_power_ub`).
     """
     _require(sys.all_rayleigh, "bisect_power requires all shapes equal to 1")
-    _require(0.0 <= c_x <= 1.0, f"c_x must lie in [0, 1], got {c_x}")
+    _require(0.0 <= c_x <= 1.0, "c_x must lie in [0, 1], got %s", c_x)
     c_x = float(c_x)
     if c_x > 0.0:
         return _bisect_power_ub(sys, target, c_x)
@@ -272,9 +272,9 @@ def _grid_values(
     """The outage bound the links call for on the grid, as one closed-form
     array: (p_grid, c_grid, values[p, c], method tag).  That is the Rayleigh
     upper bound on all-Rayleigh links and the lower bound on other shapes."""
-    _require(grid_n >= 101, f"grid_n must be >= 101, got {grid_n}")
+    _require(grid_n >= 101, "grid_n must be >= 101, got %s", grid_n)
     if p_r_fixed is not None:
-        _require(0 < p_r_fixed <= sys.p_max, f"p_r_fixed must lie in (0, p_max], got {p_r_fixed}")
+        _require(0 < p_r_fixed <= sys.p_max, "p_r_fixed must lie in (0, p_max], got %s", p_r_fixed)
         p_grid = np.array([p_r_fixed])
     else:
         # p_max * n / n can round above p_max, where the signal check refuses

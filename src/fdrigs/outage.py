@@ -137,7 +137,7 @@ class EvalResult:
     method: str
 
     def __post_init__(self) -> None:
-        _require(self.method in _METHODS, f"unknown method tag {self.method!r}")
+        _require(self.method in _METHODS, "unknown method tag %r", self.method)
 
 
 # QUADPACK's QK21 rule on [-1, 1]: the positive Kronrod abscissae (those at
@@ -626,5 +626,5 @@ def p_hdr_mrc(sys: SystemParams, target: RateTarget) -> EvalResult:
 
 def throughput(target: RateTarget, p_out: float) -> float:
     """Fixed-rate throughput r (1 - P_out)."""
-    _require(0.0 <= p_out <= 1.0, f"p_out must lie in [0, 1], got {p_out}")
+    _require(0.0 <= p_out <= 1.0, "p_out must lie in [0, 1], got %s", p_out)
     return target.r * (1.0 - p_out)

@@ -5,26 +5,25 @@ For a positive integer a, Gamma(a, x) = (a-1)! e^{-x} sum_{m<a} x^m / m!
 domain, scaled by its largest term, so it stays finite where e^{-x}
 underflows.  Pure `math`: the first-hop quadrature calls it once per
 integrand evaluation, where NumPy's per-call overhead on a few scalars
-would dominate.  For the same reason its argument checks are `if`s that
-format a message only on failure, not `model._require`; NaN fails them.
+would dominate.
 """
 
 from __future__ import annotations
 
 import math
 
+from .model import _require
+
 __all__ = ["log_upper_incomplete_gamma_int"]
 
 
 def log_upper_incomplete_gamma_int(a: int, x: float) -> float:
     """log Gamma(a, x), stable for x up to ~1e6."""
-    if a % 1:
-        raise ValueError(f"a must be a positive integer, got {a}")
+    _require(
+        a % 1 == 0 and a >= 1 and x >= 0,
+        "log Gamma(a, x) needs an integer a >= 1 and x >= 0, got a=%s, x=%s", a, x,
+    )
     a = int(a)
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    if not x >= 0:
-        raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return math.lgamma(a)
     log_x = math.log(x)

@@ -25,6 +25,7 @@ from fdrigs.model import (
     SystemParams,
     _psi_pair,
     _rate_constants,
+    _require,
     alpha,
     psi_r,
     psi_ratio_limit,
@@ -154,13 +155,14 @@ def test_psi_ratio_limit_at_one():
 
 @pytest.mark.parametrize("num", [int, float, np.float64])
 def test_parameter_fields_hold_python_floats(num):
-    # whatever number type the caller passes, the five fields are Python floats
+    # whatever number type the caller passes, the six fields are Python floats
     link = LinkStat(2, num(6))
     sys_p = SystemParams(link, link, link, link, p_s=num(1), p_max=num(2))
     sig = SignalParams(num(2), num(1))
-    for value in (link.pi, link.theta, sys_p.p_s, sys_p.p_max, sig.p_r, sig.c_x):
+    target = RateTarget(num(1))
+    for value in (link.pi, link.theta, sys_p.p_s, sys_p.p_max, sig.p_r, sig.c_x, target.r):
         assert type(value) is float
-    assert (link.pi, sys_p.p_s, sys_p.p_max, sig.p_r, sig.c_x) == (6.0, 1.0, 2.0, 2.0, 1.0)
+    assert (link.pi, sys_p.p_s, sys_p.p_max, sig.p_r, sig.c_x, target.r) == (6.0, 1.0, 2.0, 2.0, 1.0, 1.0)
 
 
 def test_string_parameters_still_raise_type_error():
@@ -249,23 +251,44 @@ def _value_error_raisers(tree):
         yield (owner.name if owner is not None else "<module>"), node.lineno
 
 
-def test_range_checks_refuse_through_require_off_the_per_node_path():
-    # Every range check refuses through `model._require`.  Two checks that
-    # run at every quadrature node keep an `if` of their own, because
-    # `_require` formats its message on every call: the rate check of
-    # `_rate_constants` and the argument checks of log Gamma(a, x).
-    allowed = {
-        ("model", "_require"),
-        ("model", "_rate_constants"),
-        ("specfun", "log_upper_incomplete_gamma_int"),
-    }
-    found = {}
+def _eager_require_messages(tree):
+    """Line of every `_require(...)` call in a parsed module whose message
+    is an f-string, which is formatted whether the check passes or not."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "_require" and len(node.args) > 1 and isinstance(node.args[1], ast.JoinedStr):
+            yield node.lineno
+
+
+def test_range_checks_refuse_through_require_with_lazy_messages():
+    # Every range check refuses through `model._require`, the per-node ones
+    # too, and passes its message as a format and its arguments, so a
+    # passing check formats nothing
+    found, eager = {}, []
     for path in sorted(Path(fdrigs.__file__).parent.glob("*.py")):
-        for name, line in _value_error_raisers(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, line in _value_error_raisers(tree):
             found.setdefault((path.stem, name), []).append(f"{path.name}:{line}")
+        eager += [f"{path.name}:{line}" for line in _eager_require_messages(tree)]
     assert ("model", "_require") in found
-    stray = {site: lines for site, lines in found.items() if site not in allowed}
-    assert not stray, f"raise ValueError outside model._require: {stray}"
+    stray = {site: lines for site, lines in found.items() if site != ("model", "_require")}
+    assert not (stray or eager), f"raise ValueError outside _require: {stray}; f-string messages: {eager}"
+
+
+def test_require_formats_its_message_only_on_refusal():
+    class Unprintable:
+        def __str__(self):
+            raise AssertionError("a passing check formatted its message")
+
+        __repr__ = __str__
+
+    _require(True, "%s", Unprintable())
+    with pytest.raises(ValueError) as info:
+        _require(False, "p_r=%s exceeds p_max=%s", 1.25, 1.0)
+    assert str(info.value) == "p_r=1.25 exceeds p_max=1.0"
 
 
 def test_rate_target_overflow_is_one_typed_error():

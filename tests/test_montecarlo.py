@@ -50,6 +50,17 @@ def test_config_validation():
         McConfig(n_samples=100)
     with pytest.raises(ValueError):
         McConfig(seed=-1)
+    # a fractional budget or seed was accepted: the budget then failed in the
+    # sampler with a TypeError, and seed 1.5 drew the stream of seed 1
+    with pytest.raises(ValueError):
+        McConfig(n_samples=1e6 + 0.5)
+    with pytest.raises(ValueError):
+        McConfig(n_samples=10**5, seed=1.5)
+    # an integral budget and seed of any number type are stored as ints
+    cfg = McConfig(n_samples=1e6, seed=np.int64(3))
+    assert (cfg.n_samples, cfg.seed) == (10**6, 3)
+    assert type(cfg.n_samples) is int and type(cfg.seed) is int
+    assert estimate_outage(base_system(), SIG, TARGET, cfg).n == 10**6
 
 
 def test_determinism():
