@@ -255,12 +255,9 @@ def _eager_require_messages(tree):
     """Line of every `_require(...)` call in a parsed module whose message
     is an f-string, which is formatted whether the check passes or not."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "_require" and len(node.args) > 1 and isinstance(node.args[1], ast.JoinedStr):
-            yield node.lineno
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require":
+            if isinstance(node.args[1], ast.JoinedStr):
+                yield node.lineno
 
 
 def test_range_checks_refuse_through_require_with_lazy_messages():
